@@ -1,6 +1,6 @@
 """Filtered intrusive polynomial-moment methods for 1D conservation laws."""
 
-from .basis import BasisSet, Family, QuadratureRule, basis_eval, eigenvalue, gauss_rule, vandermonde
+from .basis import QuadratureRule, gauss_rule, vandermonde
 from .closures import ClosureSolver, DualSolverConfig, EulerEntropy, ScalarLogEntropy
 from .config import ExperimentConfig, ScanConfig, list_presets, load_config, parse_config
 from .errors import (
@@ -19,11 +19,7 @@ from .solver import Closure, GridConfig, MomentSolver, UncertainShockIC, project
 from .stats import StatField, delta_metrics, error_norms, stats_from_moments
 
 __all__ = [
-    "BasisSet",
-    "Family",
     "QuadratureRule",
-    "basis_eval",
-    "eigenvalue",
     "gauss_rule",
     "vandermonde",
     "ClosureSolver",

@@ -10,41 +10,9 @@ orthonormal with respect to the probability measure:
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import ConfigError
-
-
-class Family(enum.Enum):
-    """Classical orthogonal polynomial families."""
-
-    LEGENDRE = "legendre"
-    CHEBYSHEV = "chebyshev"
-    HERMITE = "hermite"
-    LAGUERRE = "laguerre"
-
-
-def eigenvalue(family: Family, i: int) -> float:
-    """Eigenvalue mu_i of the Sturm-Liouville operator the family diagonalizes.
-
-    The families satisfy (1/omega) d/dxi (kappa * d phi_i/dxi) = mu_i * phi_i
-    with the classical weight omega and coefficient kappa; mu_0 = 0 and
-    mu_i <= 0 always.
-    """
-    if i < 0:
-        raise ValueError(f"basis index must be nonnegative, got {i}")
-    if family is Family.LEGENDRE:
-        return -float(i * (i + 1))
-    if family is Family.CHEBYSHEV:
-        return -float(i * i)
-    if family is Family.HERMITE:
-        return -2.0 * i
-    if family is Family.LAGUERRE:
-        return -float(i)
-    raise ConfigError(f"unknown polynomial family: {family!r}")
 
 
 @dataclass(frozen=True)
@@ -82,17 +50,6 @@ def _legendre_rows(degree: int, xi: np.ndarray) -> np.ndarray:
     return out
 
 
-def basis_eval(i: int, xi):
-    """Evaluate phi_i = sqrt(2i+1) * P_i at xi (scalar or array), |xi| <= 1."""
-    if i < 0:
-        raise ValueError(f"basis index must be nonnegative, got {i}")
-    xi_arr = np.asarray(xi, dtype=float)
-    if np.any(np.abs(xi_arr) > 1.0):
-        raise ValueError("evaluation point outside [-1, 1]")
-    val = np.sqrt(2 * i + 1) * _legendre_rows(i, xi_arr)[..., i]
-    return float(val) if np.ndim(xi) == 0 else val
-
-
 def vandermonde(degree: int, nodes) -> np.ndarray:
     """Matrix Phi with Phi[q, i] = phi_i(nodes[q]), i = 0..degree."""
     nodes = np.asarray(nodes, dtype=float)
@@ -100,27 +57,3 @@ def vandermonde(degree: int, nodes) -> np.ndarray:
         raise ValueError("evaluation point outside [-1, 1]")
     scale = np.sqrt(2 * np.arange(degree + 1) + 1)
     return _legendre_rows(degree, nodes) * scale
-
-
-@dataclass(frozen=True)
-class BasisSet:
-    """Orthonormal basis of a family truncated at a polynomial degree."""
-
-    degree: int
-    family: Family = Family.LEGENDRE
-
-    def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError(f"degree must be nonnegative, got {self.degree}")
-
-    @property
-    def size(self) -> int:
-        return self.degree + 1
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.array([eigenvalue(self.family, i) for i in range(self.size)])
-
-    def eval(self, i: int, xi):
-        if self.family is not Family.LEGENDRE:
-            raise NotImplementedError("only the Legendre basis is evaluated")
-        return basis_eval(i, xi)

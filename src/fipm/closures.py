@@ -284,36 +284,20 @@ class ClosureSolver:
         v[..., 0, :] = self.model.entropy_vars(self.model.safe_state(u_hat[..., 0, :]))
         return v
 
-    # -- single-cell functionals (raise on domain violations) ---------------
-
-    def _check_feasible(self, y):
-        if not np.all(self.model.dual_feasible(y)):
-            raise DualDomainError("dual variables leave the conjugate domain at a node")
+    # -- single-cell views of the batched calculus ---------------------------
 
     def objective(self, v_hat, u_hat, eta=0.0):
-        y = self.node_values(v_hat)
-        self._check_feasible(y)
-        val = (
-            float(self.quad.weights @ self.model.conjugate(y))
-            - float(np.sum(v_hat * u_hat))
-            + 0.5 * eta * float(np.sum(v_hat**2))
-        )
+        """Dual objective of one cell; raises outside the dual domain."""
+        val = self._batch_objective(v_hat[None], u_hat[None], eta)[0]
         if not np.isfinite(val):
-            raise DualDomainError("dual objective overflowed")
-        return val
+            raise DualDomainError("dual variables leave the conjugate domain or overflow")
+        return float(val)
 
     def gradient(self, v_hat, u_hat, eta=0.0):
-        y = self.node_values(v_hat)
-        self._check_feasible(y)
-        return self.phi_w.T @ self.model.ansatz(y) + eta * v_hat - u_hat
+        return self._batch_gradient(v_hat[None], u_hat[None], eta)[0]
 
     def hessian(self, v_hat, eta=0.0):
-        y = self.node_values(v_hat)
-        self._check_feasible(y)
-        jac = self.model.ansatz_jacobian(y)
-        d = self.n_unknowns
-        h = np.einsum("qij,qkl->ikjl", self._t, jac).reshape(d, d)
-        return h + eta * np.eye(d)
+        return self._batch_hessian(v_hat[None], eta)[0]
 
     # -- batched Newton solve -----------------------------------------------
 

@@ -3,8 +3,8 @@
 The on-disk format is one pair per line, ``#`` starts a comment line, and
 unknown keys are rejected so a typo cannot silently fall back to a default.
 Cross-field compatibility (closure vs. filter vs. regularization) is checked
-up front; a run built from a valid configuration can only abort for genuinely
-numerical reasons.  ``to_text`` emits a canonical echo with every default
+up front by ``solver.check_combination``; a run built from a valid
+configuration can only abort for genuinely numerical reasons.  ``to_text`` emits a canonical echo with every default
 resolved, and parsing that echo reproduces the configuration exactly, which
 is what makes reruns byte-reproducible.
 """
@@ -12,23 +12,39 @@ is what makes reruns byte-reproducible.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError
 from .filters import FilterKind, FilterSpec
-from .solver import Closure, EulerPhysics, GridConfig, MomentSolver, UncertainShockIC
+from .solver import (
+    Closure,
+    EulerPhysics,
+    GridConfig,
+    MomentSolver,
+    UncertainShockIC,
+    check_combination,
+)
 
-CLOSURES = ("sg", "fsg", "ipm", "fipm-realizable", "fipm-regularized")
-FILTERS = ("none", "l2", "exponential", "erfc", "fokker-planck")
 
-_FILTER_KINDS = {
-    "l2": FilterKind.L2,
-    "exponential": FilterKind.EXPONENTIAL,
-    "erfc": FilterKind.ERFC,
-    "fokker-planck": FilterKind.FOKKER_PLANCK,
-}
+def _check_choice(name: str, value: str, choices: list[str]):
+    if value not in choices:
+        raise ConfigError(f"{name} must be one of {', '.join(choices)}; got '{value}'")
+
+
+def _echo(cfg) -> str:
+    """Canonical ``key = value`` text of a config dataclass, every default resolved."""
+    lines = []
+    for field in dataclasses.fields(cfg):
+        value = getattr(cfg, field.name)
+        if isinstance(value, tuple):
+            text = ", ".join(repr(float(v)) for v in value)
+        else:
+            text = repr(value) if isinstance(value, float) else str(value)
+        lines.append(f"{field.name} = {text}")
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -57,20 +73,13 @@ class ExperimentConfig:
     tau: float = 1e-7
     delta_lo: float = 0.7
     delta_hi: float = 0.8
-    seed: int = 0
     output_dir: str = "runs/out"
 
     def __post_init__(self):
         object.__setattr__(self, "closure", self.closure.lower())
         object.__setattr__(self, "filter", self.filter.lower())
-        if self.closure not in CLOSURES:
-            raise ConfigError(
-                f"closure must be one of {', '.join(CLOSURES)}; got '{self.closure}'"
-            )
-        if self.filter not in FILTERS:
-            raise ConfigError(
-                f"filter must be one of {', '.join(FILTERS)}; got '{self.filter}'"
-            )
+        _check_choice("closure", self.closure, [c.value for c in Closure])
+        _check_choice("filter", self.filter, ["none"] + [k.value for k in FilterKind])
         try:
             grid = self.grid()
             self.ic().validate_inside(grid)
@@ -93,30 +102,11 @@ class ExperimentConfig:
                 f"oscillation region [{self.delta_lo}, {self.delta_hi}] must be an "
                 f"interval inside the domain [{self.a}, {self.b}]"
             )
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        self.filter_spec()  # validates strength and order for the chosen kind
-        self._check_compatibility()
-
-    def _check_compatibility(self):
-        closure, filt = self.closure, self.filter
-        if closure in ("sg", "fsg") and self.eta != 0.0:
-            raise ConfigError("Galerkin closures take no regularization; set eta = 0")
-        if closure == "sg" and filt != "none":
-            raise ConfigError("closure sg takes no filter; use closure fsg")
-        if closure == "ipm" and filt != "none":
-            raise ConfigError(
-                "closure ipm takes no filter; use fipm-realizable or fipm-regularized"
-            )
-        if closure == "fipm-realizable":
-            if filt != "fokker-planck":
-                raise ConfigError(
-                    f"fipm-realizable requires the fokker-planck filter, got '{filt}'"
-                )
-            if self.eta != 0.0:
-                raise ConfigError("fipm-realizable solves the exact dual; set eta = 0")
-        if closure == "fipm-regularized" and self.eta <= 0.0:
-            raise ConfigError("fipm-regularized requires eta > 0")
+        filter_spec = self.filter_spec()  # validates strength and order
+        try:
+            check_combination(self.solver_closure(), filter_spec, self.eta)
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
 
     # -- derived objects -----------------------------------------------------
 
@@ -132,12 +122,12 @@ class ExperimentConfig:
         if self.filter == "none":
             return None
         return FilterSpec(
-            _FILTER_KINDS[self.filter], self.filter_strength, order=self.filter_order
+            FilterKind(self.filter), self.filter_strength, order=self.filter_order
         )
 
     def solver_closure(self) -> Closure:
-        # an ipm run with eta > 0 is exactly the regularized loop without filter
-        if self.closure == "ipm" and self.eta > 0.0:
+        # an unfiltered ipm run with eta > 0 is exactly the regularized loop
+        if self.closure == "ipm" and self.filter == "none" and self.eta > 0.0:
             return Closure.FIPM_REGULARIZED
         return Closure(self.closure)
 
@@ -156,83 +146,88 @@ class ExperimentConfig:
             tau=self.tau,
         )
 
-    # -- canonical echo --------------------------------------------------------
-
-    def to_text(self) -> str:
-        lines = []
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            text = repr(value) if isinstance(value, float) else str(value)
-            lines.append(f"{field.name} = {text}")
-        return "\n".join(lines) + "\n"
+    to_text = _echo
 
 
-_TYPES = {
-    field.name: {"float": float, "int": int, "str": str}[field.type]
-    for field in dataclasses.fields(ExperimentConfig)
+_TYPES = {field.name: field.type for field in dataclasses.fields(ExperimentConfig)}
+
+
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {raw!r}")
+    return value
+
+
+#: converter and the expectation it names in errors, per field annotation
+_CONVERTERS = {
+    "str": (str, "str"),
+    "int": (int, "int"),
+    "float": (_finite_float, "a finite float"),
+    "tuple[float, ...]": (
+        lambda raw: tuple(_finite_float(tok) for tok in raw.split(",") if tok.strip()),
+        "comma-separated floats, each finite",
+    ),
 }
-_REQUIRED = frozenset(
-    field.name
-    for field in dataclasses.fields(ExperimentConfig)
-    if field.default is dataclasses.MISSING
-)
 
 
-def _split_pairs(text: str, source: str):
-    pairs = []
+def _convert(kind: str, key: str, raw: str, where: str):
+    """Value of one ``key = raw`` pair for a field annotated ``kind``."""
+    convert, expects = _CONVERTERS[kind]
+    try:
+        return convert(raw)
+    except ValueError:
+        raise ConfigError(f"{where}: key '{key}' expects {expects}, got '{raw}'") from None
+
+
+def _parse(cls, text: str, source: str, overrides=()):
+    """Parse flat ``key = value`` text into the config dataclass ``cls``.
+
+    Field annotations decide the conversion.  Raises ConfigError naming the
+    offending key and line for malformed lines, unknown keys, duplicates,
+    type mismatches, non-finite floats, missing required keys, and anything
+    the dataclass itself rejects.
+    """
+    types = {field.name: field.type for field in dataclasses.fields(cls)}
+    values: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        key, sep, raw = stripped.partition("=")
-        if not sep:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
-        pairs.append((key.strip(), raw.strip(), lineno))
-    return pairs
-
-
-def _convert(key: str, raw: str, where: str):
-    kind = _TYPES[key]
-    if kind is str:
-        return raw
-    try:
-        return kind(raw)
-    except ValueError:
-        raise ConfigError(
-            f"{where}: key '{key}' expects {kind.__name__}, got '{raw}'"
-        ) from None
-
-
-def parse_config(text: str, source: str = "<config>", overrides=()) -> ExperimentConfig:
-    """Parse a flat configuration, apply ``key=value`` override strings, validate.
-
-    Raises ConfigError naming the offending key and line for unknown keys,
-    duplicates, type mismatches, missing required keys, and any cross-field
-    incompatibility.
-    """
-    values: dict[str, object] = {}
-    for key, raw, lineno in _split_pairs(text, source):
         where = f"{source}:{lineno}"
-        if key not in _TYPES:
+        key, sep, raw = stripped.partition("=")
+        key = key.strip()
+        if not sep:
+            raise ConfigError(f"{where}: expected 'key = value', got {line!r}")
+        if key not in types:
             raise ConfigError(f"{where}: unknown key '{key}'")
         if key in values:
             raise ConfigError(f"{where}: duplicate key '{key}'")
-        values[key] = _convert(key, raw, where)
+        values[key] = _convert(types[key], key, raw.strip(), where)
     for item in overrides:
         key, sep, raw = item.partition("=")
-        key, raw = key.strip(), raw.strip()
+        key = key.strip()
         if not sep or not key:
             raise ConfigError(f"override '{item}' must have the form key=value")
-        if key not in _TYPES:
+        if key not in types:
             raise ConfigError(f"override: unknown key '{key}'")
-        values[key] = _convert(key, raw, "override")
-    missing = sorted(_REQUIRED - values.keys())
+        values[key] = _convert(types[key], key, raw.strip(), "override")
+    missing = [
+        field.name
+        for field in dataclasses.fields(cls)
+        if field.default is dataclasses.MISSING and field.name not in values
+    ]
     if missing:
-        raise ConfigError(f"{source}: missing required keys: {', '.join(missing)}")
+        raise ConfigError(f"{source}: missing required keys: {', '.join(sorted(missing))}")
     try:
-        return ExperimentConfig(**values)
+        return cls(**values)
     except ConfigError as err:
         raise ConfigError(f"{source}: {err}") from None
+
+
+def parse_config(text: str, source: str = "<config>", overrides=()) -> ExperimentConfig:
+    """Parse a flat configuration, apply ``key=value`` override strings, validate."""
+    return _parse(ExperimentConfig, text, source, overrides)
 
 
 # -- realizability-scan configuration ----------------------------------------------
@@ -260,49 +255,11 @@ class ScanConfig:
             if any(v < 0 for v in values):
                 raise ConfigError(f"{name} must be nonnegative, got {values}")
 
-    def to_text(self) -> str:
-        lines = []
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if isinstance(value, tuple):
-                text = ", ".join(repr(float(v)) for v in value)
-            else:
-                text = str(value)
-            lines.append(f"{field.name} = {text}")
-        return "\n".join(lines) + "\n"
-
-
-_SCAN_LISTS = ("exp_exponents", "fp_strengths")
-_SCAN_TYPES = {"resolution": int, "order": int, "output_dir": str}
+    to_text = _echo
 
 
 def parse_scan_config(text: str, source: str = "<config>") -> ScanConfig:
-    values: dict[str, object] = {}
-    for key, raw, lineno in _split_pairs(text, source):
-        where = f"{source}:{lineno}"
-        if key in values:
-            raise ConfigError(f"{where}: duplicate key '{key}'")
-        if key in _SCAN_LISTS:
-            try:
-                values[key] = tuple(float(tok) for tok in raw.split(",") if tok.strip())
-            except ValueError:
-                raise ConfigError(
-                    f"{where}: key '{key}' expects comma-separated floats, got '{raw}'"
-                ) from None
-        elif key in _SCAN_TYPES:
-            kind = _SCAN_TYPES[key]
-            try:
-                values[key] = kind(raw) if kind is not str else raw
-            except ValueError:
-                raise ConfigError(
-                    f"{where}: key '{key}' expects {kind.__name__}, got '{raw}'"
-                ) from None
-        else:
-            raise ConfigError(f"{where}: unknown key '{key}'")
-    try:
-        return ScanConfig(**values)
-    except ConfigError as err:
-        raise ConfigError(f"{source}: {err}") from None
+    return _parse(ScanConfig, text, source)
 
 
 # -- bundled presets -------------------------------------------------------------

@@ -16,9 +16,6 @@ from .errors import VacuumError
 
 GAMMA_DEFAULT = 1.4
 
-#: number of conserved components
-N_COMP = 3
-
 
 def pressure(u, gamma=GAMMA_DEFAULT):
     """p = (gamma - 1) * (E_t - m^2 / (2 rho)) for u = (..., 3)."""
@@ -64,16 +61,6 @@ def max_wavespeed(u, gamma=GAMMA_DEFAULT):
     u = np.asarray(u, dtype=float)
     rho = u[..., 0]
     return np.abs(u[..., 1] / rho) + np.sqrt(gamma * pressure(u, gamma) / rho)
-
-
-def numerical_flux(u_l, u_r, gamma=GAMMA_DEFAULT):
-    """Local Lax-Friedrichs (Rusanov) flux between two admissible states."""
-    u_l = np.asarray(u_l, dtype=float)
-    u_r = np.asarray(u_r, dtype=float)
-    s = np.maximum(max_wavespeed(u_l, gamma), max_wavespeed(u_r, gamma))
-    return 0.5 * (physical_flux(u_l, gamma) + physical_flux(u_r, gamma)) - 0.5 * s[
-        ..., None
-    ] * (u_r - u_l)
 
 
 # ---------------------------------------------------------------------------

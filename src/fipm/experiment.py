@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import euler
-from .config import _TYPES, ExperimentConfig, ScanConfig
+from .config import _TYPES, ExperimentConfig, ScanConfig, _convert
 from .errors import ConfigError, FipmError
 from .filters import FilterKind, FilterSpec
 from .realizability import ScanResult, filter_image_scan
@@ -81,34 +81,17 @@ def _write_telemetry(path: Path, telemetry):
     _write_csv(path, header, rows)
 
 
-def _stat_header(prefix=""):
-    header = ["x"]
-    for name in COMPONENTS:
-        header += [f"{prefix}mean_{name}", f"{prefix}var_{name}"]
-    return header
-
-
 def _write_stat_field(path: Path, field: StatField, prefix=""):
+    header = ["x"]
+    for name in field.components:
+        header += [f"{prefix}mean_{name}", f"{prefix}var_{name}"]
     rows = []
     for j in range(field.x.size):
         row = [_fmt(field.x[j])]
         for k in range(len(field.components)):
             row += [_fmt(field.mean[j, k]), _fmt(field.var[j, k])]
         rows.append(row)
-    _write_csv(path, _stat_header(prefix), rows)
-
-
-def _write_errors(path: Path, numeric: StatField, reference: StatField):
-    rows = []
-    for j in range(numeric.x.size):
-        row = [_fmt(numeric.x[j])]
-        for k in range(len(COMPONENTS)):
-            row += [
-                _fmt(numeric.mean[j, k] - reference.mean[j, k]),
-                _fmt(numeric.var[j, k] - reference.var[j, k]),
-            ]
-        rows.append(row)
-    _write_csv(path, _stat_header("err_"), rows)
+    _write_csv(path, header, rows)
 
 
 PLOT_SCRIPT = '''"""Plot the density mean and variance of this run against the reference.
@@ -220,7 +203,10 @@ def run_experiment(cfg: ExperimentConfig, output_root=None) -> RunArtifacts:
     reference = StatField(x=x, mean=ref_mean, var=ref_var, components=COMPONENTS)
     _write_stat_field(out_dir / "stats.csv", numeric)
     _write_stat_field(out_dir / "reference.csv", reference)
-    _write_errors(out_dir / "errors.csv", numeric, reference)
+    errors = StatField(
+        x=x, mean=numeric.mean - ref_mean, var=numeric.var - ref_var, components=COMPONENTS
+    )
+    _write_stat_field(out_dir / "errors.csv", errors, prefix="err_")
 
     d_mean, d_var = delta_metrics(numeric, reference, cfg.delta_region())
     summary = {"deltaE": d_mean, "deltaVar": d_var, **error_norms(numeric, reference)}
@@ -276,7 +262,7 @@ def sweep(cfg: ExperimentConfig, key: str, values, output_root=None) -> SweepRes
     (bad value, solver abort) are recorded as NaN rows and the sweep
     continues.  An empty value list yields an empty table.
     """
-    if _TYPES.get(key) not in (float, int):
+    if _TYPES.get(key) not in ("float", "int"):
         raise ConfigError(f"'{key}' is not a sweepable numeric configuration key")
     base_dir = resolve_output_root(output_root) / cfg.output_dir
     base_dir.mkdir(parents=True, exist_ok=True)
@@ -286,7 +272,7 @@ def sweep(cfg: ExperimentConfig, key: str, values, output_root=None) -> SweepRes
         raw = str(raw).strip()
         started = time.perf_counter()
         try:
-            value = _TYPES[key](raw)
+            value = _convert(_TYPES[key], key, raw, "sweep")
             sub_cfg = replace(
                 cfg, **{key: value, "output_dir": f"{cfg.output_dir}/{key}-{raw}"}
             )

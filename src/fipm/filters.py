@@ -9,8 +9,8 @@ the tests rather than patched.
 The exponential and erfc filters are solution operators raised to the power
 lambda * dt and therefore need the time step; L2 and Fokker-Planck gains are
 dt-free.  The Fokker-Planck gain exp(mu_i * lambda) uses the Sturm-Liouville
-eigenvalues of the basis family (Legendre: mu_i = -i(i+1)) and inherits an
-exact semigroup property: applying lambda_1 then lambda_2 equals applying
+eigenvalues mu_i = -i(i+1) of the Legendre basis and inherits an exact
+semigroup property: applying lambda_1 then lambda_2 equals applying
 lambda_1 + lambda_2.
 
 The order-2 exponential and Fokker-Planck (heat-semigroup) families differ by
@@ -96,13 +96,6 @@ def gains(spec: FilterSpec, degree: int, dt: float | None = None) -> np.ndarray:
         exponent = spec.strength * dt
     zeta = i / degree if degree > 0 else i
     return _base_gain(spec, zeta) ** exponent
-
-
-def filter_gain(spec: FilterSpec, i: int, degree: int, dt: float | None = None) -> float:
-    """Single gain g_i, 0 <= i <= degree."""
-    if not 0 <= i <= degree:
-        raise ValueError(f"basis index {i} outside 0..{degree}")
-    return float(gains(spec, degree, dt)[i])
 
 
 def apply_filter(

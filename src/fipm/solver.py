@@ -33,7 +33,7 @@ from . import euler
 from .basis import _legendre_rows, gauss_rule, vandermonde
 from .closures import ClosureSolver, DualSolverConfig, EulerEntropy
 from .errors import BreakdownError, DualNonConvergenceError, InadmissibleStateError
-from .filters import FilterSpec, apply_filter
+from .filters import FilterKind, FilterSpec, apply_filter
 
 
 class Closure(enum.Enum):
@@ -48,6 +48,33 @@ class Closure(enum.Enum):
 RECONSTRUCTING = (Closure.IPM, Closure.FIPM_REALIZABLE)
 #: closures that never touch a dual problem
 GALERKIN = (Closure.SG, Closure.FSG)
+
+
+def check_combination(closure: Closure, filter_spec: FilterSpec | None, eta: float):
+    """Raise ValueError unless the closure, filter and regularization go together.
+
+    The realizability-preserving Fokker-Planck filter pairs with the exact
+    closure, every other filter with the regularized one.  fsg takes any
+    filter or none: without one it degenerates to plain Galerkin bit-for-bit.
+    The regularization is checked before the filter.
+    """
+    kind = "none" if filter_spec is None else filter_spec.kind.value
+    if closure in GALERKIN:
+        if eta != 0.0:
+            raise ValueError("Galerkin closures take no regularization; set eta = 0")
+        if closure is Closure.SG and kind != "none":
+            raise ValueError("closure sg takes no filter; use closure fsg")
+    elif closure in RECONSTRUCTING:
+        if eta != 0.0:
+            raise ValueError(f"{closure.value} solves the exact dual; set eta = 0")
+        if closure is Closure.IPM and kind != "none":
+            raise ValueError(
+                "closure ipm takes no filter; use fipm-realizable or fipm-regularized"
+            )
+        if closure is Closure.FIPM_REALIZABLE and kind != FilterKind.FOKKER_PLANCK.value:
+            raise ValueError(f"fipm-realizable requires the fokker-planck filter, got '{kind}'")
+    elif eta <= 0.0:
+        raise ValueError("fipm-regularized requires eta > 0")
 
 
 @dataclass(frozen=True)
@@ -148,7 +175,6 @@ class EulerPhysics:
     """Deterministic Euler fluxes used inside the kinetic flux."""
 
     n_comp = 3
-    component_names = ("rho", "m", "E")
 
     def __init__(self, gamma=euler.GAMMA_DEFAULT):
         self.gamma = gamma
@@ -167,7 +193,6 @@ class AdvectionPhysics:
     """Linear transport at constant speed; any finite state is admissible."""
 
     n_comp = 1
-    component_names = ("u",)
 
     def __init__(self, speed=1.0):
         self.speed = float(speed)
@@ -269,18 +294,9 @@ class MomentSolver:
             raise ValueError(
                 f"need at least degree+1 quadrature nodes, got {n_quad} < {degree + 1}"
             )
-        if closure in GALERKIN:
-            # a filtered Galerkin run without a filter degenerates to plain
-            # Galerkin bit-for-bit, so filter_spec=None is legal for both
-            if eta != 0.0:
-                raise ValueError("Galerkin closures do not take a regularization")
-        else:
-            if model is None:
-                model = EulerEntropy(getattr(physics, "gamma", euler.GAMMA_DEFAULT))
-            if closure in RECONSTRUCTING and eta != 0.0:
-                raise ValueError("the reconstructing closure solves the exact dual (eta = 0)")
-            if closure is Closure.FIPM_REGULARIZED and eta <= 0.0:
-                raise ValueError("the regularized closure needs eta > 0")
+        check_combination(closure, filter_spec, eta)
+        if closure not in GALERKIN and model is None:
+            model = EulerEntropy(getattr(physics, "gamma", euler.GAMMA_DEFAULT))
         self.grid = grid
         self.degree = int(degree)
         self.quad = gauss_rule(n_quad)
@@ -413,16 +429,11 @@ class MomentSolver:
     def run(self, u0, ghost_moments, max_steps=1_000_000) -> RunResult:
         """March from the initial moments to grid.t_end."""
         t_end = self.grid.t_end
-        if t_end == 0.0:
-            return RunResult(
-                grid=self.grid,
-                degree=self.degree,
-                closure=self.closure,
-                t_final=0.0,
-                moments=np.array(u0, dtype=float),
-                duals=None,
-            )
-        state = self.prepare(u0, ghost_moments)
+        if t_end == 0.0:  # nothing to march, so no closure is solved either
+            u0 = np.array(u0, dtype=float)
+            state = SolverState(t=0.0, step=0, moments=u0, duals=None, s_prev=0.0)
+        else:
+            state = self.prepare(u0, ghost_moments)
         telemetry = []
         eps_t = 1e-12 * max(t_end, 1.0)
         while state.t < t_end - eps_t:

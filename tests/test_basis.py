@@ -6,7 +6,8 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fipm.basis import Family, QuadratureRule, basis_eval, eigenvalue, gauss_rule, vandermonde
+from fipm.basis import gauss_rule, vandermonde
+from fipm.filters import FilterKind, FilterSpec, gains
 
 
 def uniform_moment(p):
@@ -41,35 +42,39 @@ class TestGaussRule:
             gauss_rule(0)
 
 
+def basis_column(i, xi):
+    """phi_i at the points xi, read off the last Vandermonde column of degree i."""
+    return vandermonde(i, np.atleast_1d(xi))[:, i]
+
+
 class TestBasisEval:
     def test_hand_values(self):
         # phi_0 = 1, phi_1 = sqrt(3) xi, phi_2 = sqrt(5) (3 xi^2 - 1)/2
-        assert basis_eval(0, 0.3) == pytest.approx(1.0, abs=1e-15)
-        assert basis_eval(1, 0.5) == pytest.approx(0.8660254037844386, abs=1e-15)
-        assert basis_eval(2, 1.0) == pytest.approx(np.sqrt(5.0), abs=1e-14)
-        assert basis_eval(2, 0.0) == pytest.approx(-np.sqrt(5.0) / 2, abs=1e-15)
+        assert basis_column(0, 0.3) == pytest.approx([1.0], abs=1e-15)
+        assert basis_column(1, 0.5) == pytest.approx([0.8660254037844386], abs=1e-15)
+        assert basis_column(2, 1.0) == pytest.approx([np.sqrt(5.0)], abs=1e-14)
+        assert basis_column(2, 0.0) == pytest.approx([-np.sqrt(5.0) / 2], abs=1e-15)
 
     @pytest.mark.parametrize("i", range(9))
     def test_matches_independent_legendre_evaluation(self, i):
         xi = np.linspace(-1, 1, 17)
         expected = np.sqrt(2 * i + 1) * scipy.special.eval_legendre(i, xi)
-        assert basis_eval(i, xi) == pytest.approx(expected, abs=1e-12)
+        assert basis_column(i, xi) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("i", range(12))
     def test_endpoint_magnitude(self, i):
-        assert abs(basis_eval(i, 1.0)) == pytest.approx(np.sqrt(2 * i + 1), rel=1e-14)
-        assert abs(basis_eval(i, -1.0)) == pytest.approx(np.sqrt(2 * i + 1), rel=1e-14)
+        assert np.abs(basis_column(i, [-1.0, 1.0])) == pytest.approx(
+            [np.sqrt(2 * i + 1)] * 2, rel=1e-14
+        )
 
     @given(i=st.integers(0, 15), xi=st.floats(-1.0, 1.0))
     @settings(max_examples=200, deadline=None)
     def test_bounded_by_endpoint_value(self, i, xi):
-        assert abs(basis_eval(i, xi)) <= np.sqrt(2 * i + 1) + 1e-12
+        assert abs(basis_column(i, xi)[0]) <= np.sqrt(2 * i + 1) + 1e-12
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            basis_eval(2, 1.5)
-        with pytest.raises(ValueError):
-            basis_eval(-1, 0.0)
+            vandermonde(2, [1.5])
 
 
 class TestVandermonde:
@@ -85,28 +90,27 @@ class TestVandermonde:
         assert gram == pytest.approx(np.eye(degree + 1), abs=1e-13)
 
     def test_consistent_with_basis_eval(self):
+        """Column i does not depend on the truncation degree or on the other nodes."""
         rule = gauss_rule(12)
         phi = vandermonde(5, rule.nodes)
         for i in range(6):
-            assert phi[:, i] == pytest.approx(basis_eval(i, rule.nodes), abs=1e-14)
+            for q, node in enumerate(rule.nodes):
+                assert phi[q, i] == pytest.approx(basis_column(i, node)[0], abs=1e-14)
 
 
 class TestEigenvalues:
-    @pytest.mark.parametrize("family", list(Family))
-    def test_zeroth_eigenvalue_vanishes(self, family):
-        assert eigenvalue(family, 0) == 0.0
+    """The Legendre Sturm-Liouville eigenvalues mu_i = -i(i+1).
+
+    The heat-semigroup filter gain is g_i = exp(mu_i * lambda), so the
+    eigenvalues are read off its gains.
+    """
 
     def test_hand_values(self):
-        assert [eigenvalue(Family.LEGENDRE, i) for i in range(4)] == [0.0, -2.0, -6.0, -12.0]
-        assert [eigenvalue(Family.CHEBYSHEV, i) for i in range(4)] == [0.0, -1.0, -4.0, -9.0]
-        assert [eigenvalue(Family.HERMITE, i) for i in range(4)] == [0.0, -2.0, -4.0, -6.0]
-        assert [eigenvalue(Family.LAGUERRE, i) for i in range(4)] == [0.0, -1.0, -2.0, -3.0]
+        g = gains(FilterSpec(FilterKind.FOKKER_PLANCK, 1.0), 3)
+        assert np.log(g) == pytest.approx([0.0, -2.0, -6.0, -12.0], abs=1e-14)
 
-    @given(i=st.integers(0, 40), family=st.sampled_from(list(Family)))
-    def test_nonpositive_and_decreasing(self, i, family):
-        assert eigenvalue(family, i) <= 0.0
-        assert eigenvalue(family, i + 1) < eigenvalue(family, i)
-
-    def test_rejects_negative_index(self):
-        with pytest.raises(ValueError):
-            eigenvalue(Family.LEGENDRE, -1)
+    @given(i=st.integers(0, 40))
+    def test_nonpositive_and_decreasing(self, i):
+        mu = np.log(gains(FilterSpec(FilterKind.FOKKER_PLANCK, 1e-3), i + 1)) / 1e-3
+        assert mu[i] <= 0.0
+        assert mu[i + 1] < mu[i]

@@ -1,5 +1,7 @@
 """Configuration parsing, preset golden values, artifact emission, CLI exit codes."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,8 @@ from fipm.config import (
 )
 from fipm.errors import ConfigError
 from fipm.experiment import run_experiment, sweep
-from fipm.solver import Closure
+from fipm.filters import FilterKind, FilterSpec
+from fipm.solver import Closure, EulerPhysics, GridConfig, MomentSolver
 
 MINIMAL = """
 a = 0.0
@@ -66,6 +69,10 @@ class TestParseConfig:
     def test_type_mismatch_names_key(self):
         with pytest.raises(ConfigError, match="'n_cells' expects int"):
             parse_config(MINIMAL.replace("n_cells = 60", "n_cells = sixty"))
+        for value in ("nan", "inf", "-inf"):
+            text = MINIMAL.replace("t_end = 0.01", f"t_end = {value}")
+            with pytest.raises(ConfigError, match=r"my\.cfg:5: key 't_end' expects a finite"):
+                parse_config(text, source="my.cfg")
 
     def test_missing_required_keys_listed(self):
         with pytest.raises(ConfigError, match="missing required keys: .*closure"):
@@ -96,6 +103,19 @@ class TestParseConfig:
         assert parse_config(cfg.to_text()) == cfg
 
 
+COMBINATION_FILTERS = ["none"] + [kind.value for kind in FilterKind]
+#: every (closure, filter, eta) the paper pairs, with eta in {0, 1e-7}
+ACCEPTED = {
+    ("sg", "none", 0.0),
+    *(("fsg", filt, 0.0) for filt in COMBINATION_FILTERS),
+    ("ipm", "none", 0.0),
+    ("ipm", "none", 1e-7),
+    ("fipm-realizable", "fokker-planck", 0.0),
+    *(("fipm-regularized", filt, 1e-7) for filt in COMBINATION_FILTERS),
+}
+assert len(ACCEPTED) == 14
+
+
 class TestCompatibility:
     @pytest.mark.parametrize(
         "extra,message",
@@ -122,6 +142,30 @@ class TestCompatibility:
         text = MINIMAL.replace("closure = ipm", "") + extra + "\n"
         with pytest.raises(ConfigError, match=message):
             parse_config(text)
+
+    @pytest.mark.parametrize("eta", [0.0, 1e-7])
+    @pytest.mark.parametrize("filt", COMBINATION_FILTERS)
+    @pytest.mark.parametrize("closure", [member.value for member in Closure])
+    def test_config_and_solver_accept_the_same_combinations(self, closure, filt, eta):
+        fields = dict(closure=closure, filter=filt, filter_strength=0.1, eta=eta)
+        overrides = [f"{key}={value}" for key, value in fields.items()]
+        try:
+            parse_config(MINIMAL.replace("closure = ipm", ""), overrides=overrides)
+            config_accepts = True
+        except ConfigError:
+            config_accepts = False
+        spec = None if filt == "none" else FilterSpec(FilterKind(filt), 0.1, order=2)
+        try:
+            MomentSolver(
+                GridConfig(0.0, 1.0, 60, 0.01), 2, 6, EulerPhysics(),
+                closure=ExperimentConfig.solver_closure(SimpleNamespace(**fields)),
+                filter_spec=spec,
+                eta=eta,
+            )
+            solver_accepts = True
+        except ValueError:
+            solver_accepts = False
+        assert config_accepts == solver_accepts == ((closure, filt, eta) in ACCEPTED)
 
     def test_geometry_validation(self):
         with pytest.raises(ConfigError, match="inside the domain"):
@@ -240,6 +284,13 @@ class TestScanConfig:
     def test_bad_list_rejected(self):
         with pytest.raises(ConfigError, match="comma-separated floats"):
             parse_scan_config("exp_exponents = 0.1, abc\n")
+        for value in ("nan", "0.1, inf"):
+            with pytest.raises(ConfigError, match="'exp_exponents' expects comma-separated"):
+                parse_scan_config(f"exp_exponents = {value}\n")
+
+    def test_echo_round_trips(self):
+        cfg = ScanConfig(exp_exponents=(0.5, 1.0), resolution=10)
+        assert parse_scan_config(cfg.to_text()) == cfg
 
     def test_defaults(self):
         cfg = parse_scan_config("")
@@ -386,6 +437,12 @@ class TestCli:
         assert main(["run", "sod-ipm", "--set", "eta=-1", "--dry-run"]) == 2
         assert "eta" in capsys.readouterr().err
         assert main(["run", "no-such-thing", "--dry-run"]) == 2
+
+    @pytest.mark.parametrize("key", ["t_end", "filter_strength", "eta"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_values_exit_2(self, key, value, capsys):
+        assert main(["run", "sod-ipm-desk", "--set", f"{key}={value}", "--dry-run"]) == 2
+        assert f"key '{key}' expects a finite float" in capsys.readouterr().err
 
     def test_solver_abort_exits_3(self, tmp_path, capsys):
         code = main(

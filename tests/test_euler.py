@@ -16,12 +16,12 @@ from fipm.euler import (
     conserved_from_primitive,
     exact_riemann,
     max_wavespeed,
-    numerical_flux,
     physical_flux,
     pressure,
     primitive_from_conserved,
     reference_statistics,
 )
+from fipm.solver import EulerPhysics, rusanov
 
 GAMMA = 1.4
 SOD_L = np.array([1.0, 0.0, 1.0])  # primitive (rho, v, p)
@@ -106,24 +106,26 @@ class TestStateMaps:
 
 
 class TestNumericalFlux:
+    """The Rusanov flux of the moment solver on Euler states."""
+
     def test_consistency(self):
         u = conserved_from_primitive(np.array([0.7, 0.3, 1.2]))
-        assert numerical_flux(u, u) == pytest.approx(physical_flux(u), abs=1e-14)
+        assert rusanov(u, u, EulerPhysics()) == pytest.approx(physical_flux(u), abs=1e-14)
 
     def test_hand_value_sod_interface(self):
         u_l = conserved_from_primitive(SOD_L)
         u_r = conserved_from_primitive(SOD_R)
         s = 1.1832159566199232  # the larger of the two sound speeds
         expected = 0.5 * (physical_flux(u_l) + physical_flux(u_r)) - 0.5 * s * (u_r - u_l)
-        assert numerical_flux(u_l, u_r) == pytest.approx(expected, abs=1e-14)
+        assert rusanov(u_l, u_r, EulerPhysics()) == pytest.approx(expected, abs=1e-14)
 
     def test_batched(self):
         rng = np.random.default_rng(2)
         w = np.abs(rng.normal(size=(6, 3))) + 0.1
         u = conserved_from_primitive(w)
-        out = numerical_flux(u[:-1], u[1:])
+        out = rusanov(u[:-1], u[1:], EulerPhysics())
         for j in range(5):
-            assert out[j] == pytest.approx(numerical_flux(u[j], u[j + 1]), abs=1e-14)
+            assert out[j] == pytest.approx(rusanov(u[j], u[j + 1], EulerPhysics()), abs=1e-14)
 
 
 class TestExactRiemann:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fipm.errors import ConfigError
-from fipm.filters import FilterKind, FilterSpec, apply_filter, filter_gain, gains
+from fipm.filters import FilterKind, FilterSpec, apply_filter, gains
 
 ALL_KINDS = list(FilterKind)
 
@@ -18,14 +18,14 @@ def make_spec(kind, strength, order=2, dt_coupled=True):
 class TestFrozenValues:
     def test_l2(self):
         # 1 / (1 + lambda i^2 (i+1)^2)
-        assert filter_gain(make_spec(FilterKind.L2, 1.0), 1, 10) == pytest.approx(0.2, abs=1e-15)
-        assert filter_gain(make_spec(FilterKind.L2, 0.05), 3, 5) == pytest.approx(
+        assert gains(make_spec(FilterKind.L2, 1.0), 10)[1] == pytest.approx(0.2, abs=1e-15)
+        assert gains(make_spec(FilterKind.L2, 0.05), 5)[3] == pytest.approx(
             0.12195121951219513, abs=1e-15
         )
 
     def test_fokker_planck(self):
         spec = make_spec(FilterKind.FOKKER_PLANCK, 0.1)
-        assert filter_gain(spec, 2, 4) == pytest.approx(0.5488116360940264, abs=1e-15)
+        assert gains(spec, 4)[2] == pytest.approx(0.5488116360940264, abs=1e-15)
         lam = 0.3
         g = gains(make_spec(FilterKind.FOKKER_PLANCK, lam), 2)
         assert g == pytest.approx([1.0, np.exp(-2 * lam), np.exp(-6 * lam)], rel=1e-14)
@@ -33,10 +33,10 @@ class TestFrozenValues:
     def test_exponential(self):
         # top mode is damped to machine epsilon when lambda * dt = 1
         spec = make_spec(FilterKind.EXPONENTIAL, 2.0, order=10)
-        assert filter_gain(spec, 10, 10, dt=0.5) == pytest.approx(2.220446049250313e-16, rel=1e-12)
-        assert filter_gain(spec, 5, 10, dt=0.5) == pytest.approx(0.9654133954938136, rel=1e-13)
+        assert gains(spec, 10, dt=0.5)[10] == pytest.approx(2.220446049250313e-16, rel=1e-12)
+        assert gains(spec, 10, dt=0.5)[5] == pytest.approx(0.9654133954938136, rel=1e-13)
         spec2 = make_spec(FilterKind.EXPONENTIAL, 0.5, order=2)
-        assert filter_gain(spec2, 1, 2, dt=1.0) == pytest.approx(0.01104854345603981, rel=1e-13)
+        assert gains(spec2, 2, dt=1.0)[1] == pytest.approx(0.01104854345603981, rel=1e-13)
 
     def test_erfc(self):
         spec = make_spec(FilterKind.ERFC, 1.0, order=10)
@@ -79,7 +79,7 @@ class TestStructure:
         "kind", [FilterKind.L2, FilterKind.EXPONENTIAL, FilterKind.FOKKER_PLANCK]
     )
     def test_mean_preserved(self, kind):
-        assert filter_gain(make_spec(kind, 3.0, order=4), 0, 6, dt=0.2) == 1.0
+        assert gains(make_spec(kind, 3.0, order=4), 6, dt=0.2)[0] == 1.0
 
     @given(lam1=st.floats(1e-6, 5.0), lam2=st.floats(1e-6, 5.0), degree=st.integers(0, 12))
     @settings(max_examples=150, deadline=None)
@@ -149,6 +149,7 @@ class TestValidation:
             gains(spec, 4)
 
     def test_bad_index_rejected(self):
+        # the gain vector covers basis indices 0..degree; no degree is negative
         spec = FilterSpec(kind=FilterKind.L2, strength=1.0)
         with pytest.raises(ValueError):
-            filter_gain(spec, 7, 6)
+            gains(spec, -1)
