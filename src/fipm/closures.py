@@ -207,17 +207,19 @@ class EulerEntropy:
 # dual problem over a truncated basis
 # ---------------------------------------------------------------------------
 
+#: backtracking line search: step contraction, sufficient-decrease slope, max trials
+LS_CONTRACTION = 0.5
+LS_SLOPE = 1e-4
+LS_MAX = 50
+
 
 @dataclass(frozen=True)
 class DualSolverConfig:
-    """Newton/backtracking parameters for the dual minimization."""
+    """Newton parameters for the dual minimization."""
 
     tol: float = 1e-7
     eta: float = 0.0
     max_iter: int = 200
-    ls_contraction: float = 0.5
-    ls_slope: float = 1e-4
-    ls_max: int = 50
 
     def __post_init__(self):
         if self.tol <= 0 or self.eta < 0:
@@ -344,7 +346,7 @@ class ClosureSolver:
             d[bad] = -g_flat[bad]
         return d
 
-    def _line_search(self, v, u, eta, f0, direction, slope, config):
+    def _line_search(self, v, u, eta, f0, direction, slope):
         """Vectorized backtracking; returns (v_new, f_new, accepted).
 
         The sufficient-decrease test carries a rounding-noise floor: close to
@@ -358,10 +360,10 @@ class ClosureSolver:
         f_new = f0.copy()
         noise = 1e-14 * (1.0 + np.abs(f0))
         todo = np.arange(n)
-        for _ in range(config.ls_max):
+        for _ in range(LS_MAX):
             cand = v[todo] + step[todo, None, None] * direction[todo]
             f_cand = self._batch_objective(cand, u[todo], eta)
-            ok = f_cand <= f0[todo] + config.ls_slope * step[todo] * slope[todo] + noise[todo]
+            ok = f_cand <= f0[todo] + LS_SLOPE * step[todo] * slope[todo] + noise[todo]
             if np.any(ok):
                 hit = todo[ok]
                 v_new[hit] = cand[ok]
@@ -370,7 +372,7 @@ class ClosureSolver:
                 todo = todo[~ok]
                 if todo.size == 0:
                     break
-            step[todo] *= config.ls_contraction
+            step[todo] *= LS_CONTRACTION
         return v_new, f_new, accepted
 
     def solve_batch(self, u_hat, start=None, config: DualSolverConfig | None = None):
@@ -422,7 +424,7 @@ class ClosureSolver:
             direction = d_flat.reshape(g.shape)
 
             v_act, f_act, accepted = self._line_search(
-                v[active], u[active], eta, f[active], direction, slope, config
+                v[active], u[active], eta, f[active], direction, slope
             )
             # a second chance along steepest descent for Newton-step failures
             retry = ~accepted & ~uphill
@@ -435,7 +437,6 @@ class ClosureSolver:
                     f_act[idx],
                     -g[idx],
                     -np.sum(g_flat[idx] ** 2, axis=1),
-                    config,
                 )
                 v_act[idx] = v_retry
                 f_act[idx] = f_retry

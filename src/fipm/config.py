@@ -34,6 +34,15 @@ def _check_choice(name: str, value: str, choices: list[str]):
         raise ConfigError(f"{name} must be one of {', '.join(choices)}; got '{value}'")
 
 
+def _check_finite(cfg):
+    """Reject nan and inf in every float and float-tuple field, naming the key."""
+    for field in dataclasses.fields(cfg):
+        value = getattr(cfg, field.name)
+        values = value if field.type == "tuple[float, ...]" else (value,)
+        if field.type in ("float", "tuple[float, ...]") and not all(map(math.isfinite, values)):
+            raise ConfigError(f"key '{field.name}' must be finite, got {value!r}")
+
+
 def _echo(cfg) -> str:
     """Canonical ``key = value`` text of a config dataclass, every default resolved."""
     lines = []
@@ -76,6 +85,7 @@ class ExperimentConfig:
     output_dir: str = "runs/out"
 
     def __post_init__(self):
+        _check_finite(self)
         object.__setattr__(self, "closure", self.closure.lower())
         object.__setattr__(self, "filter", self.filter.lower())
         _check_choice("closure", self.closure, [c.value for c in Closure])
@@ -244,8 +254,9 @@ class ScanConfig:
     output_dir: str = "runs/figure1"
 
     def __post_init__(self):
-        object.__setattr__(self, "exp_exponents", tuple(self.exp_exponents))
-        object.__setattr__(self, "fp_strengths", tuple(self.fp_strengths))
+        object.__setattr__(self, "exp_exponents", tuple(map(float, self.exp_exponents)))
+        object.__setattr__(self, "fp_strengths", tuple(map(float, self.fp_strengths)))
+        _check_finite(self)
         if self.resolution < 2:
             raise ConfigError(f"resolution must be at least 2, got {self.resolution}")
         if self.order < 1:

@@ -12,9 +12,15 @@ Every run writes, inside ``<output root>/<output_dir>``:
   plot.py        standalone matplotlib script over these CSVs
   run.log        human-readable outcome (the only file with wall time)
 
-All CSV content is a deterministic function of the configuration: floats are
-written with shortest round-trip formatting and timing never enters a CSV, so
-rerunning an emitted config.cfg reproduces every CSV byte for byte.
+A sweep adds sweep.csv (value, deltaE, deltaVar per value) to the base
+directory; a realizability scan writes its config.cfg, one exp-<strength>.csv
+or fp-<strength>.csv raster per strength, and scan-summary.csv.
+
+Every CSV goes through ``_write_table``, whose one format rule is: floats as
+their shortest round-trip ``repr``, ints and bools as integers, strings as
+they are.  Timing never enters a CSV, so every CSV is a deterministic function
+of the configuration and rerunning an emitted config.cfg reproduces it byte
+for byte.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from . import euler
 from .config import _TYPES, ExperimentConfig, ScanConfig, _convert
 from .errors import ConfigError, FipmError
 from .filters import FilterKind, FilterSpec
-from .realizability import ScanResult, filter_image_scan
+from .realizability import filter_image_scan
 from .solver import RunResult, project_ic
 from .stats import StatField, delta_metrics, error_norms, stats_from_moments
 
@@ -48,50 +54,34 @@ def resolve_output_root(explicit: str | os.PathLike | None = None) -> Path:
     return Path(env) if env else Path.cwd()
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
+def _write_table(path: Path, columns: dict):
+    """Write a CSV with one column per entry of ``columns``; the keys are the header.
 
-
-def _write_csv(path: Path, header, rows):
+    Each column is converted once, by its dtype: floats as their shortest
+    round-trip ``repr``, ints and bools as integers, strings as they are.
+    """
+    cells = []
+    for values in columns.values():
+        values = np.asarray(values)
+        if values.dtype.kind == "f":
+            cells.append([repr(v) for v in values.tolist()])
+        elif values.dtype.kind in "biu":
+            cells.append([str(int(v)) for v in values.tolist()])
+        else:
+            cells.append(values.tolist())
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(columns)
+        writer.writerows(zip(*cells, strict=True))
 
 
-def _write_snapshot(path: Path, x, moments):
-    n_cells, n_moments, n_comp = moments.shape
-    header = ["x"] + [
-        f"u{k}_mom{i}" for k in range(n_comp) for i in range(n_moments)
-    ]
-    rows = [
-        [_fmt(x[j])]
-        + [_fmt(moments[j, i, k]) for k in range(n_comp) for i in range(n_moments)]
-        for j in range(n_cells)
-    ]
-    _write_csv(path, header, rows)
-
-
-def _write_telemetry(path: Path, telemetry):
-    header = ["step", "t", "dt", "total_newton_iters", "max_newton_iters", "max_grad_norm"]
-    rows = [
-        [str(d.step), _fmt(d.t), _fmt(d.dt), str(d.newton_total), str(d.newton_max), _fmt(d.grad_max)]
-        for d in telemetry
-    ]
-    _write_csv(path, header, rows)
-
-
-def _write_stat_field(path: Path, field: StatField, prefix=""):
-    header = ["x"]
-    for name in field.components:
-        header += [f"{prefix}mean_{name}", f"{prefix}var_{name}"]
-    rows = []
-    for j in range(field.x.size):
-        row = [_fmt(field.x[j])]
-        for k in range(len(field.components)):
-            row += [_fmt(field.mean[j, k]), _fmt(field.var[j, k])]
-        rows.append(row)
-    _write_csv(path, header, rows)
+def _stat_columns(field: StatField, prefix="") -> dict:
+    """``x`` then interleaved mean/variance columns, one pair per component."""
+    columns = {"x": field.x}
+    for k, name in enumerate(field.components):
+        columns[f"{prefix}mean_{name}"] = field.mean[:, k]
+        columns[f"{prefix}var_{name}"] = field.var[:, k]
+    return columns
 
 
 PLOT_SCRIPT = '''"""Plot the density mean and variance of this run against the reference.
@@ -193,28 +183,40 @@ def run_experiment(cfg: ExperimentConfig, output_root=None) -> RunArtifacts:
     runtime = time.perf_counter() - start
 
     x = grid.centers()
-    _write_snapshot(out_dir / "snapshot.csv", x, result.moments)
-    _write_telemetry(out_dir / "telemetry.csv", result.telemetry)
+    moments = result.moments
+    snapshot = {"x": x}
+    for k in range(moments.shape[2]):
+        for i in range(moments.shape[1]):
+            snapshot[f"u{k}_mom{i}"] = moments[:, i, k]
+    _write_table(out_dir / "snapshot.csv", snapshot)
+    telemetry = result.telemetry
+    _write_table(
+        out_dir / "telemetry.csv",
+        {
+            "step": [d.step for d in telemetry],
+            "t": [d.t for d in telemetry],
+            "dt": [d.dt for d in telemetry],
+            "total_newton_iters": [d.newton_total for d in telemetry],
+            "max_newton_iters": [d.newton_max for d in telemetry],
+            "max_grad_norm": [d.grad_max for d in telemetry],
+        },
+    )
 
     numeric = stats_from_moments(x, result.moments, COMPONENTS)
     ref_mean, ref_var = euler.reference_statistics(
         x, result.t_final, cfg.x0, cfg.sigma, *ic.primitive_states(), gamma=cfg.gamma
     )
     reference = StatField(x=x, mean=ref_mean, var=ref_var, components=COMPONENTS)
-    _write_stat_field(out_dir / "stats.csv", numeric)
-    _write_stat_field(out_dir / "reference.csv", reference)
+    _write_table(out_dir / "stats.csv", _stat_columns(numeric))
+    _write_table(out_dir / "reference.csv", _stat_columns(reference))
     errors = StatField(
         x=x, mean=numeric.mean - ref_mean, var=numeric.var - ref_var, components=COMPONENTS
     )
-    _write_stat_field(out_dir / "errors.csv", errors, prefix="err_")
+    _write_table(out_dir / "errors.csv", _stat_columns(errors, prefix="err_"))
 
     d_mean, d_var = delta_metrics(numeric, reference, cfg.delta_region())
     summary = {"deltaE": d_mean, "deltaVar": d_var, **error_norms(numeric, reference)}
-    _write_csv(
-        out_dir / "summary.csv",
-        SUMMARY_FIELDS,
-        [[_fmt(summary[name]) for name in SUMMARY_FIELDS]],
-    )
+    _write_table(out_dir / "summary.csv", {name: [summary[name]] for name in SUMMARY_FIELDS})
     (out_dir / "plot.py").write_text(PLOT_SCRIPT)
     (out_dir / "run.log").write_text(
         _log_lines(
@@ -223,9 +225,9 @@ def run_experiment(cfg: ExperimentConfig, output_root=None) -> RunArtifacts:
             runtime,
             [
                 f"steps: {result.n_steps}",
-                f"t_final: {_fmt(result.t_final)}",
-                f"deltaE: {_fmt(summary['deltaE'])}",
-                f"deltaVar: {_fmt(summary['deltaVar'])}",
+                f"t_final: {float(result.t_final)!r}",
+                f"deltaE: {summary['deltaE']!r}",
+                f"deltaVar: {summary['deltaVar']!r}",
             ],
         )
     )
@@ -267,6 +269,7 @@ def sweep(cfg: ExperimentConfig, key: str, values, output_root=None) -> SweepRes
     base_dir = resolve_output_root(output_root) / cfg.output_dir
     base_dir.mkdir(parents=True, exist_ok=True)
 
+    nan = float("nan")
     rows: list[SweepRow] = []
     for raw in values:
         raw = str(raw).strip()
@@ -278,30 +281,21 @@ def sweep(cfg: ExperimentConfig, key: str, values, output_root=None) -> SweepRes
             )
             artifacts = run_experiment(sub_cfg, output_root)
         except ConfigError as err:
-            rows.append(
-                SweepRow(raw, float("nan"), float("nan"), time.perf_counter() - started, str(err))
-            )
+            rows.append(SweepRow(raw, nan, nan, time.perf_counter() - started, str(err)))
             continue
-        if artifacts.exit_code != 0:
-            rows.append(
-                SweepRow(raw, float("nan"), float("nan"), artifacts.runtime, artifacts.error)
-            )
-        else:
-            rows.append(
-                SweepRow(
-                    raw,
-                    artifacts.summary["deltaE"],
-                    artifacts.summary["deltaVar"],
-                    artifacts.runtime,
-                    None,
-                )
-            )
+        summary = artifacts.summary or {"deltaE": nan, "deltaVar": nan}
+        rows.append(
+            SweepRow(raw, summary["deltaE"], summary["deltaVar"], artifacts.runtime, artifacts.error)
+        )
 
     result = SweepResult(out_dir=base_dir, key=key, rows=rows)
-    _write_csv(
+    _write_table(
         result.table_path,
-        ["value", "deltaE", "deltaVar", "runtime"],
-        [[r.value, _fmt(r.deltaE), _fmt(r.deltaVar), f"{r.runtime:.3f}"] for r in rows],
+        {
+            "value": [r.value for r in rows],
+            "deltaE": [r.deltaE for r in rows],
+            "deltaVar": [r.deltaVar for r in rows],
+        },
     )
     return result
 
@@ -315,24 +309,11 @@ class ScanArtifacts:
     rows: list[tuple[str, float, int, int]]  # (filter, strength, n_inside, n_escaped)
 
 
-def _write_scan_csv(path: Path, scan: ScanResult):
-    rows = [
-        [
-            _fmt(scan.u1[i]),
-            _fmt(scan.u2[i]),
-            str(int(scan.inside_before[i])),
-            str(int(scan.inside_after[i])),
-        ]
-        for i in range(scan.u1.size)
-    ]
-    _write_csv(path, ["u1", "u2", "inside_before", "inside_after"], rows)
-
-
 def scan_figure1(cfg: ScanConfig, output_root=None) -> ScanArtifacts:
     """Raster the degree-two realizable set through both filter families.
 
-    The exponential filter (fixed total exponent per scan, no time-step
-    coupling) loses points near the realizability boundary; the exact
+    The exponential filter (applied at dt = 1, so its total exponent is the
+    strength) loses points near the realizability boundary; the exact
     heat-semigroup filter keeps every raster point inside.
     """
     out_dir = resolve_output_root(output_root) / cfg.output_dir
@@ -340,22 +321,29 @@ def scan_figure1(cfg: ScanConfig, output_root=None) -> ScanArtifacts:
     (out_dir / "config.cfg").write_text(cfg.to_text())
 
     rows = []
-    for strength in cfg.exp_exponents:
-        spec = FilterSpec(
-            FilterKind.EXPONENTIAL, strength, order=cfg.order, dt_coupled=False
-        )
-        scan = filter_image_scan(spec, resolution=cfg.resolution)
-        _write_scan_csv(out_dir / f"exp-{_fmt(strength)}.csv", scan)
-        rows.append(("exponential", strength, scan.n_inside, scan.n_escaped))
-    for strength in cfg.fp_strengths:
-        spec = FilterSpec(FilterKind.FOKKER_PLANCK, strength)
-        scan = filter_image_scan(spec, resolution=cfg.resolution)
-        _write_scan_csv(out_dir / f"fp-{_fmt(strength)}.csv", scan)
-        rows.append(("fokker-planck", strength, scan.n_inside, scan.n_escaped))
+    families = (
+        (FilterKind.EXPONENTIAL, "exp", cfg.exp_exponents),
+        (FilterKind.FOKKER_PLANCK, "fp", cfg.fp_strengths),
+    )
+    for kind, tag, strengths in families:
+        for strength in strengths:
+            # the heat-semigroup gain reads neither dt nor order
+            spec = FilterSpec(kind, strength, order=cfg.order)
+            scan = filter_image_scan(spec, resolution=cfg.resolution, dt=1.0)
+            _write_table(
+                out_dir / f"{tag}-{strength!r}.csv",
+                {
+                    "u1": scan.u1,
+                    "u2": scan.u2,
+                    "inside_before": scan.inside_before,
+                    "inside_after": scan.inside_after,
+                },
+            )
+            rows.append((kind.value, strength, scan.n_inside, scan.n_escaped))
 
-    _write_csv(
+    header = ("filter", "strength", "n_inside", "n_escaped")
+    _write_table(
         out_dir / "scan-summary.csv",
-        ["filter", "strength", "n_inside", "n_escaped"],
-        [[name, _fmt(strength), str(inside), str(escaped)] for name, strength, inside, escaped in rows],
+        {name: [row[i] for row in rows] for i, name in enumerate(header)},
     )
     return ScanArtifacts(out_dir=out_dir, rows=rows)

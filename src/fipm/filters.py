@@ -43,23 +43,17 @@ class FilterKind(enum.Enum):
     FOKKER_PLANCK = "fokker-planck"
 
 
-#: kinds whose gain exponent is lambda * dt when dt-coupled
+#: kinds whose gain exponent is lambda * dt
 _DT_COUPLED_KINDS = (FilterKind.EXPONENTIAL, FilterKind.ERFC)
 
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """A filter kind with its strength lambda and (for EXP/ERFC) order alpha.
-
-    ``dt_coupled`` only affects EXPONENTIAL and ERFC: when True (default) the
-    base gain is raised to lambda * dt, when False to lambda alone (used by
-    the realizability scan, where the exponent is prescribed directly).
-    """
+    """A filter kind with its strength lambda and (for EXP/ERFC) order alpha."""
 
     kind: FilterKind
     strength: float
     order: int = 1
-    dt_coupled: bool = True
 
     def __post_init__(self):
         if not isinstance(self.kind, FilterKind):
@@ -68,9 +62,6 @@ class FilterSpec:
             raise ConfigError(f"filter strength must be nonnegative, got {self.strength}")
         if self.kind in _DT_COUPLED_KINDS and self.order < 1:
             raise ConfigError(f"filter order must be >= 1, got {self.order}")
-
-    def needs_dt(self) -> bool:
-        return self.dt_coupled and self.kind in _DT_COUPLED_KINDS
 
 
 def _base_gain(spec: FilterSpec, zeta: np.ndarray) -> np.ndarray:
@@ -89,13 +80,10 @@ def gains(spec: FilterSpec, degree: int, dt: float | None = None) -> np.ndarray:
         return 1.0 / (1.0 + spec.strength * i**2 * (i + 1) ** 2)
     if spec.kind is FilterKind.FOKKER_PLANCK:
         return np.exp(-i * (i + 1) * spec.strength)
-    exponent = spec.strength
-    if spec.needs_dt():
-        if dt is None or dt <= 0:
-            raise ValueError("this filter couples to the time step; pass dt > 0")
-        exponent = spec.strength * dt
+    if dt is None or dt <= 0:
+        raise ValueError("this filter couples to the time step; pass dt > 0")
     zeta = i / degree if degree > 0 else i
-    return _base_gain(spec, zeta) ** exponent
+    return _base_gain(spec, zeta) ** (spec.strength * dt)
 
 
 def apply_filter(

@@ -32,6 +32,9 @@ SQRT5 = np.sqrt(5.0)
 U1_RANGE = (-1.2, 1.2)
 U2_RANGE = (-SQRT5 / 2, SQRT5)
 
+#: membership slack of the filtered image, which can land within rounding of the boundary
+AFTER_SLACK = 1e-12
+
 
 def gpc_to_monomial(u_hat):
     """(u_0, u_1, u_2) -> (m_0, m_1, m_2) with m_k = <xi^k u>."""
@@ -98,24 +101,17 @@ class ScanResult:
         return self.n_escaped == 0
 
 
-def filter_image_scan(
-    spec: FilterSpec,
-    resolution=400,
-    dt=None,
-    u1_range=U1_RANGE,
-    u2_range=U2_RANGE,
-    after_slack=1e-12,
-) -> ScanResult:
+def filter_image_scan(spec: FilterSpec, resolution=400, dt=None) -> ScanResult:
     """Rasterize the u_0 = 1 slice and test membership before/after filtering."""
     if resolution < 2:
         raise ValueError(f"need at least a 2x2 raster, got {resolution}")
     g = gains(spec, 2, dt)
-    u1 = np.linspace(u1_range[0], u1_range[1], resolution)
-    u2 = np.linspace(u2_range[0], u2_range[1], resolution)
+    u1 = np.linspace(U1_RANGE[0], U1_RANGE[1], resolution)
+    u2 = np.linspace(U2_RANGE[0], U2_RANGE[1], resolution)
     grid_u1, grid_u2 = np.meshgrid(u1, u2, indexing="ij")
     pts = np.stack([np.ones_like(grid_u1), grid_u1, grid_u2], axis=-1)
     before = is_realizable_n2(pts)
-    after = is_realizable_n2(pts * g, slack=after_slack)
+    after = is_realizable_n2(pts * g, slack=AFTER_SLACK)
     return ScanResult(
         u1=grid_u1.ravel(),
         u2=grid_u2.ravel(),

@@ -92,7 +92,7 @@ class GridConfig:
             raise ValueError(f"need b > a, got [{self.a}, {self.b}]")
         if self.n_cells < 3:
             raise ValueError(f"need at least 3 cells, got {self.n_cells}")
-        if self.t_end < 0:
+        if not self.t_end >= 0:
             raise ValueError(f"need t_end >= 0, got {self.t_end}")
         if not 0 < self.cfl <= 1:
             raise ValueError(f"need 0 < cfl <= 1, got {self.cfl}")
@@ -282,7 +282,6 @@ class MomentSolver:
         n_quad: int,
         physics,
         closure: Closure = Closure.IPM,
-        model=None,
         filter_spec: FilterSpec | None = None,
         eta: float = 0.0,
         tau: float = 1e-7,
@@ -295,25 +294,20 @@ class MomentSolver:
                 f"need at least degree+1 quadrature nodes, got {n_quad} < {degree + 1}"
             )
         check_combination(closure, filter_spec, eta)
-        if closure not in GALERKIN and model is None:
-            model = EulerEntropy(getattr(physics, "gamma", euler.GAMMA_DEFAULT))
         self.grid = grid
         self.degree = int(degree)
         self.quad = gauss_rule(n_quad)
         self.physics = physics
         self.closure = closure
         self.filter_spec = filter_spec
-        self.model = model
         self.phi = vandermonde(degree, self.quad.nodes)
         self.phi_w = self.phi * self.quad.weights[:, None]
-        self.dual_config = DualSolverConfig(
-            tol=tau, eta=eta, max_iter=newton_max_iter
-        ) if closure not in GALERKIN else None
-        self.solver = (
-            ClosureSolver(model, degree, self.quad) if closure not in GALERKIN else None
-        )
+        self.dual_config = None
+        self.solver = None
+        if closure not in GALERKIN:
+            self.dual_config = DualSolverConfig(tol=tau, eta=eta, max_iter=newton_max_iter)
+            self.solver = ClosureSolver(EulerEntropy(physics.gamma), degree, self.quad)
         self._ghost_states = None
-        self._ghost_duals = None
 
     # -- nodal states per closure -------------------------------------------
 
@@ -357,8 +351,8 @@ class MomentSolver:
             states = self._galerkin_states(u0, step=0)
             duals = None
         else:
-            self._ghost_duals, _ = self._solve_duals(ghost_moments, None, step=0)
-            self._ghost_states = self.solver.node_states(self._ghost_duals)
+            ghost_duals, _ = self._solve_duals(ghost_moments, None, step=0)
+            self._ghost_states = self.solver.node_states(ghost_duals)
             duals, _ = self._solve_duals(u0, None, step=0)
             states = self.solver.node_states(duals)
         s_prev = self._max_speed(states)

@@ -151,8 +151,8 @@ def test_criterion_1_heat_semigroup_filter_preserves_sampled_moments():
 def test_criterion_2_scan_dichotomy_between_filter_families():
     with criterion(2, "raster scan: exponential filter escapes, heat-semigroup filter never"):
         start = time.perf_counter()
-        exp_spec = FilterSpec(FilterKind.EXPONENTIAL, 0.2, order=7, dt_coupled=False)
-        exp_scan = filter_image_scan(exp_spec, resolution=400)
+        exp_spec = FilterSpec(FilterKind.EXPONENTIAL, 0.2, order=7)
+        exp_scan = filter_image_scan(exp_spec, resolution=400, dt=1.0)
         assert exp_scan.n_escaped >= 1
         for strength in (0.05, 0.1, 0.2, 0.3):
             fp_scan = filter_image_scan(

@@ -1,5 +1,6 @@
 """Configuration parsing, preset golden values, artifact emission, CLI exit codes."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +17,7 @@ from fipm.config import (
     read_config_text,
 )
 from fipm.errors import ConfigError
-from fipm.experiment import run_experiment, sweep
+from fipm.experiment import _write_table, run_experiment, sweep
 from fipm.filters import FilterKind, FilterSpec
 from fipm.solver import Closure, EulerPhysics, GridConfig, MomentSolver
 
@@ -73,6 +74,17 @@ class TestParseConfig:
             text = MINIMAL.replace("t_end = 0.01", f"t_end = {value}")
             with pytest.raises(ConfigError, match=r"my\.cfg:5: key 't_end' expects a finite"):
                 parse_config(text, source="my.cfg")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "key",
+        ["a", "b", "t_end", "x0", "sigma", "rho_l", "p_l", "rho_r", "p_r", "cfl", "gamma",
+         "filter_strength", "eta", "tau", "delta_lo", "delta_hi"],
+    )
+    def test_replace_rejects_non_finite_floats(self, key, value):
+        cfg = load_config("sod-fipm-exp-desk", overrides=["n_cells=60"])
+        with pytest.raises(ConfigError, match=f"key '{key}' must be finite"):
+            dataclasses.replace(cfg, **{key: value})
 
     def test_missing_required_keys_listed(self):
         with pytest.raises(ConfigError, match="missing required keys: .*closure"):
@@ -288,6 +300,12 @@ class TestScanConfig:
             with pytest.raises(ConfigError, match="'exp_exponents' expects comma-separated"):
                 parse_scan_config(f"exp_exponents = {value}\n")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("key", ["exp_exponents", "fp_strengths"])
+    def test_constructor_rejects_non_finite_values(self, key, value):
+        with pytest.raises(ConfigError, match=f"key '{key}' must be finite"):
+            ScanConfig(**{key: (0.1, value)})
+
     def test_echo_round_trips(self):
         cfg = ScanConfig(exp_exponents=(0.5, 1.0), resolution=10)
         assert parse_scan_config(cfg.to_text()) == cfg
@@ -315,10 +333,35 @@ ARTIFACTS = (
 def tiny_config(**overrides):
     cfg = parse_config(MINIMAL)
     if overrides:
-        import dataclasses
-
         cfg = dataclasses.replace(cfg, **overrides)
     return cfg
+
+
+class TestWriteTable:
+    def test_exact_text(self, tmp_path):
+        path = tmp_path / "table.csv"
+        _write_table(
+            path,
+            {
+                "f": np.array([0.1, -0.0, 1e-300, np.nan, np.inf]),
+                "i": np.arange(-2, 3),
+                "b": np.array([True, False, True, False, True]),
+                "s": ["a", "b c", "x,y", "0.10", "-"],
+            },
+        )
+        assert path.read_bytes() == (
+            b"f,i,b,s\r\n"
+            b"0.1,-2,1,a\r\n"
+            b"-0.0,-1,0,b c\r\n"
+            b'1e-300,0,1,"x,y"\r\n'
+            b"nan,1,0,0.10\r\n"
+            b"inf,2,1,-\r\n"
+        )
+
+    def test_zero_rows_write_only_the_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        _write_table(path, {"step": [], "t": np.array([]), "value": []})
+        assert path.read_bytes() == b"step,t,value\r\n"
 
 
 class TestRunExperiment:
@@ -354,8 +397,6 @@ class TestRunExperiment:
     def test_rerunning_emitted_config_is_byte_identical(self, tmp_path):
         first = run_experiment(tiny_config(output_dir="one"), tmp_path)
         echoed = parse_config((first.out_dir / "config.cfg").read_text())
-        import dataclasses
-
         second = run_experiment(
             dataclasses.replace(echoed, output_dir="two"), tmp_path
         )
@@ -391,8 +432,14 @@ class TestSweep:
         assert (tmp_path / "sw" / "eta-0" / "summary.csv").is_file()
         assert (tmp_path / "sw" / "eta-1e-3" / "summary.csv").is_file()
         table = result.table_path.read_text().splitlines()
-        assert table[0] == "value,deltaE,deltaVar,runtime"
+        assert table[0] == "value,deltaE,deltaVar"
         assert len(table) == 3
+
+    def test_two_sweeps_write_identical_tables(self, tmp_path):
+        values = ["0", "1e-3", "-1"]
+        first = sweep(tiny_config(output_dir="one"), "eta", values, tmp_path)
+        second = sweep(tiny_config(output_dir="two"), "eta", values, tmp_path)
+        assert first.table_path.read_bytes() == second.table_path.read_bytes()
 
     def test_sweep_records_failures_and_continues(self, tmp_path):
         cfg = tiny_config(output_dir="sw")
@@ -404,9 +451,7 @@ class TestSweep:
     def test_empty_value_list_gives_empty_table(self, tmp_path):
         result = sweep(tiny_config(output_dir="sw"), "eta", [], tmp_path)
         assert result.rows == []
-        assert result.table_path.read_text().splitlines() == [
-            "value,deltaE,deltaVar,runtime"
-        ]
+        assert result.table_path.read_text().splitlines() == ["value,deltaE,deltaVar"]
 
     def test_non_numeric_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="sweepable"):

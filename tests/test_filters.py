@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fipm.errors import ConfigError
-from fipm.filters import FilterKind, FilterSpec, apply_filter, gains
+from fipm.filters import LOG_MACHINE_EPS, FilterKind, FilterSpec, apply_filter, gains
 
 ALL_KINDS = list(FilterKind)
 
 
-def make_spec(kind, strength, order=2, dt_coupled=True):
-    return FilterSpec(kind=kind, strength=strength, order=order, dt_coupled=dt_coupled)
+def make_spec(kind, strength, order=2):
+    return FilterSpec(kind=kind, strength=strength, order=order)
 
 
 class TestFrozenValues:
@@ -100,10 +100,12 @@ class TestStructure:
         for kind in (FilterKind.L2, FilterKind.EXPONENTIAL, FilterKind.FOKKER_PLANCK):
             assert gains(make_spec(kind, 2.0), 0, dt=0.1) == pytest.approx([1.0])
 
-    def test_dt_uncoupled_uses_strength_as_exponent(self):
-        coupled = make_spec(FilterKind.EXPONENTIAL, 0.2, order=7)
-        free = make_spec(FilterKind.EXPONENTIAL, 0.2, order=7, dt_coupled=False)
-        assert gains(free, 2) == pytest.approx(gains(coupled, 2, dt=1.0), rel=1e-15)
+    def test_unit_dt_uses_strength_as_exponent(self):
+        # the realizability scan prescribes the exponent through dt = 1
+        spec = make_spec(FilterKind.EXPONENTIAL, 0.2, order=7)
+        zeta = np.arange(3) / 2
+        exact = np.exp(LOG_MACHINE_EPS * zeta**7) ** 0.2
+        assert np.array_equal(gains(spec, 2, dt=1.0), exact)
 
 
 class TestApplyFilter:

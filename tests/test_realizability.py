@@ -133,10 +133,8 @@ class TestFokkerPlanckTheorem:
         assert scan.preserves_realizability()
 
     def test_exponential_filter_escapes(self):
-        spec = FilterSpec(
-            kind=FilterKind.EXPONENTIAL, strength=0.2, order=7, dt_coupled=False
-        )
-        scan = filter_image_scan(spec, resolution=200)
+        spec = FilterSpec(kind=FilterKind.EXPONENTIAL, strength=0.2, order=7)
+        scan = filter_image_scan(spec, resolution=200, dt=1.0)
         assert scan.n_inside > 0
         assert scan.n_escaped > 0
         # a concrete witness: (1, 1.1, 0.5) is realizable, its image is not
@@ -144,7 +142,7 @@ class TestFokkerPlanckTheorem:
         assert is_realizable_n2(witness)
         from fipm.filters import gains
 
-        g = gains(spec, 2)
+        g = gains(spec, 2, dt=1.0)
         assert not is_realizable_n2(witness * g, slack=1e-12)
 
 

@@ -57,6 +57,7 @@ class TestGridConfig:
             dict(a=1.0, b=0.0, n_cells=10, t_end=1.0),
             dict(a=0.0, b=1.0, n_cells=2, t_end=1.0),
             dict(a=0.0, b=1.0, n_cells=10, t_end=-0.1),
+            dict(a=0.0, b=1.0, n_cells=10, t_end=float("nan")),
             dict(a=0.0, b=1.0, n_cells=10, t_end=1.0, cfl=0.0),
             dict(a=0.0, b=1.0, n_cells=10, t_end=1.0, cfl=1.5),
         ],
