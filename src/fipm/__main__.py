@@ -1,0 +1,6 @@
+"""``python3 -m fipm``: the ``fipm`` command without an installed script."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -252,12 +252,8 @@ class ClosureSolver:
         self.quad = quad
         self.phi = vandermonde(degree, quad.nodes)  # (n_q, N+1)
         self.phi_w = self.phi * quad.weights[:, None]
-        # T[q, i, j] = w_q phi_i(xi_q) phi_j(xi_q), reused in every Hessian
-        self._t = np.einsum("q,qi,qj->qij", quad.weights, self.phi, self.phi)
-
-    @property
-    def n_unknowns(self) -> int:
-        return (self.degree + 1) * self.model.n_comp
+        # T[(i, j), q] = w_q phi_i(xi_q) phi_j(xi_q), reused in every Hessian
+        self._t = np.einsum("qi,qj->ijq", self.phi_w, self.phi).reshape(-1, len(quad.weights))
 
     # -- pointwise maps ----------------------------------------------------
 
@@ -322,12 +318,13 @@ class ClosureSolver:
         return np.matmul(self.phi_w.T, a) + eta * v - u
 
     def _batch_hessian(self, v, eta):
+        """sum_q T[q] (x) J[b, q] as one batched matrix product."""
         jac = self.model.ansatz_jacobian(self.node_values(v))
-        b = v.shape[0]
-        d = self.n_unknowns
-        h = np.einsum("qij,bqkl->bikjl", self._t, jac).reshape(b, d, d)
-        h += eta * np.eye(d)
-        return h
+        b, n_q, m, _ = jac.shape
+        n = self.degree + 1
+        h = (self._t @ jac.reshape(b, n_q, m * m)).reshape(b, n, n, m, m)
+        h = h.transpose(0, 1, 3, 2, 4).reshape(b, n * m, n * m)
+        return h + eta * np.eye(n * m)
 
     @staticmethod
     def _newton_directions(h, g_flat):

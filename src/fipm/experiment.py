@@ -262,17 +262,21 @@ def sweep(cfg: ExperimentConfig, key: str, values, output_root=None) -> SweepRes
 
     Each run lands in its own subdirectory of the base output_dir; failures
     (bad value, solver abort) are recorded as NaN rows and the sweep
-    continues.  An empty value list yields an empty table.
+    continues.  An empty value list yields an empty table.  A value listed
+    twice would share one directory, so repeats are rejected before any run.
     """
     if _TYPES.get(key) not in ("float", "int"):
         raise ConfigError(f"'{key}' is not a sweepable numeric configuration key")
+    values = [str(raw).strip() for raw in values]
+    repeated = sorted({raw for raw in values if values.count(raw) > 1})
+    if repeated:
+        raise ConfigError(f"sweep values repeat: {', '.join(map(repr, repeated))}")
     base_dir = resolve_output_root(output_root) / cfg.output_dir
     base_dir.mkdir(parents=True, exist_ok=True)
 
     nan = float("nan")
     rows: list[SweepRow] = []
     for raw in values:
-        raw = str(raw).strip()
         started = time.perf_counter()
         try:
             value = _convert(_TYPES[key], key, raw, "sweep")

@@ -372,7 +372,10 @@ class MomentSolver:
     def step(self, state: SolverState, t_end: float):
         dt = min(self.grid.cfl * self.grid.dx / state.s_prev, t_end - state.t)
         if dt <= 0:
-            raise ValueError("time step collapsed to zero")
+            raise InadmissibleStateError(
+                f"time step collapsed to zero at step {state.step} "
+                f"(t = {state.t!r}, s_prev = {state.s_prev!r})"
+            )
         newton_total = newton_max = 0
         grad_max = 0.0
 
@@ -387,7 +390,7 @@ class MomentSolver:
             newton_total = info.total_iterations
             newton_max = int(info.iterations.max())
             grad_max = float(info.grad_norm.max())
-            base = self.solver.reconstruct(duals) if self.closure in RECONSTRUCTING else u_bar
+            base = np.matmul(self.phi_w.T, states) if self.closure in RECONSTRUCTING else u_bar
 
         all_states = np.concatenate(
             [self._ghost_states[:1], states, self._ghost_states[1:]], axis=0

@@ -205,6 +205,43 @@ class TestDualFunctionals:
             euler_solver.objective(v_hat, np.zeros((6, 3)))
 
 
+def loop_hessian(solver, v_hat, eta):
+    """Dual Hessian of one cell as sum_q w_q phi_i phi_j J(xi_q), one node and pair at a time."""
+    n, m = v_hat.shape
+    jac = solver.model.ansatz_jacobian(solver.node_values(v_hat))
+    h = np.zeros((n, m, n, m))
+    for q, w in enumerate(solver.quad.weights):
+        for i in range(n):
+            for j in range(n):
+                h[i, :, j, :] += w * solver.phi[q, i] * solver.phi[q, j] * jac[q]
+    return h.reshape(n * m, n * m) + eta * np.eye(n * m)
+
+
+class TestHessianAssembly:
+    @pytest.mark.parametrize(
+        "model,degree,n_quad",
+        [
+            (EulerEntropy(1.4), 5, 20),
+            (EulerEntropy(1.4), 10, 30),
+            (ScalarLogEntropy(), 5, 20),
+            (BoundedScalarEntropy(0.2, 3.0), 5, 20),
+        ],
+        ids=["euler-5-20", "euler-10-30", "scalar-log", "bounded-scalar"],
+    )
+    @pytest.mark.parametrize("eta", [0.0, 1e-3])
+    def test_batched_assembly_equals_per_node_sum(self, model, degree, n_quad, eta):
+        solver = ClosureSolver(model, degree=degree, quad=gauss_rule(n_quad))
+        duals = np.stack(random_feasible_duals(solver, 4))
+        h = solver._batch_hessian(duals, eta)
+        d = (degree + 1) * model.n_comp
+        assert h.shape == (4, d, d)
+        for b, v_hat in enumerate(duals):
+            expected = loop_hessian(solver, v_hat, eta)
+            scale = np.abs(expected).max()
+            assert np.abs(h[b] - expected).max() <= 1e-14 * scale
+            assert np.abs(h[b] - h[b].T).max() <= 1e-14 * scale
+
+
 class TestSolve:
     def test_recovers_constant_state(self, scalar_solver):
         u_hat = np.zeros((4, 1))

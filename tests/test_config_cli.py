@@ -1,11 +1,16 @@
 """Configuration parsing, preset golden values, artifact emission, CLI exit codes."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import fipm
 from fipm.cli import main
 from fipm.config import (
     ExperimentConfig,
@@ -416,6 +421,16 @@ class TestRunExperiment:
         assert (artifacts.out_dir / "config.cfg").is_file()
         assert not (artifacts.out_dir / "snapshot.csv").exists()
 
+    def test_collapsed_time_step_exits_3(self, tmp_path, monkeypatch):
+        step = MomentSolver.step
+        monkeypatch.setattr(
+            MomentSolver, "step", lambda self, state, t_end: step(self, state, state.t)
+        )
+        artifacts = run_experiment(tiny_config(output_dir="collapsed"), tmp_path)
+        assert artifacts.exit_code == 3
+        assert artifacts.error.startswith("InadmissibleStateError: time step collapsed")
+        assert "status: failed" in (artifacts.out_dir / "run.log").read_text()
+
     def test_output_root_env_variable(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FIPM_OUTPUT_ROOT", str(tmp_path / "rooted"))
         artifacts = run_experiment(tiny_config(output_dir="case"))
@@ -452,6 +467,11 @@ class TestSweep:
         result = sweep(tiny_config(output_dir="sw"), "eta", [], tmp_path)
         assert result.rows == []
         assert result.table_path.read_text().splitlines() == ["value,deltaE,deltaVar"]
+
+    def test_repeated_values_rejected_before_any_run(self, tmp_path):
+        with pytest.raises(ConfigError, match="repeat: '0'"):
+            sweep(tiny_config(output_dir="sw"), "eta", ["0", "1e-3", " 0"], tmp_path)
+        assert not (tmp_path / "sw").exists()
 
     def test_non_numeric_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="sweepable"):
@@ -507,6 +527,28 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.startswith("value,deltaE,deltaVar,runtime")
         assert "0," in out and "1e-3," in out
+
+    def test_sweep_repeated_values_exit_2(self, tmp_path, capsys):
+        code = main(
+            ["sweep", "sod-ipm-desk", "--key", "eta", "--values", "0,0",
+             "--output-root", str(tmp_path)]
+            + [f"--set={kv}" for kv in TINY_OVERRIDES]
+        )
+        assert code == 2
+        assert "sweep values repeat" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_module_entry_point_runs_from_source(self):
+        src = str(Path(fipm.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "fipm", "run", "sod-ipm-desk", "--dry-run"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert parse_config(proc.stdout) == load_config("sod-ipm-desk")
 
     def test_scan_figure1_writes_rasters(self, tmp_path, capsys):
         scan_cfg = tmp_path / "scan.cfg"

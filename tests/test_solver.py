@@ -15,7 +15,7 @@ import pytest
 from fipm import euler
 from fipm.basis import vandermonde
 from fipm.closures import DualSolverConfig
-from fipm.errors import BreakdownError, DualNonConvergenceError
+from fipm.errors import BreakdownError, DualNonConvergenceError, InadmissibleStateError
 from fipm.filters import FilterKind, FilterSpec, apply_filter
 from fipm.realizability import is_realizable_n2
 from fipm.solver import (
@@ -314,6 +314,15 @@ class TestConservationAndRealizability:
         states = solver.solver.node_states(result.duals)
         assert np.all(EulerPhysics().admissible(states))
 
+    @pytest.mark.parametrize("closure,kwargs", DUAL_CLOSURES[:2])
+    def test_step_advances_the_reconstructed_moments(self, closure, kwargs):
+        """A reconstructing step advances exactly the ansatz moments of its duals."""
+        solver, u0, ghosts = sod_solver(closure, n_cells=30, **kwargs)
+        state = solver.prepare(u0, ghosts)
+        stepped, diag = solver.step(state, solver.grid.t_end)
+        expected = solver.solver.reconstruct(stepped.duals).sum(axis=0)
+        assert np.array_equal(diag.base_sum, expected)
+
     def test_regularized_step_matches_exact_step_for_tiny_eta(self):
         solver_a, u0, ghosts = sod_solver(Closure.IPM)
         solver_b, _, _ = sod_solver(Closure.FIPM_REGULARIZED, eta=1e-7)
@@ -395,6 +404,13 @@ class TestRunControl:
         for diag in result.telemetry:
             assert diag.newton_total >= 0
             assert diag.grad_max < solver.dual_config.tol
+
+    def test_collapsed_time_step_is_a_located_failure(self):
+        solver, u0, ghosts = sod_solver(Closure.IPM, n_cells=30)
+        state = solver.prepare(u0, ghosts)
+        with pytest.raises(InadmissibleStateError, match="collapsed to zero at step 0") as err:
+            solver.step(state, t_end=state.t)
+        assert f"t = 0.0, s_prev = {state.s_prev!r}" in str(err.value)
 
     def test_step_cap_aborts(self):
         solver, u0, ghosts = sod_solver(Closure.IPM, n_cells=30, t_end=0.02)
