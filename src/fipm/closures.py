@@ -19,7 +19,7 @@ measure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import xlogy
@@ -211,6 +211,8 @@ class EulerEntropy:
 LS_CONTRACTION = 0.5
 LS_SLOPE = 1e-4
 LS_MAX = 50
+#: Newton iterations per cell before it is reported as non-converged
+NEWTON_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -219,7 +221,6 @@ class DualSolverConfig:
 
     tol: float = 1e-7
     eta: float = 0.0
-    max_iter: int = 200
 
     def __post_init__(self):
         if self.tol <= 0 or self.eta < 0:
@@ -233,6 +234,8 @@ class SolveInfo:
     converged: np.ndarray
     iterations: np.ndarray
     grad_norm: np.ndarray
+    #: ansatz states at the nodes, (B, n_q, m); NaN rows for non-converged cells
+    states: np.ndarray
 
     @property
     def all_converged(self) -> bool:
@@ -292,7 +295,7 @@ class ClosureSolver:
         return float(val)
 
     def gradient(self, v_hat, u_hat, eta=0.0):
-        return self._batch_gradient(v_hat[None], u_hat[None], eta)[0]
+        return self._batch_gradient(v_hat[None], u_hat[None], eta)[0][0]
 
     def hessian(self, v_hat, eta=0.0):
         return self._batch_hessian(v_hat[None], eta)[0]
@@ -314,8 +317,9 @@ class ClosureSolver:
         return val
 
     def _batch_gradient(self, v, u, eta):
+        """Gradient per cell and the nodal ansatz states it was computed from."""
         a = self.node_states(v)
-        return np.matmul(self.phi_w.T, a) + eta * v - u
+        return np.matmul(self.phi_w.T, a) + eta * v - u, a
 
     def _batch_hessian(self, v, eta):
         """sum_q T[q] (x) J[b, q] as one batched matrix product."""
@@ -328,9 +332,9 @@ class ClosureSolver:
 
     @staticmethod
     def _newton_directions(h, g_flat):
-        """Solve H d = -g per cell, falling back to -g where that fails."""
+        """Solve H d = -g per cell, falling back to -g where H is singular."""
         try:
-            d = np.linalg.solve(h, -g_flat[..., None])[..., 0]
+            return np.linalg.solve(h, -g_flat[..., None])[..., 0]
         except np.linalg.LinAlgError:
             d = np.empty_like(g_flat)
             for b in range(h.shape[0]):
@@ -338,10 +342,7 @@ class ClosureSolver:
                     d[b] = np.linalg.solve(h[b], -g_flat[b])
                 except np.linalg.LinAlgError:
                     d[b] = -g_flat[b]
-        bad = ~np.all(np.isfinite(d), axis=1)
-        if np.any(bad):
-            d[bad] = -g_flat[bad]
-        return d
+            return d
 
     def _line_search(self, v, u, eta, f0, direction, slope):
         """Vectorized backtracking; returns (v_new, f_new, accepted).
@@ -375,9 +376,10 @@ class ClosureSolver:
     def solve_batch(self, u_hat, start=None, config: DualSolverConfig | None = None):
         """Minimize the dual functional for every cell of u_hat (B, N+1, m).
 
-        Returns (v_hat, SolveInfo).  Cells whose start is infeasible are
-        restarted from the mean-state cold start; cells that stall in the line
-        search or exhaust max_iter are reported as non-converged.
+        Returns (v_hat, SolveInfo).  Cells whose start is infeasible, that
+        stall in the line search or exhaust NEWTON_MAX_ITER are reported as
+        non-converged; SolveInfo.states holds the nodal ansatz states of the
+        converged cells.
         """
         config = config or DualSolverConfig()
         u = np.asarray(u_hat, dtype=float)
@@ -385,66 +387,49 @@ class ClosureSolver:
         b = u.shape[0]
         eta = config.eta
 
-        # repair infeasible warm starts cell by cell
         f = self._batch_objective(v, u, eta)
-        infeasible = ~np.isfinite(f)
-        if np.any(infeasible):
-            v[infeasible] = self.cold_start(u[infeasible])
-            f[infeasible] = self._batch_objective(v[infeasible], u[infeasible], eta)
-
         iterations = np.zeros(b, dtype=int)
         grad_norm = np.full(b, np.inf)
         converged = np.zeros(b, dtype=bool)
+        states = np.full((b, self.phi.shape[0], u.shape[-1]), np.nan)
         active = np.flatnonzero(np.isfinite(f))
 
-        for it in range(config.max_iter + 1):
+        for it in range(NEWTON_MAX_ITER + 1):
             if active.size == 0:
                 break
-            g = self._batch_gradient(v[active], u[active], eta)
+            g, a = self._batch_gradient(v[active], u[active], eta)
             gn = np.linalg.norm(g.reshape(active.size, -1), axis=1)
             grad_norm[active] = gn
             done = gn < config.tol
             converged[active[done]] = True
+            states[active[done]] = a[done]
             active = active[~done]
-            if active.size == 0 or it == config.max_iter:
+            if active.size == 0 or it == NEWTON_MAX_ITER:
                 break
-            g = g[~done]
 
+            g = g[~done]
             g_flat = g.reshape(active.size, -1)
             h = self._batch_hessian(v[active], eta)
             d_flat = self._newton_directions(h, g_flat)
             slope = np.einsum("bd,bd->b", g_flat, d_flat)
+            # a direction that is not downhill becomes steepest descent
             uphill = slope >= 0
             if np.any(uphill):
                 d_flat[uphill] = -g_flat[uphill]
                 slope[uphill] = -np.sum(g_flat[uphill] ** 2, axis=1)
-            direction = d_flat.reshape(g.shape)
 
             v_act, f_act, accepted = self._line_search(
-                v[active], u[active], eta, f[active], direction, slope
+                v[active], u[active], eta, f[active], d_flat.reshape(g.shape), slope
             )
-            # a second chance along steepest descent for Newton-step failures
-            retry = ~accepted & ~uphill
-            if np.any(retry):
-                idx = np.flatnonzero(retry)
-                v_retry, f_retry, acc_retry = self._line_search(
-                    v_act[idx],
-                    u[active][idx],
-                    eta,
-                    f_act[idx],
-                    -g[idx],
-                    -np.sum(g_flat[idx] ** 2, axis=1),
-                )
-                v_act[idx] = v_retry
-                f_act[idx] = f_retry
-                accepted[idx] |= acc_retry
             v[active] = v_act
             f[active] = f_act
             iterations[active] += accepted.astype(int)
             # cells that cannot move are stalled; stop iterating them
             active = active[accepted]
 
-        return v, SolveInfo(converged=converged, iterations=iterations, grad_norm=grad_norm)
+        return v, SolveInfo(
+            converged=converged, iterations=iterations, grad_norm=grad_norm, states=states
+        )
 
     def solve(self, u_hat, start=None, config: DualSolverConfig | None = None):
         """Single-cell dual solve; raises DualNonConvergenceError on failure."""

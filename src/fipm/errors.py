@@ -27,7 +27,7 @@ class InadmissibleStateError(FipmError):
 
 
 class BreakdownError(InadmissibleStateError):
-    """A galerkin ansatz left the admissible set at a quadrature node.
+    """A closure's nodal ansatz state left the admissible set at a quadrature node.
 
     Carries enough context (cell, node, step) to locate the failure.
     """

@@ -6,12 +6,14 @@ quadrature node between reconstructed nodal states, then projected back onto
 the basis.  Three closure families share the loop:
 
 * Galerkin (plain or filtered): nodal states are the truncated polynomial
-  itself; a state outside the admissible set aborts the run.
+  itself.
 * realizability-reconstructing closure: filter, solve the dual problem
   exactly (eta = 0), and advance the *reconstructed* moments of the ansatz,
   which are realizable with respect to the quadrature measure.
 * regularized closure: filter, solve the dual problem with eta > 0, and
   advance the filtered moments themselves.
+
+Under every closure a nodal state outside the admissible set aborts the run.
 
 Boundary conditions are Dirichlet: one ghost cell per side frozen at the
 projected initial moments, never filtered; ghost duals are solved once.
@@ -285,7 +287,6 @@ class MomentSolver:
         filter_spec: FilterSpec | None = None,
         eta: float = 0.0,
         tau: float = 1e-7,
-        newton_max_iter: int = 200,
     ):
         if degree < 0:
             raise ValueError(f"need degree >= 0, got {degree}")
@@ -305,20 +306,20 @@ class MomentSolver:
         self.dual_config = None
         self.solver = None
         if closure not in GALERKIN:
-            self.dual_config = DualSolverConfig(tol=tau, eta=eta, max_iter=newton_max_iter)
+            self.dual_config = DualSolverConfig(tol=tau, eta=eta)
             self.solver = ClosureSolver(EulerEntropy(physics.gamma), degree, self.quad)
         self._ghost_states = None
 
     # -- nodal states per closure -------------------------------------------
 
-    def _galerkin_states(self, u_hat, step):
-        states = np.matmul(self.phi, u_hat)  # (n, n_q, m)
+    def _admissible(self, states, step):
+        """Return the nodal states (n, n_q, m); raise BreakdownError at the first
+        inadmissible node."""
         ok = self.physics.admissible(states)
         if not np.all(ok):
             cell, node = np.argwhere(~ok)[0]
             raise BreakdownError(
-                f"Galerkin ansatz left the admissible set (cell {cell}, node {node}, "
-                f"step {step})",
+                f"ansatz left the admissible set (cell {cell}, node {node}, step {step})",
                 cell=int(cell),
                 node=int(node),
                 step=int(step),
@@ -336,6 +337,7 @@ class MomentSolver:
                 grad_norm=float(info.grad_norm[worst]),
                 iterations=int(info.iterations[worst]),
             )
+        self._admissible(info.states, step)
         return v, info
 
     # -- setup ----------------------------------------------------------------
@@ -348,13 +350,13 @@ class MomentSolver:
             raise ValueError(f"initial moments have wrong shape {u0.shape}")
         if self.closure in GALERKIN:
             self._ghost_states = np.matmul(self.phi, ghost_moments)
-            states = self._galerkin_states(u0, step=0)
+            states = self._admissible(np.matmul(self.phi, u0), step=0)
             duals = None
         else:
-            ghost_duals, _ = self._solve_duals(ghost_moments, None, step=0)
-            self._ghost_states = self.solver.node_states(ghost_duals)
-            duals, _ = self._solve_duals(u0, None, step=0)
-            states = self.solver.node_states(duals)
+            _, ghost_info = self._solve_duals(ghost_moments, None, step=0)
+            self._ghost_states = ghost_info.states
+            duals, info = self._solve_duals(u0, None, step=0)
+            states = info.states
         s_prev = self._max_speed(states)
         return SolverState(t=0.0, step=0, moments=u0, duals=duals, s_prev=s_prev)
 
@@ -381,12 +383,12 @@ class MomentSolver:
 
         u_bar = apply_filter(self.filter_spec, state.moments, dt)
         if self.closure in GALERKIN:
-            states = self._galerkin_states(u_bar, state.step)
+            states = self._admissible(np.matmul(self.phi, u_bar), state.step)
             base = u_bar
             duals = None
         else:
             duals, info = self._solve_duals(u_bar, state.duals, state.step)
-            states = self.solver.node_states(duals)
+            states = info.states
             newton_total = info.total_iterations
             newton_max = int(info.iterations.max())
             grad_max = float(info.grad_norm.max())

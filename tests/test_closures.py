@@ -294,7 +294,7 @@ class TestSolve:
         assert 2.0 > np.sqrt(3.0) * 1.0
         u_hat = np.array([[1.0], [2.0]])
         with pytest.raises(DualNonConvergenceError) as err:
-            solver.solve(u_hat, config=DualSolverConfig(max_iter=60))
+            solver.solve(u_hat)
         assert err.value.grad_norm > 0
 
     def test_nonrealizable_scalar_moments_solve_with_regularization(self):
@@ -335,3 +335,50 @@ class TestSolve:
         states = scalar_solver.evaluate_ansatz(v_star, xi)
         assert states.shape == (33, 1)
         assert np.all(states > 0)
+
+
+class TestNewtonPath:
+    """The branches of the damped-Newton dual solve that are kept, one test each."""
+
+    def test_singular_hessian_falls_back_to_steepest_descent(self):
+        h = np.stack([2.0 * np.eye(3), np.diag([1.0, 1.0, 0.0]), np.diag([4.0, 3.0, 1.0])])
+        h[2, 0, 1] = h[2, 1, 0] = 1.0
+        g = np.array([[1.0, -2.0, 0.5], [0.3, 0.2, -0.1], [-1.0, 0.0, 2.0]])
+        d = ClosureSolver._newton_directions(h, g)
+        assert np.array_equal(d[1], -g[1])
+        for b in (0, 2):
+            assert np.array_equal(d[b], np.linalg.solve(h[b], -g[b]))
+
+    def test_uphill_direction_becomes_steepest_descent(self, monkeypatch):
+        solver = ClosureSolver(ScalarLogEntropy(), degree=0, quad=gauss_rule(4))
+        monkeypatch.setattr(
+            ClosureSolver, "_newton_directions", staticmethod(lambda h, g_flat: g_flat.copy())
+        )
+        # the Hessian at the minimum is u = 0.5, so unit steepest-descent steps contract
+        v = solver.solve(np.array([[0.5]]), start=np.zeros((1, 1)))
+        assert v[0, 0] == pytest.approx(1.0 + np.log(0.5), abs=1e-6)
+
+    def test_infeasible_start_is_a_nonconverged_cell(self, euler_solver):
+        duals = np.stack(random_feasible_duals(euler_solver, 3))
+        u = euler_solver.reconstruct(duals)
+        start = duals.copy()
+        start[1, :, 2] = 0.0
+        start[1, 0, 2] = 1.0  # v3 = 1 at every node, outside the dual domain
+        v, info = euler_solver.solve_batch(u, start)
+        assert not info.converged[1]
+        assert info.iterations[1] == 0
+        assert info.grad_norm[1] == np.inf
+        assert np.array_equal(v[1], start[1])
+        assert np.all(np.isnan(info.states[1]))
+        assert info.converged[0] and info.converged[2]
+
+    def test_states_are_the_ansatz_of_the_returned_duals(self, euler_solver):
+        duals = np.stack(random_feasible_duals(euler_solver, 4))
+        u = euler_solver.reconstruct(duals)
+        start = duals.copy()
+        start[1:, 0, 0] += [1e-3, 0.1, 0.5]
+        v, info = euler_solver.solve_batch(u, start)
+        assert info.all_converged
+        assert np.unique(info.iterations).size == 4
+        for b in range(4):
+            assert np.array_equal(info.states[b], euler_solver.node_states(v[b]))

@@ -421,6 +421,17 @@ class TestRunExperiment:
         assert (artifacts.out_dir / "config.cfg").is_file()
         assert not (artifacts.out_dir / "snapshot.csv").exists()
 
+    def test_inadmissible_dual_ansatz_exits_3_with_its_cell(self, tmp_path):
+        """A filter this strong drives the regularized closure's density to 0."""
+        cfg = load_config(
+            "sod-fipm-exp-desk",
+            overrides=["filter_strength=1e6", "n_cells=100", "output_dir=strong"],
+        )
+        artifacts = run_experiment(cfg, tmp_path)
+        assert artifacts.exit_code == 3
+        assert artifacts.error.startswith("BreakdownError: ansatz left the admissible set")
+        assert "(cell 50, node 0, step 0)" in artifacts.error
+
     def test_collapsed_time_step_exits_3(self, tmp_path, monkeypatch):
         step = MomentSolver.step
         monkeypatch.setattr(

@@ -438,7 +438,7 @@ class TestBreakdown:
             solver.run(u0, ghosts)
 
     def test_dual_failure_aborts_with_cell_context(self):
-        solver, u0, ghosts = sod_solver(Closure.IPM, n_cells=20, newton_max_iter=30)
+        solver, u0, ghosts = sod_solver(Closure.IPM, n_cells=20)
         u0[2, 1, 0] = 10.0  # slope so steep no nonnegative density matches it
         with pytest.raises(DualNonConvergenceError, match="cell"):
             solver.run(u0, ghosts)
