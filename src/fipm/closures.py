@@ -31,6 +31,9 @@ from .errors import DualDomainError, DualNonConvergenceError
 # entropy models
 # ---------------------------------------------------------------------------
 
+#: density (scalar value) and internal energy floor of a cold-start state
+STATE_FLOOR = 1e-8
+
 
 class ScalarLogEntropy:
     """s(u) = u ln u on u > 0; ansatz s'_*(v) = exp(v - 1)."""
@@ -60,68 +63,9 @@ class ScalarLogEntropy:
         v = np.asarray(v, dtype=float)
         return np.isfinite(v[..., 0])
 
-    def admissible(self, u):
+    def safe_state(self, u):
         u = np.asarray(u, dtype=float)
-        return (u[..., 0] > 0) & np.isfinite(u[..., 0])
-
-    def safe_state(self, u, floor=1e-8):
-        u = np.asarray(u, dtype=float)
-        return np.maximum(np.nan_to_num(u, nan=floor), floor)
-
-
-class BoundedScalarEntropy:
-    """s(u) = (u-lo) ln(u-lo) + (hi-u) ln(hi-u) on lo < u < hi.
-
-    The ansatz is a logistic curve between the bounds, so closures stay inside
-    (lo, hi) by construction.
-    """
-
-    n_comp = 1
-
-    def __init__(self, lo=0.0, hi=1.0):
-        if not hi > lo:
-            raise ValueError(f"need hi > lo, got ({lo}, {hi})")
-        self.lo = float(lo)
-        self.hi = float(hi)
-        self.width = self.hi - self.lo
-
-    def entropy(self, u):
-        u = np.asarray(u, dtype=float)[..., 0]
-        return xlogy(u - self.lo, u - self.lo) + xlogy(self.hi - u, self.hi - u)
-
-    def entropy_vars(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.log((u - self.lo) / (self.hi - u))
-
-    def _sigmoid(self, v):
-        with np.errstate(over="ignore"):
-            return np.where(v >= 0, 1.0 / (1.0 + np.exp(-v)), np.exp(v) / (1.0 + np.exp(v)))
-
-    def ansatz(self, v):
-        v = np.asarray(v, dtype=float)
-        return self.lo + self.width * self._sigmoid(v)
-
-    def ansatz_jacobian(self, v):
-        sig = self._sigmoid(np.asarray(v, dtype=float))
-        return (self.width * sig * (1.0 - sig))[..., None]
-
-    def conjugate(self, v):
-        v = np.asarray(v, dtype=float)
-        u = self.ansatz(v)
-        return (v * u)[..., 0] - self.entropy(u)
-
-    def dual_feasible(self, v):
-        v = np.asarray(v, dtype=float)
-        return np.isfinite(v[..., 0])
-
-    def admissible(self, u):
-        u = np.asarray(u, dtype=float)[..., 0]
-        return (u > self.lo) & (u < self.hi) & np.isfinite(u)
-
-    def safe_state(self, u, margin=1e-8):
-        u = np.asarray(u, dtype=float)
-        pad = margin * self.width
-        return np.clip(np.nan_to_num(u, nan=self.lo + pad), self.lo + pad, self.hi - pad)
+        return np.maximum(np.nan_to_num(u, nan=STATE_FLOOR), STATE_FLOOR)
 
 
 class EulerEntropy:
@@ -134,8 +78,6 @@ class EulerEntropy:
     n_comp = 3
 
     def __init__(self, gamma=1.4):
-        if gamma <= 1.0:
-            raise ValueError(f"need gamma > 1, got {gamma}")
         self.gamma = float(gamma)
 
     def _split(self, u):
@@ -190,16 +132,11 @@ class EulerEntropy:
         v = np.asarray(v, dtype=float)
         return (v[..., 2] < 0) & np.all(np.isfinite(v), axis=-1)
 
-    def admissible(self, u):
-        from .euler import admissible
-
-        return admissible(u, self.gamma)
-
-    def safe_state(self, u, floor=1e-8):
-        u = np.asarray(np.nan_to_num(u, nan=floor), dtype=float)
-        rho = np.maximum(u[..., 0], floor)
+    def safe_state(self, u):
+        u = np.asarray(np.nan_to_num(u, nan=STATE_FLOOR), dtype=float)
+        rho = np.maximum(u[..., 0], STATE_FLOOR)
         m = u[..., 1]
-        e_int = np.maximum(u[..., 2] - 0.5 * m**2 / rho, floor)
+        e_int = np.maximum(u[..., 2] - 0.5 * m**2 / rho, STATE_FLOOR)
         return np.stack([rho, m, e_int + 0.5 * m**2 / rho], axis=-1)
 
 
@@ -217,14 +154,16 @@ NEWTON_MAX_ITER = 200
 
 @dataclass(frozen=True)
 class DualSolverConfig:
-    """Newton parameters for the dual minimization."""
+    """Newton parameters of the dual minimization: gradient tolerance tau and eta."""
 
     tol: float = 1e-7
     eta: float = 0.0
 
     def __post_init__(self):
-        if self.tol <= 0 or self.eta < 0:
-            raise ValueError("need tol > 0 and eta >= 0")
+        if self.eta < 0:
+            raise ValueError(f"eta must be nonnegative, got {self.eta}")
+        if self.tol <= 0:
+            raise ValueError(f"tau must be positive, got {self.tol}")
 
 
 @dataclass
@@ -267,13 +206,6 @@ class ClosureSolver:
     def node_states(self, v_hat):
         """Ansatz states at the quadrature nodes, (..., n_q, m)."""
         return self.model.ansatz(self.node_values(v_hat))
-
-    def evaluate_ansatz(self, v_hat, xi):
-        """Ansatz states at arbitrary points xi in [-1, 1]."""
-        y = np.matmul(vandermonde(self.degree, np.atleast_1d(xi)), v_hat)
-        if not np.all(self.model.dual_feasible(y)):
-            raise DualDomainError("ansatz evaluation outside the dual domain")
-        return self.model.ansatz(y)
 
     def reconstruct(self, v_hat):
         """Moments of the ansatz, <phi s'_*(v_hat . phi)>, same shape as v_hat."""

@@ -2,11 +2,13 @@
 
 The on-disk format is one pair per line, ``#`` starts a comment line, and
 unknown keys are rejected so a typo cannot silently fall back to a default.
-Cross-field compatibility (closure vs. filter vs. regularization) is checked
-up front by ``solver.check_combination``; a run built from a valid
-configuration can only abort for genuinely numerical reasons.  ``to_text`` emits a canonical echo with every default
-resolved, and parsing that echo reproduces the configuration exactly, which
-is what makes reruns byte-reproducible.
+A run configuration is checked up front by building its grid, initial data
+and solver, whose constructors are the one home of each input rule (the
+closure/filter/regularization pairing included); their ``ValueError`` becomes
+a ``ConfigError``.  A run built from a valid configuration can only abort for
+genuinely numerical reasons.  ``to_text`` emits a canonical echo with every
+default resolved, and parsing that echo reproduces the configuration exactly,
+which is what makes reruns byte-reproducible.
 """
 
 from __future__ import annotations
@@ -19,14 +21,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .filters import FilterKind, FilterSpec
-from .solver import (
-    Closure,
-    EulerPhysics,
-    GridConfig,
-    MomentSolver,
-    UncertainShockIC,
-    check_combination,
-)
+from .solver import Closure, EulerPhysics, GridConfig, MomentSolver, UncertainShockIC
 
 
 def _check_choice(name: str, value: str, choices: list[str]):
@@ -90,31 +85,15 @@ class ExperimentConfig:
         object.__setattr__(self, "filter", self.filter.lower())
         _check_choice("closure", self.closure, [c.value for c in Closure])
         _check_choice("filter", self.filter, ["none"] + [k.value for k in FilterKind])
-        try:
-            grid = self.grid()
-            self.ic().validate_inside(grid)
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
-        if self.gamma <= 1.0:
-            raise ConfigError(f"gamma must exceed 1, got {self.gamma}")
-        if self.degree < 0:
-            raise ConfigError(f"degree must be nonnegative, got {self.degree}")
-        if self.n_quad < self.degree + 1:
-            raise ConfigError(
-                f"n_quad must be at least degree+1 = {self.degree + 1}, got {self.n_quad}"
-            )
-        if self.eta < 0:
-            raise ConfigError(f"eta must be nonnegative, got {self.eta}")
-        if self.tau <= 0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
         if not self.a <= self.delta_lo < self.delta_hi <= self.b:
             raise ConfigError(
                 f"oscillation region [{self.delta_lo}, {self.delta_hi}] must be an "
                 f"interval inside the domain [{self.a}, {self.b}]"
             )
-        filter_spec = self.filter_spec()  # validates strength and order
+        # every other input is checked by the object that uses it
         try:
-            check_combination(self.solver_closure(), filter_spec, self.eta)
+            self.ic().validate_inside(self.grid())
+            self.build_solver()
         except ValueError as err:
             raise ConfigError(str(err)) from None
 
@@ -259,12 +238,21 @@ class ScanConfig:
         _check_finite(self)
         if self.resolution < 2:
             raise ConfigError(f"resolution must be at least 2, got {self.resolution}")
-        if self.order < 1:
-            raise ConfigError(f"order must be at least 1, got {self.order}")
-        for name in ("exp_exponents", "fp_strengths"):
-            values = getattr(self, name)
-            if any(v < 0 for v in values):
-                raise ConfigError(f"{name} must be nonnegative, got {values}")
+        # the order is checked even when no exponential filter is listed
+        FilterSpec(FilterKind.EXPONENTIAL, 0.0, order=self.order)
+        self.filter_specs()
+
+    def filter_specs(self) -> list[tuple[str, FilterSpec]]:
+        """(file tag, filter) per scanned strength: exponential, then Fokker-Planck."""
+        families = (
+            (FilterKind.EXPONENTIAL, "exp", self.exp_exponents),
+            (FilterKind.FOKKER_PLANCK, "fp", self.fp_strengths),
+        )
+        return [
+            (tag, FilterSpec(kind, strength, order=self.order))
+            for kind, tag, strengths in families
+            for strength in strengths
+        ]
 
     to_text = _echo
 

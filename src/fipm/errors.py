@@ -29,14 +29,15 @@ class InadmissibleStateError(FipmError):
 class BreakdownError(InadmissibleStateError):
     """A closure's nodal ansatz state left the admissible set at a quadrature node.
 
-    Carries enough context (cell, node, step) to locate the failure.
+    Carries the cell, node, step and cell centre x that locate the failure.
     """
 
-    def __init__(self, message, cell=None, node=None, step=None):
+    def __init__(self, message, cell=None, node=None, step=None, x=None):
         super().__init__(message)
         self.cell = cell
         self.node = node
         self.step = step
+        self.x = x
 
 
 class VacuumError(InadmissibleStateError):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import gauss_rule
 from .errors import VacuumError
 
 GAMMA_DEFAULT = 1.4
@@ -200,8 +201,6 @@ def reference_statistics(xs, t, x0, sigma, prim_l, prim_r, n_ref=100, gamma=GAMM
     Gauss rule.  At t = 0 the (shifted) initial data are averaged instead.
     Returns (mean, var), each of shape (len(xs), 3).
     """
-    from .basis import gauss_rule  # local import to avoid a cycle at module load
-
     xs = np.asarray(xs, dtype=float)
     sol = exact_riemann(prim_l, prim_r, gamma)
     rule = gauss_rule(n_ref)

@@ -36,7 +36,6 @@ import numpy as np
 from . import euler
 from .config import _TYPES, ExperimentConfig, ScanConfig, _convert
 from .errors import ConfigError, FipmError
-from .filters import FilterKind, FilterSpec
 from .realizability import filter_image_scan
 from .solver import RunResult, project_ic
 from .stats import StatField, delta_metrics, error_norms, stats_from_moments
@@ -325,25 +324,19 @@ def scan_figure1(cfg: ScanConfig, output_root=None) -> ScanArtifacts:
     (out_dir / "config.cfg").write_text(cfg.to_text())
 
     rows = []
-    families = (
-        (FilterKind.EXPONENTIAL, "exp", cfg.exp_exponents),
-        (FilterKind.FOKKER_PLANCK, "fp", cfg.fp_strengths),
-    )
-    for kind, tag, strengths in families:
-        for strength in strengths:
-            # the heat-semigroup gain reads neither dt nor order
-            spec = FilterSpec(kind, strength, order=cfg.order)
-            scan = filter_image_scan(spec, resolution=cfg.resolution, dt=1.0)
-            _write_table(
-                out_dir / f"{tag}-{strength!r}.csv",
-                {
-                    "u1": scan.u1,
-                    "u2": scan.u2,
-                    "inside_before": scan.inside_before,
-                    "inside_after": scan.inside_after,
-                },
-            )
-            rows.append((kind.value, strength, scan.n_inside, scan.n_escaped))
+    for tag, spec in cfg.filter_specs():
+        # the heat-semigroup gain reads neither dt nor order
+        scan = filter_image_scan(spec, resolution=cfg.resolution, dt=1.0)
+        _write_table(
+            out_dir / f"{tag}-{spec.strength!r}.csv",
+            {
+                "u1": scan.u1,
+                "u2": scan.u2,
+                "inside_before": scan.inside_before,
+                "inside_after": scan.inside_after,
+            },
+        )
+        rows.append((spec.kind.value, spec.strength, scan.n_inside, scan.n_escaped))
 
     header = ("filter", "strength", "n_inside", "n_escaped")
     _write_table(

@@ -179,6 +179,8 @@ class EulerPhysics:
     n_comp = 3
 
     def __init__(self, gamma=euler.GAMMA_DEFAULT):
+        if gamma <= 1.0:
+            raise ValueError(f"gamma must exceed 1, got {gamma}")
         self.gamma = gamma
 
     def flux(self, u):
@@ -289,13 +291,19 @@ class MomentSolver:
         tau: float = 1e-7,
     ):
         if degree < 0:
-            raise ValueError(f"need degree >= 0, got {degree}")
+            raise ValueError(f"degree must be nonnegative, got {degree}")
         if n_quad < degree + 1:
             raise ValueError(
-                f"need at least degree+1 quadrature nodes, got {n_quad} < {degree + 1}"
+                f"n_quad must be at least degree+1 = {degree + 1} quadrature nodes, got {n_quad}"
             )
+        self.dual_config = DualSolverConfig(tol=tau, eta=eta)
         check_combination(closure, filter_spec, eta)
+        if closure not in GALERKIN and not isinstance(physics, EulerPhysics):
+            raise ValueError(
+                f"closure {closure.value} solves the Euler entropy dual; use EulerPhysics"
+            )
         self.grid = grid
+        self._centers = grid.centers()
         self.degree = int(degree)
         self.quad = gauss_rule(n_quad)
         self.physics = physics
@@ -303,41 +311,42 @@ class MomentSolver:
         self.filter_spec = filter_spec
         self.phi = vandermonde(degree, self.quad.nodes)
         self.phi_w = self.phi * self.quad.weights[:, None]
-        self.dual_config = None
         self.solver = None
         if closure not in GALERKIN:
-            self.dual_config = DualSolverConfig(tol=tau, eta=eta)
             self.solver = ClosureSolver(EulerEntropy(physics.gamma), degree, self.quad)
         self._ghost_states = None
 
     # -- nodal states per closure -------------------------------------------
 
-    def _admissible(self, states, step):
-        """Return the nodal states (n, n_q, m); raise BreakdownError at the first
-        inadmissible node."""
+    def _admissible(self, states, step, centers):
+        """Return the nodal states (n, n_q, m) of the cells at ``centers``; raise
+        BreakdownError at the first inadmissible node."""
         ok = self.physics.admissible(states)
         if not np.all(ok):
             cell, node = np.argwhere(~ok)[0]
             raise BreakdownError(
-                f"ansatz left the admissible set (cell {cell}, node {node}, step {step})",
+                f"ansatz left the admissible set (cell {cell}, node {node}, step {step}) "
+                f"at x = {centers[cell]:.6g}",
                 cell=int(cell),
                 node=int(node),
                 step=int(step),
+                x=float(centers[cell]),
             )
         return states
 
-    def _solve_duals(self, u_bar, start, step):
+    def _solve_duals(self, u_bar, start, step, centers):
         v, info = self.solver.solve_batch(u_bar, start, self.dual_config)
         if not info.all_converged:
             bad = np.flatnonzero(~info.converged)
             worst = bad[np.argmax(info.grad_norm[bad])]
             raise DualNonConvergenceError(
                 f"dual solve failed in {bad.size} cell(s) at step {step}; worst cell "
-                f"{worst} with gradient norm {info.grad_norm[worst]:.3e}",
+                f"{worst} at x = {centers[worst]:.6g} with gradient norm "
+                f"{info.grad_norm[worst]:.3e}",
                 grad_norm=float(info.grad_norm[worst]),
                 iterations=int(info.iterations[worst]),
             )
-        self._admissible(info.states, step)
+        self._admissible(info.states, step, centers)
         return v, info
 
     # -- setup ----------------------------------------------------------------
@@ -350,12 +359,12 @@ class MomentSolver:
             raise ValueError(f"initial moments have wrong shape {u0.shape}")
         if self.closure in GALERKIN:
             self._ghost_states = np.matmul(self.phi, ghost_moments)
-            states = self._admissible(np.matmul(self.phi, u0), step=0)
+            states = self._admissible(np.matmul(self.phi, u0), 0, self._centers)
             duals = None
         else:
-            _, ghost_info = self._solve_duals(ghost_moments, None, step=0)
+            _, ghost_info = self._solve_duals(ghost_moments, None, 0, self.grid.ghost_centers())
             self._ghost_states = ghost_info.states
-            duals, info = self._solve_duals(u0, None, step=0)
+            duals, info = self._solve_duals(u0, None, 0, self._centers)
             states = info.states
         s_prev = self._max_speed(states)
         return SolverState(t=0.0, step=0, moments=u0, duals=duals, s_prev=s_prev)
@@ -383,11 +392,11 @@ class MomentSolver:
 
         u_bar = apply_filter(self.filter_spec, state.moments, dt)
         if self.closure in GALERKIN:
-            states = self._admissible(np.matmul(self.phi, u_bar), state.step)
+            states = self._admissible(np.matmul(self.phi, u_bar), state.step, self._centers)
             base = u_bar
             duals = None
         else:
-            duals, info = self._solve_duals(u_bar, state.duals, state.step)
+            duals, info = self._solve_duals(u_bar, state.duals, state.step, self._centers)
             states = info.states
             newton_total = info.total_iterations
             newton_max = int(info.iterations.max())

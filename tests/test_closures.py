@@ -11,15 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fipm.basis import gauss_rule
-from fipm.closures import (
-    BoundedScalarEntropy,
-    ClosureSolver,
-    DualSolverConfig,
-    EulerEntropy,
-    ScalarLogEntropy,
-)
+from fipm.closures import ClosureSolver, DualSolverConfig, EulerEntropy, ScalarLogEntropy
 from fipm.errors import DualDomainError, DualNonConvergenceError
-from fipm.euler import conserved_from_primitive
+from fipm.euler import admissible, conserved_from_primitive
 
 RNG = np.random.default_rng(12345)
 
@@ -51,18 +45,12 @@ def random_euler_states(n, rng=RNG):
     return conserved_from_primitive(np.stack([rho, v, p], axis=-1))
 
 
-ALL_MODELS = [
-    ScalarLogEntropy(),
-    BoundedScalarEntropy(0.2, 3.0),
-    EulerEntropy(1.4),
-]
+ALL_MODELS = [ScalarLogEntropy(), EulerEntropy(1.4)]
 
 
 def random_states(model, n, rng=RNG):
     if isinstance(model, EulerEntropy):
         return random_euler_states(n, rng)
-    if isinstance(model, BoundedScalarEntropy):
-        return rng.uniform(model.lo + 0.05, model.hi - 0.05, (n, 1))
     return rng.uniform(0.05, 10.0, (n, 1))
 
 
@@ -111,7 +99,7 @@ class TestModelCalculus:
         model = EulerEntropy(1.4)
         bad = np.array([[-1.0, 0.5, 0.1], [1.0, 3.0, 1.0], [np.nan, 0.0, 1.0]])
         fixed = model.safe_state(bad)
-        assert np.all(model.admissible(fixed))
+        assert np.all(admissible(fixed, 1.4))
         good = random_euler_states(5)
         assert model.safe_state(good) == pytest.approx(good, rel=1e-12)
 
@@ -121,13 +109,6 @@ class TestModelCalculus:
         model = ScalarLogEntropy()
         u = model.ansatz(np.array([v]))
         assert u[0] > 0
-
-    @given(st.floats(-80.0, 80.0))
-    @settings(max_examples=100, deadline=None)
-    def test_bounded_ansatz_stays_in_band(self, v):
-        model = BoundedScalarEntropy(0.2, 3.0)
-        u = model.ansatz(np.array([v]))
-        assert 0.2 <= u[0] <= 3.0
 
 
 @pytest.fixture(scope="module")
@@ -224,9 +205,8 @@ class TestHessianAssembly:
             (EulerEntropy(1.4), 5, 20),
             (EulerEntropy(1.4), 10, 30),
             (ScalarLogEntropy(), 5, 20),
-            (BoundedScalarEntropy(0.2, 3.0), 5, 20),
         ],
-        ids=["euler-5-20", "euler-10-30", "scalar-log", "bounded-scalar"],
+        ids=["euler-5-20", "euler-10-30", "scalar-log"],
     )
     @pytest.mark.parametrize("eta", [0.0, 1e-3])
     def test_batched_assembly_equals_per_node_sum(self, model, degree, n_quad, eta):
@@ -327,14 +307,7 @@ class TestSolve:
         v, info = euler_solver.solve_batch(u)
         assert info.all_converged
         states = euler_solver.node_states(v)
-        assert np.all(euler_solver.model.admissible(states))
-
-    def test_evaluate_ansatz_outside_nodes(self, scalar_solver):
-        v_star = random_feasible_duals(scalar_solver, 1)[0]
-        xi = np.linspace(-1, 1, 33)
-        states = scalar_solver.evaluate_ansatz(v_star, xi)
-        assert states.shape == (33, 1)
-        assert np.all(states > 0)
+        assert np.all(admissible(states, euler_solver.model.gamma))
 
 
 class TestNewtonPath:

@@ -184,6 +184,31 @@ class TestCompatibility:
             solver_accepts = False
         assert config_accepts == solver_accepts == ((closure, filt, eta) in ACCEPTED)
 
+    @pytest.mark.parametrize("closure", ["sg", "ipm"])
+    @pytest.mark.parametrize(
+        "key,value",
+        [("gamma", 1.0), ("tau", -1.0), ("eta", -1.0), ("degree", -1), ("n_quad", 2)],
+    )
+    def test_config_rejects_exactly_what_the_solver_rejects(self, closure, key, value):
+        fields = dict(gamma=1.4, tau=1e-7, eta=0.0, degree=2, n_quad=6) | {key: value}
+        overrides = [f"{k}={v}" for k, v in fields.items()] + [f"closure={closure}"]
+        try:
+            parse_config(MINIMAL, overrides=overrides)
+            config_error = None
+        except ConfigError as err:
+            config_error = str(err)
+        try:
+            MomentSolver(
+                GridConfig(0.0, 1.0, 60, 0.01), fields["degree"], fields["n_quad"],
+                EulerPhysics(fields["gamma"]), closure=Closure(closure),
+                eta=fields["eta"], tau=fields["tau"],
+            )
+            solver_error = None
+        except ValueError as err:
+            solver_error = str(err)
+        assert solver_error is not None and config_error is not None
+        assert config_error.endswith(solver_error)
+
     def test_geometry_validation(self):
         with pytest.raises(ConfigError, match="inside the domain"):
             parse_config(MINIMAL.replace("x0 = 0.5", "x0 = 0.99"))
@@ -311,6 +336,19 @@ class TestScanConfig:
         with pytest.raises(ConfigError, match=f"key '{key}' must be finite"):
             ScanConfig(**{key: (0.1, value)})
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("order = 0\nexp_exponents =\n", "filter order must be >= 1, got 0"),
+            ("exp_exponents = 0.1, -0.2\n", "filter strength must be nonnegative, got -0.2"),
+            ("fp_strengths = -0.1\n", "filter strength must be nonnegative, got -0.1"),
+        ],
+        ids=["order", "exp_exponents", "fp_strengths"],
+    )
+    def test_filter_rules_are_the_filter_specs(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_scan_config(text)
+
     def test_echo_round_trips(self):
         cfg = ScanConfig(exp_exponents=(0.5, 1.0), resolution=10)
         assert parse_scan_config(cfg.to_text()) == cfg
@@ -430,7 +468,13 @@ class TestRunExperiment:
         artifacts = run_experiment(cfg, tmp_path)
         assert artifacts.exit_code == 3
         assert artifacts.error.startswith("BreakdownError: ansatz left the admissible set")
-        assert "(cell 50, node 0, step 0)" in artifacts.error
+        assert artifacts.error.endswith("(cell 50, node 0, step 0) at x = 0.505")
+
+    def test_sg_desk_breakdown_log_names_the_cell_centre(self, tmp_path):
+        artifacts = run_experiment(load_config("sod-sg-desk"), tmp_path)
+        assert artifacts.exit_code == 3
+        log = (artifacts.out_dir / "run.log").read_text()
+        assert "(cell 182, node 0, step 0) at x = 0.45625\n" in log
 
     def test_collapsed_time_step_exits_3(self, tmp_path, monkeypatch):
         step = MomentSolver.step

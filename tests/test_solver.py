@@ -271,6 +271,11 @@ class TestMomentSolverValidation:
         with pytest.raises(ValueError, match="quadrature"):
             MomentSolver(grid, degree=4, n_quad=3, physics=EulerPhysics())
 
+    def test_dual_closures_need_the_euler_entropy(self):
+        grid = GridConfig(a=0.0, b=1.0, n_cells=10, t_end=0.1)
+        with pytest.raises(ValueError, match="Euler entropy"):
+            MomentSolver(grid, 2, 6, AdvectionPhysics(1.0), closure=Closure.IPM)
+
     def test_rejects_wrong_moment_shape(self):
         solver, u0, ghosts = sod_solver(Closure.IPM)
         with pytest.raises(ValueError, match="shape"):
@@ -430,6 +435,8 @@ class TestBreakdown:
         assert err.value.step == 0
         assert 0 <= err.value.cell < 100
         assert 0 <= err.value.node < 10
+        assert err.value.x == solver.grid.centers()[err.value.cell]
+        assert str(err.value).endswith(f"step 0) at x = {err.value.x:.6g}")
 
     def test_filtered_sg_breaks_on_shock_tube_too(self):
         spec = FilterSpec(FilterKind.EXPONENTIAL, 2.0, order=10)
@@ -440,5 +447,11 @@ class TestBreakdown:
     def test_dual_failure_aborts_with_cell_context(self):
         solver, u0, ghosts = sod_solver(Closure.IPM, n_cells=20)
         u0[2, 1, 0] = 10.0  # slope so steep no nonnegative density matches it
-        with pytest.raises(DualNonConvergenceError, match="cell"):
+        with pytest.raises(DualNonConvergenceError, match="worst cell 2 at x = 0.125 "):
+            solver.run(u0, ghosts)
+
+    def test_ghost_failure_names_the_ghost_centre(self):
+        solver, u0, ghosts = sod_solver(Closure.IPM, n_cells=20)
+        ghosts[1, 1, 0] = 10.0
+        with pytest.raises(DualNonConvergenceError, match="worst cell 1 at x = 1.025 "):
             solver.run(u0, ghosts)
