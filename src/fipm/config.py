@@ -20,7 +20,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError
-from .filters import FilterKind, FilterSpec
+from .filters import ORDERED_KINDS, FilterKind, FilterSpec
 from .solver import Closure, EulerPhysics, GridConfig, MomentSolver, UncertainShockIC
 
 
@@ -85,6 +85,18 @@ class ExperimentConfig:
         object.__setattr__(self, "filter", self.filter.lower())
         _check_choice("closure", self.closure, [c.value for c in Closure])
         _check_choice("filter", self.filter, ["none"] + [k.value for k in FilterKind])
+        # a filter key the chosen filter never reads would be ignored silently
+        unread = {
+            "filter_strength": self.filter == "none",
+            "filter_order": self.filter not in [k.value for k in ORDERED_KINDS],
+        }
+        for key, ignored in unread.items():
+            default = ExperimentConfig.__dataclass_fields__[key].default
+            if ignored and getattr(self, key) != default:
+                raise ConfigError(
+                    f"key '{key}' is not read by filter '{self.filter}'; "
+                    f"leave it at its default {default!r}"
+                )
         if not self.a <= self.delta_lo < self.delta_hi <= self.b:
             raise ConfigError(
                 f"oscillation region [{self.delta_lo}, {self.delta_hi}] must be an "
@@ -114,12 +126,6 @@ class ExperimentConfig:
             FilterKind(self.filter), self.filter_strength, order=self.filter_order
         )
 
-    def solver_closure(self) -> Closure:
-        # an unfiltered ipm run with eta > 0 is exactly the regularized loop
-        if self.closure == "ipm" and self.filter == "none" and self.eta > 0.0:
-            return Closure.FIPM_REGULARIZED
-        return Closure(self.closure)
-
     def delta_region(self) -> tuple[float, float]:
         return (self.delta_lo, self.delta_hi)
 
@@ -129,7 +135,7 @@ class ExperimentConfig:
             self.degree,
             self.n_quad,
             EulerPhysics(self.gamma),
-            closure=self.solver_closure(),
+            closure=Closure(self.closure),
             filter_spec=self.filter_spec(),
             eta=self.eta,
             tau=self.tau,

@@ -325,8 +325,7 @@ def scan_figure1(cfg: ScanConfig, output_root=None) -> ScanArtifacts:
 
     rows = []
     for tag, spec in cfg.filter_specs():
-        # the heat-semigroup gain reads neither dt nor order
-        scan = filter_image_scan(spec, resolution=cfg.resolution, dt=1.0)
+        scan = filter_image_scan(spec, resolution=cfg.resolution)
         _write_table(
             out_dir / f"{tag}-{spec.strength!r}.csv",
             {

@@ -43,8 +43,8 @@ class FilterKind(enum.Enum):
     FOKKER_PLANCK = "fokker-planck"
 
 
-#: kinds whose gain exponent is lambda * dt
-_DT_COUPLED_KINDS = (FilterKind.EXPONENTIAL, FilterKind.ERFC)
+#: kinds whose gain exponent is lambda * dt; only these read an order
+ORDERED_KINDS = (FilterKind.EXPONENTIAL, FilterKind.ERFC)
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class FilterSpec:
             raise ConfigError(f"unknown filter kind: {self.kind!r}")
         if self.strength < 0:
             raise ConfigError(f"filter strength must be nonnegative, got {self.strength}")
-        if self.kind in _DT_COUPLED_KINDS and self.order < 1:
+        if self.kind in ORDERED_KINDS and self.order < 1:
             raise ConfigError(f"filter order must be >= 1, got {self.order}")
 
 

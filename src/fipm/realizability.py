@@ -101,11 +101,14 @@ class ScanResult:
         return self.n_escaped == 0
 
 
-def filter_image_scan(spec: FilterSpec, resolution=400, dt=None) -> ScanResult:
-    """Rasterize the u_0 = 1 slice and test membership before/after filtering."""
+def filter_image_scan(spec: FilterSpec, resolution=400) -> ScanResult:
+    """Rasterize the u_0 = 1 slice and test membership before/after filtering.
+
+    Gains are taken at dt = 1, so a dt-coupled filter's exponent is its strength.
+    """
     if resolution < 2:
         raise ValueError(f"need at least a 2x2 raster, got {resolution}")
-    g = gains(spec, 2, dt)
+    g = gains(spec, 2, 1.0)
     u1 = np.linspace(U1_RANGE[0], U1_RANGE[1], resolution)
     u2 = np.linspace(U2_RANGE[0], U2_RANGE[1], resolution)
     grid_u1, grid_u2 = np.meshgrid(u1, u2, indexing="ij")

@@ -3,20 +3,17 @@
 One explicit Euler step of the moment vector per cell, with kinetic numerical
 fluxes: the deterministic local Lax-Friedrichs flux is evaluated at every
 quadrature node between reconstructed nodal states, then projected back onto
-the basis.  Three closure families share the loop:
-
-* Galerkin (plain or filtered): nodal states are the truncated polynomial
-  itself.
-* realizability-reconstructing closure: filter, solve the dual problem
-  exactly (eta = 0), and advance the *reconstructed* moments of the ansatz,
-  which are realizable with respect to the quadrature measure.
-* regularized closure: filter, solve the dual problem with eta > 0, and
-  advance the filtered moments themselves.
-
-Under every closure a nodal state outside the admissible set aborts the run.
+the basis.  Every closure shares one step: filter the moments, close them into
+nodal states, take the flux difference.  The Galerkin closures (plain or
+filtered) close with the truncated polynomial itself.  The dual closures solve
+the entropy dual, and the regularization eta alone decides what they advance:
+with the exact dual (eta = 0) the *reconstructed* moments of the ansatz, which
+are realizable with respect to the quadrature measure; with eta > 0 the
+filtered moments themselves.  Under every closure a nodal state outside the
+admissible set aborts the run.
 
 Boundary conditions are Dirichlet: one ghost cell per side frozen at the
-projected initial moments, never filtered; ghost duals are solved once.
+projected initial moments, never filtered; ghosts are closed once.
 
 The time step dt_n = min(cfl dx / S_{n-1}, t_end - t_n) uses the fastest
 signal speed S_{n-1} over the *previous* step's nodal states (the initial
@@ -33,7 +30,7 @@ import numpy as np
 
 from . import euler
 from .basis import _legendre_rows, gauss_rule, vandermonde
-from .closures import ClosureSolver, DualSolverConfig, EulerEntropy
+from .closures import ClosureSolver, DualSolverConfig, EulerEntropy, SolveInfo
 from .errors import BreakdownError, DualNonConvergenceError, InadmissibleStateError
 from .filters import FilterKind, FilterSpec, apply_filter
 
@@ -46,8 +43,6 @@ class Closure(enum.Enum):
     FIPM_REGULARIZED = "fipm-regularized"
 
 
-#: closures that advance reconstructed ansatz moments (exact dual, eta = 0)
-RECONSTRUCTING = (Closure.IPM, Closure.FIPM_REALIZABLE)
 #: closures that never touch a dual problem
 GALERKIN = (Closure.SG, Closure.FSG)
 
@@ -58,7 +53,8 @@ def check_combination(closure: Closure, filter_spec: FilterSpec | None, eta: flo
     The realizability-preserving Fokker-Planck filter pairs with the exact
     closure, every other filter with the regularized one.  fsg takes any
     filter or none: without one it degenerates to plain Galerkin bit-for-bit.
-    The regularization is checked before the filter.
+    ipm takes no filter and either dual: with eta > 0 it is the regularized
+    loop without a filter.  The regularization is checked before the filter.
     """
     kind = "none" if filter_spec is None else filter_spec.kind.value
     if closure in GALERKIN:
@@ -66,14 +62,15 @@ def check_combination(closure: Closure, filter_spec: FilterSpec | None, eta: flo
             raise ValueError("Galerkin closures take no regularization; set eta = 0")
         if closure is Closure.SG and kind != "none":
             raise ValueError("closure sg takes no filter; use closure fsg")
-    elif closure in RECONSTRUCTING:
-        if eta != 0.0:
-            raise ValueError(f"{closure.value} solves the exact dual; set eta = 0")
-        if closure is Closure.IPM and kind != "none":
+    elif closure is Closure.IPM:
+        if kind != "none":
             raise ValueError(
                 "closure ipm takes no filter; use fipm-realizable or fipm-regularized"
             )
-        if closure is Closure.FIPM_REALIZABLE and kind != FilterKind.FOKKER_PLANCK.value:
+    elif closure is Closure.FIPM_REALIZABLE:
+        if eta != 0.0:
+            raise ValueError("fipm-realizable solves the exact dual; set eta = 0")
+        if kind != FilterKind.FOKKER_PLANCK.value:
             raise ValueError(f"fipm-realizable requires the fokker-planck filter, got '{kind}'")
     elif eta <= 0.0:
         raise ValueError("fipm-regularized requires eta > 0")
@@ -263,9 +260,6 @@ class SolverState:
 
 @dataclass
 class RunResult:
-    grid: GridConfig
-    degree: int
-    closure: Closure
     t_final: float
     moments: np.ndarray
     duals: np.ndarray | None
@@ -314,28 +308,23 @@ class MomentSolver:
         self.solver = None
         if closure not in GALERKIN:
             self.solver = ClosureSolver(EulerEntropy(physics.gamma), degree, self.quad)
+        #: a dual closure advances its reconstructed moments exactly when eta = 0
+        self._reconstructs = self.solver is not None and eta == 0.0
         self._ghost_states = None
+        self._ghost_speed = None
 
-    # -- nodal states per closure -------------------------------------------
-
-    def _admissible(self, states, step, centers):
-        """Return the nodal states (n, n_q, m) of the cells at ``centers``; raise
-        BreakdownError at the first inadmissible node."""
-        ok = self.physics.admissible(states)
-        if not np.all(ok):
-            cell, node = np.argwhere(~ok)[0]
-            raise BreakdownError(
-                f"ansatz left the admissible set (cell {cell}, node {node}, step {step}) "
-                f"at x = {centers[cell]:.6g}",
-                cell=int(cell),
-                node=int(node),
-                step=int(step),
-                x=float(centers[cell]),
+    def _close(self, u, start, step, centers):
+        """Close the moments ``u`` of the cells at ``centers`` into
+        ``(states, duals, info)``: nodal states (n, n_q, m), duals (None under a
+        Galerkin closure) and the solve info.  Raise at the worst unconverged
+        cell, then at the first inadmissible node."""
+        if self.solver is None:  # the truncated polynomial itself, no solve
+            duals, n = None, u.shape[0]
+            info = SolveInfo(
+                np.ones(n, bool), np.zeros(n, int), np.zeros(n), np.matmul(self.phi, u)
             )
-        return states
-
-    def _solve_duals(self, u_bar, start, step, centers):
-        v, info = self.solver.solve_batch(u_bar, start, self.dual_config)
+        else:
+            duals, info = self.solver.solve_batch(u, start, self.dual_config)
         if not info.all_converged:
             bad = np.flatnonzero(~info.converged)
             worst = bad[np.argmax(info.grad_norm[bad])]
@@ -346,34 +335,34 @@ class MomentSolver:
                 grad_norm=float(info.grad_norm[worst]),
                 iterations=int(info.iterations[worst]),
             )
-        self._admissible(info.states, step, centers)
-        return v, info
+        ok = self.physics.admissible(info.states)
+        if not np.all(ok):
+            cell, node = np.argwhere(~ok)[0]
+            raise BreakdownError(
+                f"ansatz left the admissible set (cell {cell}, node {node}, step {step}) "
+                f"at x = {centers[cell]:.6g}",
+                cell=int(cell),
+                node=int(node),
+                step=int(step),
+                x=float(centers[cell]),
+            )
+        return info.states, duals, info
 
     # -- setup ----------------------------------------------------------------
 
     def prepare(self, u0, ghost_moments) -> SolverState:
-        """Initial marching state; solves ghost (and initial) closures once."""
+        """Initial marching state; closes the ghosts and the initial cells once."""
         u0 = np.array(u0, dtype=float)
         ghost_moments = np.asarray(ghost_moments, dtype=float)
         if u0.shape != (self.grid.n_cells, self.degree + 1, self.physics.n_comp):
             raise ValueError(f"initial moments have wrong shape {u0.shape}")
-        if self.closure in GALERKIN:
-            self._ghost_states = np.matmul(self.phi, ghost_moments)
-            states = self._admissible(np.matmul(self.phi, u0), 0, self._centers)
-            duals = None
-        else:
-            _, ghost_info = self._solve_duals(ghost_moments, None, 0, self.grid.ghost_centers())
-            self._ghost_states = ghost_info.states
-            duals, info = self._solve_duals(u0, None, 0, self._centers)
-            states = info.states
-        s_prev = self._max_speed(states)
-        return SolverState(t=0.0, step=0, moments=u0, duals=duals, s_prev=s_prev)
+        self._ghost_states, _, _ = self._close(ghost_moments, None, 0, self.grid.ghost_centers())
+        self._ghost_speed = float(np.max(self.physics.max_speed(self._ghost_states)))
+        states, duals, _ = self._close(u0, None, 0, self._centers)
+        return SolverState(t=0.0, step=0, moments=u0, duals=duals, s_prev=self._max_speed(states))
 
     def _max_speed(self, states) -> float:
-        speeds = self.physics.max_speed(states)
-        s = float(np.max(speeds))
-        s_ghost = float(np.max(self.physics.max_speed(self._ghost_states)))
-        s = max(s, s_ghost)
+        s = max(float(np.max(self.physics.max_speed(states))), self._ghost_speed)
         if not np.isfinite(s) or s <= 0:
             raise InadmissibleStateError(f"nonpositive or non-finite signal speed {s}")
         return s
@@ -387,21 +376,9 @@ class MomentSolver:
                 f"time step collapsed to zero at step {state.step} "
                 f"(t = {state.t!r}, s_prev = {state.s_prev!r})"
             )
-        newton_total = newton_max = 0
-        grad_max = 0.0
-
         u_bar = apply_filter(self.filter_spec, state.moments, dt)
-        if self.closure in GALERKIN:
-            states = self._admissible(np.matmul(self.phi, u_bar), state.step, self._centers)
-            base = u_bar
-            duals = None
-        else:
-            duals, info = self._solve_duals(u_bar, state.duals, state.step, self._centers)
-            states = info.states
-            newton_total = info.total_iterations
-            newton_max = int(info.iterations.max())
-            grad_max = float(info.grad_norm.max())
-            base = np.matmul(self.phi_w.T, states) if self.closure in RECONSTRUCTING else u_bar
+        states, duals, info = self._close(u_bar, state.duals, state.step, self._centers)
+        base = np.matmul(self.phi_w.T, states) if self._reconstructs else u_bar
 
         all_states = np.concatenate(
             [self._ghost_states[:1], states, self._ghost_states[1:]], axis=0
@@ -415,9 +392,9 @@ class MomentSolver:
             step=state.step,
             t=state.t + dt,
             dt=dt,
-            newton_total=newton_total,
-            newton_max=newton_max,
-            grad_max=grad_max,
+            newton_total=info.total_iterations,
+            newton_max=int(info.iterations.max()),
+            grad_max=float(info.grad_norm.max()),
             flux_left=flux[0].copy(),
             flux_right=flux[-1].copy(),
             base_sum=base.sum(axis=0),
@@ -450,9 +427,6 @@ class MomentSolver:
             if state.step >= max_steps:
                 raise RuntimeError(f"exceeded {max_steps} steps before reaching t_end")
         return RunResult(
-            grid=self.grid,
-            degree=self.degree,
-            closure=self.closure,
             t_final=state.t,
             moments=state.moments,
             duals=state.duals,

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ import pytest
 import fipm
 from fipm.cli import main
 from fipm.config import (
-    ExperimentConfig,
     ScanConfig,
     list_presets,
     load_config,
@@ -116,7 +114,9 @@ class TestParseConfig:
             parse_config(MINIMAL, overrides=["n_cells"])
 
     def test_echo_round_trips(self):
-        cfg = parse_config(MINIMAL, overrides=["filter_strength=0.25"])
+        cfg = parse_config(
+            MINIMAL, overrides=["closure=fsg", "filter=l2", "filter_strength=0.25"]
+        )
         assert parse_config(cfg.to_text()) == cfg
 
 
@@ -164,7 +164,9 @@ class TestCompatibility:
     @pytest.mark.parametrize("filt", COMBINATION_FILTERS)
     @pytest.mark.parametrize("closure", [member.value for member in Closure])
     def test_config_and_solver_accept_the_same_combinations(self, closure, filt, eta):
-        fields = dict(closure=closure, filter=filt, filter_strength=0.1, eta=eta)
+        fields = dict(closure=closure, filter=filt, eta=eta)
+        if filt != "none":
+            fields["filter_strength"] = 0.1
         overrides = [f"{key}={value}" for key, value in fields.items()]
         try:
             parse_config(MINIMAL.replace("closure = ipm", ""), overrides=overrides)
@@ -175,7 +177,7 @@ class TestCompatibility:
         try:
             MomentSolver(
                 GridConfig(0.0, 1.0, 60, 0.01), 2, 6, EulerPhysics(),
-                closure=ExperimentConfig.solver_closure(SimpleNamespace(**fields)),
+                closure=Closure(closure),
                 filter_spec=spec,
                 eta=eta,
             )
@@ -216,32 +218,6 @@ class TestCompatibility:
             parse_config(MINIMAL.replace("n_quad = 6", "n_quad = 2"))
         with pytest.raises(ConfigError, match="oscillation region"):
             parse_config(MINIMAL + "delta_lo = 0.9\ndelta_hi = 0.8\n")
-
-    def test_ipm_with_eta_runs_the_regularized_loop(self):
-        exact = parse_config(MINIMAL)
-        regular = parse_config(MINIMAL + "eta = 1e-07\n")
-        assert exact.solver_closure() is Closure.IPM
-        assert regular.solver_closure() is Closure.FIPM_REGULARIZED
-
-    @pytest.mark.parametrize(
-        "literal,member",
-        [
-            ("sg", Closure.SG),
-            ("fsg", Closure.FSG),
-            ("fipm-realizable", Closure.FIPM_REALIZABLE),
-            ("fipm-regularized", Closure.FIPM_REGULARIZED),
-        ],
-    )
-    def test_closure_literals_map_to_solver_closures(self, literal, member):
-        cfg = ExperimentConfig(
-            a=0.0, b=1.0, n_cells=60, t_end=0.01, x0=0.5, sigma=0.05,
-            rho_l=1.0, p_l=1.0, rho_r=0.125, p_r=0.1, degree=2, n_quad=6,
-            closure=literal,
-            filter="fokker-planck" if literal == "fipm-realizable" else "none",
-            filter_strength=0.1 if literal == "fipm-realizable" else 0.0,
-            eta=1e-7 if literal == "fipm-regularized" else 0.0,
-        )
-        assert cfg.solver_closure() is member
 
 
 # -- bundled presets -----------------------------------------------------------
@@ -470,6 +446,18 @@ class TestRunExperiment:
         assert artifacts.error.startswith("BreakdownError: ansatz left the admissible set")
         assert artifacts.error.endswith("(cell 50, node 0, step 0) at x = 0.505")
 
+    def test_ipm_with_eta_writes_the_regularized_runs_csvs(self, tmp_path):
+        ipm = run_experiment(tiny_config(eta=1e-7, output_dir="ipm"), tmp_path)
+        regularized = run_experiment(
+            tiny_config(closure="fipm-regularized", eta=1e-7, output_dir="reg"), tmp_path
+        )
+        assert ipm.exit_code == regularized.exit_code == 0
+        for name in ARTIFACTS:
+            if name.endswith(".csv"):
+                assert (ipm.out_dir / name).read_bytes() == (
+                    regularized.out_dir / name
+                ).read_bytes(), name
+
     def test_sg_desk_breakdown_log_names_the_cell_centre(self, tmp_path):
         artifacts = run_experiment(load_config("sod-sg-desk"), tmp_path)
         assert artifacts.exit_code == 3
@@ -557,6 +545,21 @@ class TestCli:
         assert main(["run", "sod-ipm", "--set", "eta=-1", "--dry-run"]) == 2
         assert "eta" in capsys.readouterr().err
         assert main(["run", "no-such-thing", "--dry-run"]) == 2
+
+    @pytest.mark.parametrize(
+        "preset,overrides,key",
+        [
+            ("sod-ipm-desk", ["filter_strength=5", "filter_order=0"], "filter_strength"),
+            ("sod-ipm-desk", ["filter_order=0"], "filter_order"),
+            ("sod-fipm-exp-desk", ["filter=l2", "filter_order=0"], "filter_order"),
+            ("sod-fipm-fp-desk", ["filter_order=3"], "filter_order"),
+        ],
+    )
+    def test_filter_keys_the_filter_does_not_read_exit_2(self, preset, overrides, key, capsys):
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        assert main(["run", preset, *sets, "--dry-run"]) == 2
+        err = capsys.readouterr().err
+        assert f"key '{key}' is not read by filter" in err
 
     @pytest.mark.parametrize("key", ["t_end", "filter_strength", "eta"])
     @pytest.mark.parametrize("value", ["nan", "inf"])

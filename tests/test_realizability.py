@@ -134,7 +134,7 @@ class TestFokkerPlanckTheorem:
 
     def test_exponential_filter_escapes(self):
         spec = FilterSpec(kind=FilterKind.EXPONENTIAL, strength=0.2, order=7)
-        scan = filter_image_scan(spec, resolution=200, dt=1.0)
+        scan = filter_image_scan(spec, resolution=200)
         assert scan.n_inside > 0
         assert scan.n_escaped > 0
         # a concrete witness: (1, 1.1, 0.5) is realizable, its image is not

@@ -256,11 +256,18 @@ class TestGalerkinAdvection:
 
 
 class TestMomentSolverValidation:
-    def test_reconstructing_closures_demand_exact_dual(self):
-        with pytest.raises(ValueError, match="exact dual"):
-            sod_solver(Closure.IPM, eta=1e-7)
+    def test_realizable_closure_demands_exact_dual(self):
         with pytest.raises(ValueError, match="exact dual"):
             sod_solver(Closure.FIPM_REALIZABLE, eta=1e-7)
+
+    def test_ipm_with_eta_steps_as_the_unfiltered_regularized_closure(self):
+        """eta alone decides what a dual closure advances, whatever its name."""
+        solver_ipm, u0, ghosts = sod_solver(Closure.IPM, n_cells=30, eta=1e-7)
+        solver_reg, _, _ = sod_solver(Closure.FIPM_REGULARIZED, n_cells=30, eta=1e-7)
+        stepped_ipm, diag_ipm = solver_ipm.step(solver_ipm.prepare(u0, ghosts), 1.0)
+        stepped_reg, _ = solver_reg.step(solver_reg.prepare(u0, ghosts), 1.0)
+        assert np.array_equal(stepped_ipm.moments, stepped_reg.moments)
+        assert np.array_equal(diag_ipm.base_sum, u0.sum(axis=0))
 
     def test_regularized_closure_demands_positive_eta(self):
         with pytest.raises(ValueError, match="eta > 0"):
@@ -449,6 +456,19 @@ class TestBreakdown:
         u0[2, 1, 0] = 10.0  # slope so steep no nonnegative density matches it
         with pytest.raises(DualNonConvergenceError, match="worst cell 2 at x = 0.125 "):
             solver.run(u0, ghosts)
+
+    def test_inadmissible_galerkin_ghost_names_the_ghost_centre(self):
+        """Galerkin ghosts are closed and checked like any cell."""
+        grid = GridConfig(0.0, 1.0, 60, 0.01)
+        sod = UncertainShockIC(1.0, 1.0, 0.125, 0.1, x0=0.5, sigma=0.0)
+        solver = MomentSolver(grid, 2, 6, EulerPhysics(), closure=Closure.SG)
+        u0 = project_ic(grid.centers(), 2, sod)
+        ghosts = project_ic(grid.ghost_centers(), 2, sod)
+        ghosts[1, 0, 2] = -1.0  # negative energy: no state at any node
+        where = r"\(cell 1, node 0, step 0\) at x = 1.00833$"
+        with pytest.raises(BreakdownError, match=where) as err:
+            solver.prepare(u0, ghosts)
+        assert err.value.x == grid.ghost_centers()[1]
 
     def test_ghost_failure_names_the_ghost_centre(self):
         solver, u0, ghosts = sod_solver(Closure.IPM, n_cells=20)
