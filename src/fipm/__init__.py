@@ -1,12 +1,11 @@
 """Filtered intrusive polynomial-moment methods for 1D conservation laws."""
 
 from .basis import QuadratureRule, gauss_rule, vandermonde
-from .closures import ClosureSolver, DualSolverConfig, EulerEntropy, ScalarLogEntropy
+from .closures import ClosureSolver, EulerEntropy, ScalarLogEntropy
 from .config import ExperimentConfig, ScanConfig, list_presets, load_config, parse_config
 from .errors import (
     BreakdownError,
     ConfigError,
-    DualDomainError,
     DualNonConvergenceError,
     FipmError,
     InadmissibleStateError,
@@ -23,7 +22,6 @@ __all__ = [
     "gauss_rule",
     "vandermonde",
     "ClosureSolver",
-    "DualSolverConfig",
     "EulerEntropy",
     "ScalarLogEntropy",
     "ExperimentConfig",
@@ -33,7 +31,6 @@ __all__ = [
     "parse_config",
     "BreakdownError",
     "ConfigError",
-    "DualDomainError",
     "DualNonConvergenceError",
     "FipmError",
     "InadmissibleStateError",

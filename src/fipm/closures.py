@@ -25,7 +25,6 @@ import numpy as np
 from scipy.special import xlogy
 
 from .basis import QuadratureRule, vandermonde
-from .errors import DualDomainError, DualNonConvergenceError
 
 # ---------------------------------------------------------------------------
 # entropy models
@@ -152,20 +151,6 @@ LS_MAX = 50
 NEWTON_MAX_ITER = 200
 
 
-@dataclass(frozen=True)
-class DualSolverConfig:
-    """Newton parameters of the dual minimization: gradient tolerance tau and eta."""
-
-    tol: float = 1e-7
-    eta: float = 0.0
-
-    def __post_init__(self):
-        if self.eta < 0:
-            raise ValueError(f"eta must be nonnegative, got {self.eta}")
-        if self.tol <= 0:
-            raise ValueError(f"tau must be positive, got {self.tol}")
-
-
 @dataclass
 class SolveInfo:
     """Per-cell outcome of a batched dual solve."""
@@ -217,25 +202,11 @@ class ClosureSolver:
         v[..., 0, :] = self.model.entropy_vars(self.model.safe_state(u_hat[..., 0, :]))
         return v
 
-    # -- single-cell views of the batched calculus ---------------------------
+    # -- batched dual calculus and Newton solve ------------------------------
 
-    def objective(self, v_hat, u_hat, eta=0.0):
-        """Dual objective of one cell; raises outside the dual domain."""
-        val = self._batch_objective(v_hat[None], u_hat[None], eta)[0]
-        if not np.isfinite(val):
-            raise DualDomainError("dual variables leave the conjugate domain or overflow")
-        return float(val)
-
-    def gradient(self, v_hat, u_hat, eta=0.0):
-        return self._batch_gradient(v_hat[None], u_hat[None], eta)[0][0]
-
-    def hessian(self, v_hat, eta=0.0):
-        return self._batch_hessian(v_hat[None], eta)[0]
-
-    # -- batched Newton solve -----------------------------------------------
-
-    def _batch_objective(self, v, u, eta):
-        """Objective and feasibility per cell; infeasible cells get +inf."""
+    def objective(self, v, u, eta):
+        """Dual objective per cell of a batch (B, N+1, m); +inf outside the dual
+        domain or where the conjugate overflows."""
         y = self.node_values(v)
         feasible = np.all(self.model.dual_feasible(y), axis=-1)
         with np.errstate(invalid="ignore", over="ignore"):
@@ -248,13 +219,13 @@ class ClosureSolver:
         val = np.where(bad, np.inf, val)
         return val
 
-    def _batch_gradient(self, v, u, eta):
-        """Gradient per cell and the nodal ansatz states it was computed from."""
+    def gradient(self, v, u, eta):
+        """Gradient per cell and the nodal ansatz states (B, n_q, m) it was computed from."""
         a = self.node_states(v)
         return np.matmul(self.phi_w.T, a) + eta * v - u, a
 
-    def _batch_hessian(self, v, eta):
-        """sum_q T[q] (x) J[b, q] as one batched matrix product."""
+    def hessian(self, v, eta):
+        """Hessian per cell, sum_q T[q] (x) J[b, q] as one batched matrix product."""
         jac = self.model.ansatz_jacobian(self.node_values(v))
         b, n_q, m, _ = jac.shape
         n = self.degree + 1
@@ -292,7 +263,7 @@ class ClosureSolver:
         todo = np.arange(n)
         for _ in range(LS_MAX):
             cand = v[todo] + step[todo, None, None] * direction[todo]
-            f_cand = self._batch_objective(cand, u[todo], eta)
+            f_cand = self.objective(cand, u[todo], eta)
             ok = f_cand <= f0[todo] + LS_SLOPE * step[todo] * slope[todo] + noise[todo]
             if np.any(ok):
                 hit = todo[ok]
@@ -305,21 +276,21 @@ class ClosureSolver:
             step[todo] *= LS_CONTRACTION
         return v_new, f_new, accepted
 
-    def solve_batch(self, u_hat, start=None, config: DualSolverConfig | None = None):
+    def solve_batch(self, u_hat, start, tol, eta):
         """Minimize the dual functional for every cell of u_hat (B, N+1, m).
 
-        Returns (v_hat, SolveInfo).  Cells whose start is infeasible, that
-        stall in the line search or exhaust NEWTON_MAX_ITER are reported as
-        non-converged; SolveInfo.states holds the nodal ansatz states of the
+        ``start`` is the warm start (None for a cold start), ``tol`` the
+        gradient-norm tolerance tau and ``eta`` the regularization.  Returns
+        (v_hat, SolveInfo).  Cells whose start is infeasible, that stall in the
+        line search or exhaust NEWTON_MAX_ITER are reported as non-converged,
+        not raised; SolveInfo.states holds the nodal ansatz states of the
         converged cells.
         """
-        config = config or DualSolverConfig()
         u = np.asarray(u_hat, dtype=float)
         v = self.cold_start(u) if start is None else np.array(start, dtype=float)
         b = u.shape[0]
-        eta = config.eta
 
-        f = self._batch_objective(v, u, eta)
+        f = self.objective(v, u, eta)
         iterations = np.zeros(b, dtype=int)
         grad_norm = np.full(b, np.inf)
         converged = np.zeros(b, dtype=bool)
@@ -329,10 +300,10 @@ class ClosureSolver:
         for it in range(NEWTON_MAX_ITER + 1):
             if active.size == 0:
                 break
-            g, a = self._batch_gradient(v[active], u[active], eta)
+            g, a = self.gradient(v[active], u[active], eta)
             gn = np.linalg.norm(g.reshape(active.size, -1), axis=1)
             grad_norm[active] = gn
-            done = gn < config.tol
+            done = gn < tol
             converged[active[done]] = True
             states[active[done]] = a[done]
             active = active[~done]
@@ -341,7 +312,7 @@ class ClosureSolver:
 
             g = g[~done]
             g_flat = g.reshape(active.size, -1)
-            h = self._batch_hessian(v[active], eta)
+            h = self.hessian(v[active], eta)
             d_flat = self._newton_directions(h, g_flat)
             slope = np.einsum("bd,bd->b", g_flat, d_flat)
             # a direction that is not downhill becomes steepest descent
@@ -362,18 +333,3 @@ class ClosureSolver:
         return v, SolveInfo(
             converged=converged, iterations=iterations, grad_norm=grad_norm, states=states
         )
-
-    def solve(self, u_hat, start=None, config: DualSolverConfig | None = None):
-        """Single-cell dual solve; raises DualNonConvergenceError on failure."""
-        u = np.asarray(u_hat, dtype=float)
-        v, info = self.solve_batch(
-            u[None], None if start is None else np.asarray(start, dtype=float)[None], config
-        )
-        if not info.all_converged:
-            raise DualNonConvergenceError(
-                "dual Newton iteration did not reach tolerance "
-                f"(last gradient norm {info.grad_norm[0]:.3e})",
-                grad_norm=float(info.grad_norm[0]),
-                iterations=int(info.iterations[0]),
-            )
-        return v[0]

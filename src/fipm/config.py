@@ -244,8 +244,18 @@ class ScanConfig:
         _check_finite(self)
         if self.resolution < 2:
             raise ConfigError(f"resolution must be at least 2, got {self.resolution}")
-        # the order is checked even when no exponential filter is listed
-        FilterSpec(FilterKind.EXPONENTIAL, 0.0, order=self.order)
+        default = ScanConfig.__dataclass_fields__["order"].default
+        if not self.exp_exponents and self.order != default:
+            raise ConfigError(
+                "key 'order' is not read when exp_exponents is empty; "
+                f"leave it at its default {default!r}"
+            )
+        # a strength listed twice would write its raster twice, over itself
+        for key in ("exp_exponents", "fp_strengths"):
+            values = getattr(self, key)
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ConfigError(f"{key} values repeat: {', '.join(map(repr, repeated))}")
         self.filter_specs()
 
     def filter_specs(self) -> list[tuple[str, FilterSpec]]:

@@ -9,10 +9,6 @@ class ConfigError(FipmError):
     """Invalid, unknown, or incompatible configuration input."""
 
 
-class DualDomainError(FipmError):
-    """A dual-variable evaluation left the domain of the conjugate entropy."""
-
-
 class DualNonConvergenceError(FipmError):
     """Newton iteration on the dual problem failed to reach tolerance."""
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import euler
 from .basis import _legendre_rows, gauss_rule, vandermonde
-from .closures import ClosureSolver, DualSolverConfig, EulerEntropy, SolveInfo
+from .closures import ClosureSolver, EulerEntropy, SolveInfo
 from .errors import BreakdownError, DualNonConvergenceError, InadmissibleStateError
 from .filters import FilterKind, FilterSpec, apply_filter
 
@@ -290,7 +290,11 @@ class MomentSolver:
             raise ValueError(
                 f"n_quad must be at least degree+1 = {degree + 1} quadrature nodes, got {n_quad}"
             )
-        self.dual_config = DualSolverConfig(tol=tau, eta=eta)
+        if eta < 0:
+            raise ValueError(f"eta must be nonnegative, got {eta}")
+        if tau <= 0:
+            raise ValueError(f"tau must be positive, got {tau}")
+        self.eta, self.tau = eta, tau
         check_combination(closure, filter_spec, eta)
         if closure not in GALERKIN and not isinstance(physics, EulerPhysics):
             raise ValueError(
@@ -316,15 +320,16 @@ class MomentSolver:
     def _close(self, u, start, step, centers):
         """Close the moments ``u`` of the cells at ``centers`` into
         ``(states, duals, info)``: nodal states (n, n_q, m), duals (None under a
-        Galerkin closure) and the solve info.  Raise at the worst unconverged
-        cell, then at the first inadmissible node."""
+        Galerkin closure) and the solve info.  The dual solve only reports;
+        raise here at the worst unconverged cell, then at the first
+        inadmissible node."""
         if self.solver is None:  # the truncated polynomial itself, no solve
             duals, n = None, u.shape[0]
             info = SolveInfo(
                 np.ones(n, bool), np.zeros(n, int), np.zeros(n), np.matmul(self.phi, u)
             )
         else:
-            duals, info = self.solver.solve_batch(u, start, self.dual_config)
+            duals, info = self.solver.solve_batch(u, start, self.tau, self.eta)
         if not info.all_converged:
             bad = np.flatnonzero(~info.converged)
             worst = bad[np.argmax(info.grad_norm[bad])]
@@ -414,11 +419,7 @@ class MomentSolver:
     def run(self, u0, ghost_moments, max_steps=1_000_000) -> RunResult:
         """March from the initial moments to grid.t_end."""
         t_end = self.grid.t_end
-        if t_end == 0.0:  # nothing to march, so no closure is solved either
-            u0 = np.array(u0, dtype=float)
-            state = SolverState(t=0.0, step=0, moments=u0, duals=None, s_prev=0.0)
-        else:
-            state = self.prepare(u0, ghost_moments)
+        state = self.prepare(u0, ghost_moments)
         telemetry = []
         eps_t = 1e-12 * max(t_end, 1.0)
         while state.t < t_end - eps_t:

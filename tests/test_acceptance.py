@@ -18,7 +18,7 @@ from test_euler import star_pressure_bisect
 
 from fipm import euler
 from fipm.basis import gauss_rule
-from fipm.closures import ClosureSolver, DualSolverConfig, EulerEntropy, ScalarLogEntropy
+from fipm.closures import ClosureSolver, EulerEntropy, ScalarLogEntropy
 from fipm.config import ExperimentConfig, load_config
 from fipm.errors import BreakdownError
 from fipm.filters import LOG_MACHINE_EPS, FilterKind, FilterSpec, gains
@@ -173,23 +173,24 @@ def test_criterion_3_dual_solver_calculus_and_round_trip():
             for k, v_hat in enumerate(points):
                 u_hat = solver.reconstruct(points[(k + 1) % len(points)])
                 flat = v_hat.ravel()
-                grad = solver.gradient(v_hat, u_hat).ravel()
+                grad = solver.gradient(v_hat[None], u_hat[None], 0.0)[0].ravel()
                 grad_fd = fd_gradient_richardson(
-                    lambda z: solver.objective(z.reshape(shape), u_hat), flat
+                    lambda z: solver.objective(z.reshape(shape)[None], u_hat[None], 0.0)[0],
+                    flat,
                 )
                 scale = max(float(np.linalg.norm(grad)), 1.0)
                 assert np.linalg.norm(grad_fd - grad) / scale < 1e-6
-                hess = solver.hessian(v_hat)
+                hess = solver.hessian(v_hat[None], 0.0)[0]
                 hess_fd = fd_jacobian_richardson(
-                    lambda z: solver.gradient(z.reshape(shape), u_hat).ravel(),
+                    lambda z: solver.gradient(z.reshape(shape)[None], u_hat[None], 0.0)[0].ravel(),
                     flat,
                 )
                 assert np.linalg.norm(hess_fd - hess) / np.linalg.norm(hess) < 1e-5
-            config = DualSolverConfig(tol=tau, eta=0.0)
             for v_hat in points[:20]:
                 u_hat = solver.reconstruct(v_hat)
-                solved = solver.solve(u_hat, config=config)
-                back = solver.reconstruct(solved)
+                solved, info = solver.solve_batch(u_hat[None], None, tau, 0.0)
+                assert info.all_converged
+                back = solver.reconstruct(solved[0])
                 assert np.abs(back - u_hat).max() < 10 * tau
         assert time.perf_counter() - start < 30.0
 
@@ -273,13 +274,10 @@ def test_criterion_8_conservation_and_realizability_witness():
         u0 = project_ic(grid.centers(), cfg.degree, ic, cfg.gamma)
         ghosts = project_ic(grid.ghost_centers(), cfg.degree, ic, cfg.gamma)
         state = solver.prepare(u0, ghosts)
-        witness_config = DualSolverConfig(tol=cfg.tau, eta=0.0)
         for _ in range(50):
             state, diag = solver.step(state, t_end=grid.t_end)
             assert diag.conservation_residual(diag.dt / grid.dx) < 1e-11
-            _, info = solver.solver.solve_batch(
-                state.moments, state.duals, witness_config
-            )
+            _, info = solver.solver.solve_batch(state.moments, state.duals, cfg.tau, 0.0)
             assert info.all_converged, f"step {state.step}"
 
 

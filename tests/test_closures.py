@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fipm.basis import gauss_rule
-from fipm.closures import ClosureSolver, DualSolverConfig, EulerEntropy, ScalarLogEntropy
-from fipm.errors import DualDomainError, DualNonConvergenceError
+from fipm.closures import ClosureSolver, EulerEntropy, ScalarLogEntropy
 from fipm.euler import admissible, conserved_from_primitive
 
 RNG = np.random.default_rng(12345)
+#: gradient-norm tolerance of the dual solves below, the march's default tau
+TAU = 1e-7
 
 
 def fd_gradient(fn, x, eps=1e-6):
@@ -148,8 +149,10 @@ class TestDualFunctionals:
         v_hat[0, 0] = 1.0  # ansatz identically 1
         u_hat = np.zeros((4, 1))
         u_hat[0, 0] = 1.0
-        assert scalar_solver.objective(v_hat, u_hat) == pytest.approx(0.0, abs=1e-14)
-        g = scalar_solver.gradient(v_hat, u_hat)
+        assert scalar_solver.objective(v_hat[None], u_hat[None], 0.0)[0] == pytest.approx(
+            0.0, abs=1e-14
+        )
+        g, _ = scalar_solver.gradient(v_hat[None], u_hat[None], 0.0)
         assert np.abs(g).max() == pytest.approx(0.0, abs=1e-14)
 
     def test_gradient_matches_fd_of_objective(self, euler_solver):
@@ -158,9 +161,9 @@ class TestDualFunctionals:
             shape = v_hat.shape
 
             def obj(flat):
-                return euler_solver.objective(flat.reshape(shape), u_hat, eta=0.01)
+                return euler_solver.objective(flat.reshape(shape)[None], u_hat[None], 0.01)[0]
 
-            g = euler_solver.gradient(v_hat, u_hat, eta=0.01)
+            g = euler_solver.gradient(v_hat[None], u_hat[None], 0.01)[0][0]
             assert g.ravel() == pytest.approx(
                 fd_gradient(obj, v_hat.ravel(), eps=1e-7), rel=2e-5, abs=1e-8
             )
@@ -168,22 +171,24 @@ class TestDualFunctionals:
     def test_hessian_matches_fd_of_gradient(self, euler_solver):
         for v_hat in random_feasible_duals(euler_solver, 3):
             shape = v_hat.shape
-            u_hat = np.zeros(shape)
+            u_hat = np.zeros((1, *shape))
 
             def grad(flat):
-                return euler_solver.gradient(flat.reshape(shape), u_hat).ravel()
+                return euler_solver.gradient(flat.reshape(1, *shape), u_hat, 0.0)[0].ravel()
 
-            h = euler_solver.hessian(v_hat)
+            h = euler_solver.hessian(v_hat[None], 0.0)[0]
             h_fd = fd_jacobian(grad, v_hat.ravel(), eps=1e-6)
             assert h == pytest.approx(h_fd, rel=2e-5, abs=1e-7)
             assert h == pytest.approx(h.T, rel=1e-10, abs=1e-12)
             assert np.all(np.linalg.eigvalsh(h) > 0)
 
-    def test_objective_raises_outside_domain(self, euler_solver):
-        v_hat = np.zeros((6, 3))
-        v_hat[0] = [0.0, 0.0, 0.5]  # v3 > 0 everywhere
-        with pytest.raises(DualDomainError):
-            euler_solver.objective(v_hat, np.zeros((6, 3)))
+    def test_objective_is_inf_outside_domain(self, euler_solver):
+        v_hat = np.zeros((2, 6, 3))
+        v_hat[0, 0] = [0.0, 0.0, 0.5]  # v3 > 0 everywhere
+        v_hat[1] = random_feasible_duals(euler_solver, 1)[0]
+        f = euler_solver.objective(v_hat, np.zeros((2, 6, 3)), 0.0)
+        assert f[0] == np.inf
+        assert np.isfinite(f[1])
 
 
 def loop_hessian(solver, v_hat, eta):
@@ -212,7 +217,7 @@ class TestHessianAssembly:
     def test_batched_assembly_equals_per_node_sum(self, model, degree, n_quad, eta):
         solver = ClosureSolver(model, degree=degree, quad=gauss_rule(n_quad))
         duals = np.stack(random_feasible_duals(solver, 4))
-        h = solver._batch_hessian(duals, eta)
+        h = solver.hessian(duals, eta)
         d = (degree + 1) * model.n_comp
         assert h.shape == (4, d, d)
         for b, v_hat in enumerate(duals):
@@ -226,7 +231,9 @@ class TestSolve:
     def test_recovers_constant_state(self, scalar_solver):
         u_hat = np.zeros((4, 1))
         u_hat[0, 0] = 2.0
-        v = scalar_solver.solve(u_hat)
+        v, info = scalar_solver.solve_batch(u_hat[None], None, TAU, 0.0)
+        assert info.all_converged
+        v = v[0]
         # exact answer: ansatz identically 2 -> v_hat = (1 + ln 2, 0, 0, 0)
         assert v[0, 0] == pytest.approx(1.0 + np.log(2.0), abs=1e-8)
         assert np.abs(v[1:]).max() < 1e-8
@@ -247,25 +254,27 @@ class TestSolve:
             else:
                 lo = mid
         v_oracle = 0.5 * (lo + hi)
-        v = solver.solve(np.array([[1.0]]), config=DualSolverConfig(tol=1e-12, eta=eta))
-        assert v[0, 0] == pytest.approx(v_oracle, abs=1e-10)
+        v, info = solver.solve_batch(np.array([[[1.0]]]), None, 1e-12, eta)
+        assert info.all_converged
+        assert v[0, 0, 0] == pytest.approx(v_oracle, abs=1e-10)
 
     @pytest.mark.parametrize("which", ["scalar", "euler"])
     def test_duality_round_trip(self, which, scalar_solver, euler_solver):
         solver = scalar_solver if which == "scalar" else euler_solver
-        tau = 1e-7
-        config = DualSolverConfig(tol=tau)
         for v_star in random_feasible_duals(solver, 5):
             u_hat = solver.reconstruct(v_star)
-            v = solver.solve(u_hat, config=config)
-            assert solver.reconstruct(v) == pytest.approx(u_hat, abs=10 * tau)
+            v, info = solver.solve_batch(u_hat[None], None, TAU, 0.0)
+            assert info.all_converged
+            v = v[0]
+            assert solver.reconstruct(v) == pytest.approx(u_hat, abs=10 * TAU)
             assert v == pytest.approx(v_star, abs=1e-4)
 
     def test_warm_start_agrees_with_cold_start(self, euler_solver):
         v_star = random_feasible_duals(euler_solver, 1)[0]
         u_hat = euler_solver.reconstruct(v_star)
-        cold = euler_solver.solve(u_hat)
-        warm = euler_solver.solve(u_hat, start=v_star + 0.01)
+        cold, cold_info = euler_solver.solve_batch(u_hat[None], None, TAU, 0.0)
+        warm, warm_info = euler_solver.solve_batch(u_hat[None], (v_star + 0.01)[None], TAU, 0.0)
+        assert cold_info.all_converged and warm_info.all_converged
         assert warm == pytest.approx(cold, abs=1e-5)
 
     def test_nonrealizable_scalar_moments_fail_without_regularization(self):
@@ -273,38 +282,41 @@ class TestSolve:
         # positive densities obey |u1| < sqrt(3) u0; (1, 2) violates the bound
         assert 2.0 > np.sqrt(3.0) * 1.0
         u_hat = np.array([[1.0], [2.0]])
-        with pytest.raises(DualNonConvergenceError) as err:
-            solver.solve(u_hat)
-        assert err.value.grad_norm > 0
+        _, info = solver.solve_batch(u_hat[None], None, TAU, 0.0)
+        assert not info.converged[0]
+        assert info.grad_norm[0] > 0
+        assert np.all(np.isnan(info.states[0]))
 
     def test_nonrealizable_scalar_moments_solve_with_regularization(self):
         solver = ClosureSolver(ScalarLogEntropy(), degree=1, quad=gauss_rule(20))
         u_hat = np.array([[1.0], [2.0]])
-        v = solver.solve(u_hat, config=DualSolverConfig(eta=0.01))
-        g = solver.gradient(v, u_hat, eta=0.01)
-        assert np.linalg.norm(g) < 1e-7
+        v, info = solver.solve_batch(u_hat[None], None, TAU, 0.01)
+        assert info.all_converged
+        g, _ = solver.gradient(v, u_hat[None], 0.01)
+        assert np.linalg.norm(g) < TAU
 
     def test_batch_solve_matches_single(self, euler_solver):
         duals = random_feasible_duals(euler_solver, 6)
         u = np.stack([euler_solver.reconstruct(v) for v in duals])
-        v_batch, info = euler_solver.solve_batch(u)
+        v_batch, info = euler_solver.solve_batch(u, None, TAU, 0.0)
         assert info.all_converged
-        assert np.all(info.grad_norm < 1e-7)
+        assert np.all(info.grad_norm < TAU)
         for b in range(6):
-            assert v_batch[b] == pytest.approx(euler_solver.solve(u[b]), abs=1e-6)
+            v_single, _ = euler_solver.solve_batch(u[b : b + 1], None, TAU, 0.0)
+            assert v_batch[b] == pytest.approx(v_single[0], abs=1e-6)
 
     def test_solve_info_telemetry(self, euler_solver):
         v_star = random_feasible_duals(euler_solver, 3)
         u = np.stack([euler_solver.reconstruct(v) for v in v_star])
-        _, info = euler_solver.solve_batch(u)
+        _, info = euler_solver.solve_batch(u, None, TAU, 0.0)
         assert info.total_iterations >= 0
         assert info.iterations.shape == (3,)
-        assert np.all(info.grad_norm < 1e-7)
+        assert np.all(info.grad_norm < TAU)
 
     def test_node_states_admissible_after_solve(self, euler_solver):
         v_star = random_feasible_duals(euler_solver, 4)
         u = np.stack([euler_solver.reconstruct(v) for v in v_star])
-        v, info = euler_solver.solve_batch(u)
+        v, info = euler_solver.solve_batch(u, None, TAU, 0.0)
         assert info.all_converged
         states = euler_solver.node_states(v)
         assert np.all(admissible(states, euler_solver.model.gamma))
@@ -328,8 +340,9 @@ class TestNewtonPath:
             ClosureSolver, "_newton_directions", staticmethod(lambda h, g_flat: g_flat.copy())
         )
         # the Hessian at the minimum is u = 0.5, so unit steepest-descent steps contract
-        v = solver.solve(np.array([[0.5]]), start=np.zeros((1, 1)))
-        assert v[0, 0] == pytest.approx(1.0 + np.log(0.5), abs=1e-6)
+        v, info = solver.solve_batch(np.array([[[0.5]]]), np.zeros((1, 1, 1)), TAU, 0.0)
+        assert info.all_converged
+        assert v[0, 0, 0] == pytest.approx(1.0 + np.log(0.5), abs=1e-6)
 
     def test_infeasible_start_is_a_nonconverged_cell(self, euler_solver):
         duals = np.stack(random_feasible_duals(euler_solver, 3))
@@ -337,7 +350,7 @@ class TestNewtonPath:
         start = duals.copy()
         start[1, :, 2] = 0.0
         start[1, 0, 2] = 1.0  # v3 = 1 at every node, outside the dual domain
-        v, info = euler_solver.solve_batch(u, start)
+        v, info = euler_solver.solve_batch(u, start, TAU, 0.0)
         assert not info.converged[1]
         assert info.iterations[1] == 0
         assert info.grad_norm[1] == np.inf
@@ -350,7 +363,7 @@ class TestNewtonPath:
         u = euler_solver.reconstruct(duals)
         start = duals.copy()
         start[1:, 0, 0] += [1e-3, 0.1, 0.5]
-        v, info = euler_solver.solve_batch(u, start)
+        v, info = euler_solver.solve_batch(u, start, TAU, 0.0)
         assert info.all_converged
         assert np.unique(info.iterations).size == 4
         for b in range(4):

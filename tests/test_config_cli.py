@@ -315,7 +315,7 @@ class TestScanConfig:
     @pytest.mark.parametrize(
         "text,message",
         [
-            ("order = 0\nexp_exponents =\n", "filter order must be >= 1, got 0"),
+            ("order = 0\nexp_exponents = 0.1\n", "filter order must be >= 1, got 0"),
             ("exp_exponents = 0.1, -0.2\n", "filter strength must be nonnegative, got -0.2"),
             ("fp_strengths = -0.1\n", "filter strength must be nonnegative, got -0.1"),
         ],
@@ -324,6 +324,21 @@ class TestScanConfig:
     def test_filter_rules_are_the_filter_specs(self, text, message):
         with pytest.raises(ConfigError, match=message):
             parse_scan_config(text)
+
+    @pytest.mark.parametrize("order", [0, 9])
+    def test_order_without_exponential_filter_rejected(self, order):
+        message = "key 'order' is not read when exp_exponents is empty; leave it at its default 7"
+        with pytest.raises(ConfigError, match=message):
+            parse_scan_config(f"exp_exponents = \norder = {order}\n")
+        assert parse_scan_config("exp_exponents = \norder = 7\n").order == 7
+
+    @pytest.mark.parametrize("key", ["exp_exponents", "fp_strengths"])
+    def test_repeated_strength_rejected(self, key):
+        with pytest.raises(ConfigError, match=f"{key} values repeat: 0.1$"):
+            parse_scan_config(f"{key} = 0.1, 0.2, 0.10\n")
+        # one strength in both families writes two different rasters
+        cfg = parse_scan_config("exp_exponents = 0.1\nfp_strengths = 0.1\n")
+        assert [tag for tag, _ in cfg.filter_specs()] == ["exp", "fp"]
 
     def test_echo_round_trips(self):
         cfg = ScanConfig(exp_exponents=(0.5, 1.0), resolution=10)
@@ -575,6 +590,11 @@ class TestCli:
         assert code == 3
         assert "run failed" in capsys.readouterr().err
 
+    def test_zero_horizon_still_closes_the_initial_data(self, tmp_path, capsys):
+        code = main(["run", "sod-sg-desk", "--set", "t_end=0", "--output-root", str(tmp_path)])
+        assert code == 3
+        assert "(cell 182, node 0, step 0) at x = 0.45625" in capsys.readouterr().err
+
     def test_sweep_prints_table(self, tmp_path, capsys):
         code = main(
             ["sweep", "sod-ipm-desk", "--key", "eta", "--values", "0,1e-3",
@@ -624,6 +644,17 @@ class TestCli:
         assert summary[0] == "filter,strength,n_inside,n_escaped"
         fp_rows = [line for line in summary[1:] if line.startswith("fokker-planck")]
         assert all(line.split(",")[-1] == "0" for line in fp_rows)
+
+    def test_scan_config_errors_exit_2(self, tmp_path, capsys):
+        scan_cfg = tmp_path / "scan.cfg"
+        for text, message in [
+            ("exp_exponents =\norder = 9\n", "key 'order' is not read"),
+            ("exp_exponents = 0.1, 0.10\n", "exp_exponents values repeat: 0.1"),
+        ]:
+            scan_cfg.write_text(text)
+            assert main(["scan-figure1", str(scan_cfg), "--output-root", str(tmp_path)]) == 2
+            assert message in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == ["scan.cfg"]
 
     def test_presets_subcommand_lists_bundle(self, capsys):
         assert main(["presets"]) == 0

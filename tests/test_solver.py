@@ -14,7 +14,6 @@ import pytest
 
 from fipm import euler
 from fipm.basis import vandermonde
-from fipm.closures import DualSolverConfig
 from fipm.errors import BreakdownError, DualNonConvergenceError, InadmissibleStateError
 from fipm.filters import FilterKind, FilterSpec, apply_filter
 from fipm.realizability import is_realizable_n2
@@ -319,9 +318,7 @@ class TestConservationAndRealizability:
         spec = FilterSpec(FilterKind.FOKKER_PLANCK, 5e-5)
         solver, u0, ghosts = sod_solver(Closure.FIPM_REALIZABLE, filter_spec=spec)
         result = solver.run(u0, ghosts)
-        _, info = solver.solver.solve_batch(
-            result.moments, result.duals, DualSolverConfig(tol=1e-7, eta=0.0)
-        )
+        _, info = solver.solver.solve_batch(result.moments, result.duals, 1e-7, 0.0)
         assert info.all_converged
         states = solver.solver.node_states(result.duals)
         assert np.all(EulerPhysics().admissible(states))
@@ -404,6 +401,11 @@ class TestRunControl:
         assert result.n_steps == 0
         np.testing.assert_array_equal(result.moments, u0)
 
+    def test_zero_horizon_checks_the_initial_moments(self):
+        solver, u0, ghosts = sod_solver(Closure.IPM, n_cells=20, degree=2, n_quad=6, t_end=0.0)
+        with pytest.raises(ValueError, match=r"wrong shape \(5, 2, 3\)"):
+            solver.run(u0[:5, :2], ghosts)
+
     def test_final_step_lands_exactly_on_t_end(self):
         solver, u0, ghosts = advection_setup(t_end=0.0377)
         result = solver.run(u0, ghosts)
@@ -415,7 +417,7 @@ class TestRunControl:
         result = solver.run(u0, ghosts)
         for diag in result.telemetry:
             assert diag.newton_total >= 0
-            assert diag.grad_max < solver.dual_config.tol
+            assert diag.grad_max < solver.tau
 
     def test_collapsed_time_step_is_a_located_failure(self):
         solver, u0, ghosts = sod_solver(Closure.IPM, n_cells=30)
