@@ -40,14 +40,6 @@ def conserved_from_primitive(w, gamma=GAMMA_DEFAULT):
     return np.stack([rho, rho * v, p / (gamma - 1.0) + 0.5 * rho * v**2], axis=-1)
 
 
-def primitive_from_conserved(u, gamma=GAMMA_DEFAULT):
-    """(rho, m, E_t) -> (rho, v, p)."""
-    u = np.asarray(u, dtype=float)
-    rho = u[..., 0]
-    v = u[..., 1] / rho
-    return np.stack([rho, v, pressure(u, gamma)], axis=-1)
-
-
 def physical_flux(u, gamma=GAMMA_DEFAULT):
     """Euler flux f(u) = (m, m^2/rho + p, v (E_t + p))."""
     u = np.asarray(u, dtype=float)

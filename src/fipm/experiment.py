@@ -10,7 +10,8 @@ Every run writes, inside ``<output root>/<output_dir>``:
   errors.csv     numeric-minus-reference mean/variance errors
   summary.csv    oscillation metrics over the report region plus error norms
   plot.py        standalone matplotlib script over these CSVs
-  run.log        human-readable outcome (the only file with wall time)
+  run.log        human-readable outcome, Newton cell-iterations of the steps and
+                 their rate (the only file with wall time)
 
 A sweep adds sweep.csv (value, deltaE, deltaVar per value) to the base
 directory; a realizability scan writes its config.cfg, one exp-<strength>.csv
@@ -217,6 +218,7 @@ def run_experiment(cfg: ExperimentConfig, output_root=None) -> RunArtifacts:
     summary = {"deltaE": d_mean, "deltaVar": d_var, **error_norms(numeric, reference)}
     _write_table(out_dir / "summary.csv", {name: [summary[name]] for name in SUMMARY_FIELDS})
     (out_dir / "plot.py").write_text(PLOT_SCRIPT)
+    newton = sum(d.newton_total for d in telemetry)
     (out_dir / "run.log").write_text(
         _log_lines(
             "ok",
@@ -224,6 +226,8 @@ def run_experiment(cfg: ExperimentConfig, output_root=None) -> RunArtifacts:
             runtime,
             [
                 f"steps: {result.n_steps}",
+                f"newton_cell_iterations: {newton}",
+                f"newton_cell_iters_per_s: {newton / runtime:.1f}",
                 f"t_final: {float(result.t_final)!r}",
                 f"deltaE: {summary['deltaE']!r}",
                 f"deltaVar: {summary['deltaVar']!r}",

@@ -11,7 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fipm.basis import gauss_rule
-from fipm.closures import ClosureSolver, EulerEntropy, ScalarLogEntropy
+from fipm.closures import (
+    LS_CONTRACTION,
+    LS_MAX,
+    LS_SLOPE,
+    NEWTON_MAX_ITER,
+    ClosureSolver,
+    EulerEntropy,
+    ScalarLogEntropy,
+)
 from fipm.euler import admissible, conserved_from_primitive
 
 RNG = np.random.default_rng(12345)
@@ -368,3 +376,109 @@ class TestNewtonPath:
         assert np.unique(info.iterations).size == 4
         for b in range(4):
             assert np.array_equal(info.states[b], euler_solver.node_states(v[b]))
+
+
+def reference_solve_batch(solver, u_hat, start, tol, eta):
+    """The damped-Newton loop as a plain gather/scatter over the active cells.
+
+    Every iteration re-evaluates the public objective, gradient and hessian at
+    the gathered duals, and the line search backtracks every cell from the full
+    step.  Returns (v, converged, iterations, grad_norm, states, backtracked,
+    stalled); the last two are the cells that accepted a step below 1 and the
+    cells that stopped in the line search.
+    """
+    u = np.asarray(u_hat, dtype=float)
+    v = solver.cold_start(u) if start is None else np.array(start, dtype=float)
+    b = u.shape[0]
+    f = solver.objective(v, u, eta)
+    iterations = np.zeros(b, dtype=int)
+    grad_norm = np.full(b, np.inf)
+    converged = np.zeros(b, dtype=bool)
+    states = np.full((b, solver.phi.shape[0], u.shape[-1]), np.nan)
+    backtracked, stalled = set(), set()
+    active = np.flatnonzero(np.isfinite(f))
+    for it in range(NEWTON_MAX_ITER + 1):
+        if active.size == 0:
+            break
+        g, a = solver.gradient(v[active], u[active], eta)
+        gn = np.linalg.norm(g.reshape(active.size, -1), axis=1)
+        grad_norm[active] = gn
+        done = gn < tol
+        converged[active[done]] = True
+        states[active[done]] = a[done]
+        active = active[~done]
+        if active.size == 0 or it == NEWTON_MAX_ITER:
+            break
+        g_flat = g[~done].reshape(active.size, -1)
+        d = solver._newton_directions(solver.hessian(v[active], eta), g_flat)
+        slope = np.einsum("bd,bd->b", g_flat, d)
+        uphill = slope >= 0
+        d[uphill] = -g_flat[uphill]
+        slope[uphill] = -np.sum(g_flat[uphill] ** 2, axis=1)
+        d = d.reshape(active.size, *u.shape[1:])
+        moved = np.zeros(active.size, dtype=bool)
+        for k, cell in enumerate(active):
+            f0, step = f[cell], 1.0
+            noise = 1e-14 * (1.0 + abs(f0))
+            for _ in range(LS_MAX):
+                cand = v[cell] + step * d[k]
+                f_cand = solver.objective(cand[None], u[cell][None], eta)[0]
+                if f_cand <= f0 + LS_SLOPE * step * slope[k] + noise:
+                    v[cell], f[cell], moved[k] = cand, f_cand, True
+                    if step < 1.0:
+                        backtracked.add(int(cell))
+                    break
+                step *= LS_CONTRACTION
+        iterations[active] += moved
+        stalled.update(int(c) for c in active[~moved])
+        active = active[moved]
+    return v, converged, iterations, grad_norm, states, backtracked, stalled
+
+
+class TestReferencePath:
+    """solve_batch's working-set loop walks the iterate path of the plain loop."""
+
+    @staticmethod
+    def mixed_batch(solver):
+        """Cells 0-2 converged at the start, 3-8 cold starts, 9 an infeasible
+        start, 10 non-realizable moments."""
+        rng = np.random.default_rng(2024)
+        at_rest = np.stack(random_feasible_duals(solver, 3, rng=rng))
+        cold = np.stack(random_feasible_duals(solver, 7, scale=0.05, rng=rng))
+        u = solver.reconstruct(np.concatenate([at_rest, cold, cold[:1]]))
+        start = solver.cold_start(u)
+        start[:3] = at_rest
+        start[9, 0, 2] = 0.5  # v3 > 0 at every node
+        # a density first moment beyond sqrt(3) times its mean is not
+        # realizable, so the exact dual has no minimum and the cell stalls
+        u[10, 1, 0] = 2.0 * np.sqrt(3.0) * u[10, 0, 0]
+        return u, start
+
+    @pytest.mark.parametrize("tol", [TAU, 0.0], ids=["tau", "never-converged"])
+    def test_matches_the_plain_loop(self, euler_solver, tol):
+        u, start = self.mixed_batch(euler_solver)
+        v, info = euler_solver.solve_batch(u, start, tol, 0.0)
+        v_ref, conv, iters, gn, states, backtracked, stalled = reference_solve_batch(
+            euler_solver, u, start, tol, 0.0
+        )
+        # the batch covers every path of the loop
+        assert iters[9] == 0 and gn[9] == np.inf
+        assert 10 in stalled and not conv[10]
+        assert backtracked - stalled
+        if tol > 0:
+            assert np.array_equal(np.flatnonzero(iters == 0), [0, 1, 2, 9])
+            assert stalled == {10}
+            assert np.array_equal(np.flatnonzero(~conv), [9, 10])
+        else:
+            assert not conv.any()
+            assert np.any(iters == NEWTON_MAX_ITER)
+
+        assert np.array_equal(info.iterations, iters)
+        assert np.array_equal(info.converged, conv)
+        assert np.array_equal(np.isfinite(info.grad_norm), np.isfinite(gn))
+        for b in range(u.shape[0]):
+            assert np.abs(v[b] - v_ref[b]).max() <= 1e-12 * np.abs(v_ref[b]).max(), b
+        assert np.array_equal(np.isnan(info.states), np.isnan(states))
+        for b in np.flatnonzero(conv):
+            scale = np.abs(states[b]).max()
+            assert np.abs(info.states[b] - states[b]).max() <= 1e-12 * scale, b

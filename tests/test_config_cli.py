@@ -1,5 +1,6 @@
 """Configuration parsing, preset golden values, artifact emission, CLI exit codes."""
 
+import csv
 import dataclasses
 import os
 import subprocess
@@ -427,6 +428,20 @@ class TestRunExperiment:
             == "step,t,dt,total_newton_iters,max_newton_iters,max_grad_norm"
         )
         assert len(telemetry) - 1 == artifacts.n_steps > 0
+
+    def test_run_log_reports_newton_throughput(self, tmp_path):
+        artifacts = run_experiment(tiny_config(output_dir="case"), tmp_path)
+        with open(artifacts.out_dir / "telemetry.csv", newline="") as fh:
+            total = sum(int(row["total_newton_iters"]) for row in csv.DictReader(fh))
+        log = dict(
+            line.split(": ", 1)
+            for line in (artifacts.out_dir / "run.log").read_text().splitlines()
+        )
+        assert total > 0
+        assert int(log["newton_cell_iterations"]) == total
+        rate = float(log["newton_cell_iters_per_s"])
+        assert rate == pytest.approx(total / artifacts.runtime, abs=0.05)
+        assert float(log["wall_seconds"]) == pytest.approx(artifacts.runtime, abs=5e-4)
 
     def test_rerunning_emitted_config_is_byte_identical(self, tmp_path):
         first = run_experiment(tiny_config(output_dir="one"), tmp_path)

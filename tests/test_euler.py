@@ -18,7 +18,6 @@ from fipm.euler import (
     max_wavespeed,
     physical_flux,
     pressure,
-    primitive_from_conserved,
     reference_statistics,
 )
 from fipm.solver import EulerPhysics, rusanov
@@ -26,6 +25,12 @@ from fipm.solver import EulerPhysics, rusanov
 GAMMA = 1.4
 SOD_L = np.array([1.0, 0.0, 1.0])  # primitive (rho, v, p)
 SOD_R = np.array([0.125, 0.0, 0.1])
+
+
+def primitive_from_conserved(u, gamma=GAMMA):
+    """(rho, m, E_t) -> (rho, v, p), the inverse of conserved_from_primitive."""
+    u = np.asarray(u, dtype=float)
+    return np.stack([u[..., 0], u[..., 1] / u[..., 0], pressure(u, gamma)], axis=-1)
 
 
 def side_pressure_fn(p, rho_k, p_k, gamma):
