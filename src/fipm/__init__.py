@@ -13,7 +13,7 @@ from .errors import (
 )
 from .experiment import run_experiment, scan_figure1, sweep
 from .filters import FilterKind, FilterSpec, gains
-from .realizability import filter_image_scan, is_realizable_n2, sample_realizable
+from .realizability import filter_image_scan, is_realizable_n2
 from .solver import Closure, GridConfig, MomentSolver, UncertainShockIC, project_ic
 from .stats import StatField, delta_metrics, error_norms, stats_from_moments
 
@@ -43,7 +43,6 @@ __all__ = [
     "gains",
     "filter_image_scan",
     "is_realizable_n2",
-    "sample_realizable",
     "Closure",
     "GridConfig",
     "MomentSolver",

@@ -1,4 +1,4 @@
-"""Experiment orchestration: run a configuration and emit its artifact set.
+r"""Experiment orchestration: run a configuration and emit its artifact set.
 
 Every run writes, inside ``<output root>/<output_dir>``:
 
@@ -11,7 +11,9 @@ Every run writes, inside ``<output root>/<output_dir>``:
   summary.csv    oscillation metrics over the report region plus error norms
   plot.py        standalone matplotlib script over these CSVs
   run.log        human-readable outcome, Newton cell-iterations of the steps and
-                 their rate (the only file with wall time)
+                 their rate, the wall time up to the end of the march
+                 (wall_seconds) and of the statistics and artifacts after it
+                 (write_seconds); the only file with wall time
 
 A sweep adds sweep.csv (value, deltaE, deltaVar per value) to the base
 directory; a realizability scan writes its config.cfg, one exp-<strength>.csv
@@ -19,15 +21,18 @@ or fp-<strength>.csv raster per strength, and scan-summary.csv.
 
 Every CSV goes through ``_write_table``, whose one format rule is: floats as
 their shortest round-trip ``repr``, ints and bools as integers, strings as
-they are.  Timing never enters a CSV, so every CSV is a deterministic function
-of the configuration and rerunning an emitted config.cfg reproduces it byte
-for byte.
+they are; cells joined by ``,``, every row and the header ended by ``\r\n``.
+A string cell or header name is quoted as ``csv.QUOTE_MINIMAL`` quotes it:
+wrapped in ``"``, inner ``"`` doubled, when it holds ``,``, ``"``, ``\r`` or
+``\n`` or is the empty and only field of its row; numbers are never quoted.
+Timing never enters a CSV, so every CSV is a deterministic function of the
+configuration and rerunning an emitted config.cfg reproduces it byte for byte.
 """
 
 from __future__ import annotations
 
-import csv
 import os
+import re
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -54,25 +59,56 @@ def resolve_output_root(explicit: str | os.PathLike | None = None) -> Path:
     return Path(env) if env else Path.cwd()
 
 
-def _write_table(path: Path, columns: dict):
-    """Write a CSV with one column per entry of ``columns``; the keys are the header.
+_QUOTED = re.compile(r'[,"\r\n]')
 
-    Each column is converted once, by its dtype: floats as their shortest
-    round-trip ``repr``, ints and bools as integers, strings as they are.
+
+def _csv_field(text: str, alone: bool) -> str:
+    """``text`` as ``csv.QUOTE_MINIMAL`` writes it; ``alone``: the only field of its row."""
+    if _QUOTED.search(text) or (alone and not text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _column_text(values, alone: bool) -> list[str]:
+    """One column's cells, each distinct number formatted once."""
+    values = np.asarray(values)
+    kind = values.dtype.kind
+    if kind not in "fbiu":
+        return [_csv_field(str(v), alone) for v in values.tolist()]
+    if kind == "f":
+        values = values.astype(np.float64, copy=False)
+        # keyed by bit pattern, so -0.0 keeps its own text apart from 0.0
+        keys, fmt = values.view(np.int64), repr
+    else:
+        # keyed in its own dtype, so a uint64 above 2**63 cannot wrap
+        keys, fmt = values, lambda v: str(int(v))
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    texts = np.array([fmt(v) for v in values[first].tolist()], dtype=object)
+    return texts[inverse].tolist()
+
+
+def _write_table(path: Path, columns: dict):
+    r"""Write a CSV with one column per entry of ``columns``; the keys are the header.
+
+    The bytes are those of ``csv.writer`` in its default dialect, fed floats
+    as their shortest round-trip ``repr``, ints and bools as integers and
+    strings as they are.  A row is its cells joined by ``,`` and ended by
+    ``\r\n``, the header included, also with zero rows.  A numeric cell is
+    never quoted.  A str cell, header names included, is wrapped in ``"``,
+    with each inner ``"`` doubled, when it contains ``,``, ``"``, ``\r`` or
+    ``\n``, or when it is the empty and only field of its row.  Columns of
+    unequal length raise ``ValueError`` before the file is opened.
     """
-    cells = []
-    for values in columns.values():
-        values = np.asarray(values)
-        if values.dtype.kind == "f":
-            cells.append([repr(v) for v in values.tolist()])
-        elif values.dtype.kind in "biu":
-            cells.append([str(int(v)) for v in values.tolist()])
-        else:
-            cells.append(values.tolist())
+    alone = len(columns) == 1
+    cells = {name: _column_text(values, alone) for name, values in columns.items()}
+    lengths = {name: len(column) for name, column in cells.items()}
+    if len(set(lengths.values())) > 1:
+        counts = ", ".join(f"{name!r} has {n} rows" for name, n in lengths.items())
+        raise ValueError(f"columns of {path.name} differ in length: {counts}")
+    lines = [",".join(_csv_field(str(name), alone) for name in columns)]
+    lines += map(",".join, zip(*cells.values()))
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        writer.writerows(zip(*cells, strict=True))
+        handle.write("\r\n".join(lines) + "\r\n")
 
 
 def _stat_columns(field: StatField, prefix="") -> dict:
@@ -218,6 +254,7 @@ def run_experiment(cfg: ExperimentConfig, output_root=None) -> RunArtifacts:
     summary = {"deltaE": d_mean, "deltaVar": d_var, **error_norms(numeric, reference)}
     _write_table(out_dir / "summary.csv", {name: [summary[name]] for name in SUMMARY_FIELDS})
     (out_dir / "plot.py").write_text(PLOT_SCRIPT)
+    write_seconds = time.perf_counter() - start - runtime
     newton = sum(d.newton_total for d in telemetry)
     (out_dir / "run.log").write_text(
         _log_lines(
@@ -231,6 +268,7 @@ def run_experiment(cfg: ExperimentConfig, output_root=None) -> RunArtifacts:
                 f"t_final: {float(result.t_final)!r}",
                 f"deltaE: {summary['deltaE']!r}",
                 f"deltaVar: {summary['deltaVar']!r}",
+                f"write_seconds: {write_seconds:.3f}",
             ],
         )
     )

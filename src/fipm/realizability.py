@@ -66,19 +66,6 @@ def is_realizable_n2(u_hat, slack=0.0):
     return is_realizable_monomial(gpc_to_monomial(u_hat), slack=slack)
 
 
-def sample_realizable(n, seed, u0=1.0, margin=1e-6):
-    """n strictly realizable triples in the orthonormal basis, seeded.
-
-    Samples m_1 uniformly and m_2 uniformly inside its admissible band
-    (m_1^2, m_0); the margin keeps samples away from the boundary.
-    """
-    rng = np.random.default_rng(seed)
-    m1 = u0 * rng.uniform(-1 + margin, 1 - margin, n)
-    t = rng.uniform(margin, 1 - margin, n)
-    m2 = m1**2 / u0 + t * (u0 - m1**2 / u0)
-    return monomial_to_gpc(np.stack([np.full(n, float(u0)), m1, m2], axis=-1))
-
-
 @dataclass(frozen=True)
 class ScanResult:
     """Flattened raster of the u_0 = 1 slice with membership flags."""
@@ -96,9 +83,6 @@ class ScanResult:
     def n_escaped(self) -> int:
         """Points that were realizable and left the set under filtering."""
         return int(np.sum(self.inside_before & ~self.inside_after))
-
-    def preserves_realizability(self) -> bool:
-        return self.n_escaped == 0
 
 
 def filter_image_scan(spec: FilterSpec, resolution=400) -> ScanResult:

@@ -13,6 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 from conftest import record_criterion
+from realizable_samples import sample_realizable
 from test_closures import fd_gradient, fd_jacobian, random_feasible_duals
 from test_euler import star_pressure_bisect
 
@@ -22,7 +23,7 @@ from fipm.closures import ClosureSolver, EulerEntropy, ScalarLogEntropy
 from fipm.config import ExperimentConfig, load_config
 from fipm.errors import BreakdownError
 from fipm.filters import LOG_MACHINE_EPS, FilterKind, FilterSpec, gains
-from fipm.realizability import filter_image_scan, is_realizable_n2, sample_realizable
+from fipm.realizability import filter_image_scan, is_realizable_n2
 from fipm.solver import project_ic
 from fipm.stats import StatField, delta_metrics, stats_from_moments
 

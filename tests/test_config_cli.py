@@ -5,10 +5,13 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fipm
 from fipm.cli import main
@@ -21,7 +24,7 @@ from fipm.config import (
     read_config_text,
 )
 from fipm.errors import ConfigError
-from fipm.experiment import _write_table, run_experiment, sweep
+from fipm.experiment import _write_table, run_experiment, scan_figure1, sweep
 from fipm.filters import FilterKind, FilterSpec
 from fipm.solver import Closure, EulerPhysics, GridConfig, MomentSolver
 
@@ -372,6 +375,51 @@ def tiny_config(**overrides):
     return cfg
 
 
+def reference_write_table(path, columns):
+    """Per-cell conversion by dtype, then ``csv.writer``: the writer's byte contract."""
+    cells = []
+    for values in columns.values():
+        values = np.asarray(values)
+        if values.dtype.kind == "f":
+            cells.append([repr(v) for v in values.tolist()])
+        elif values.dtype.kind in "biu":
+            cells.append([str(int(v)) for v in values.tolist()])
+        else:
+            cells.append(values.tolist())
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(columns)
+        writer.writerows(zip(*cells, strict=True))
+
+
+# cell text that csv quotes, alone or in company, and the empty string
+CSV_TEXT = st.text(alphabet=st.sampled_from([",", '"', "\r", "\n", " ", "a", "0"]), max_size=4)
+FLOATS = st.sampled_from(
+    [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 0.1, 1e300]
+) | st.floats()
+COLUMN_KINDS = {
+    "f": (FLOATS, np.float64),
+    "i": (st.integers(-(2**63), 2**63 - 1), np.int64),
+    "u": (st.sampled_from([2**63, 2**64 - 1]) | st.integers(0, 2**64 - 1), np.uint64),
+    "b": (st.booleans(), bool),
+    "s": (CSV_TEXT, None),
+}
+
+
+@st.composite
+def tables(draw):
+    """1 to 4 named columns of 0 to 12 rows, each drawn from a few values so that they repeat."""
+    names = draw(st.lists(CSV_TEXT, min_size=1, max_size=4, unique=True))
+    n_rows = draw(st.integers(0, 12))
+    table = {}
+    for name in names:
+        values, dtype = COLUMN_KINDS[draw(st.sampled_from(sorted(COLUMN_KINDS)))]
+        pool = draw(st.lists(values, min_size=1, max_size=3))
+        column = draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows))
+        table[name] = column if dtype is None else np.array(column, dtype=dtype)
+    return table
+
+
 class TestWriteTable:
     def test_exact_text(self, tmp_path):
         path = tmp_path / "table.csv"
@@ -397,6 +445,25 @@ class TestWriteTable:
         path = tmp_path / "empty.csv"
         _write_table(path, {"step": [], "t": np.array([]), "value": []})
         assert path.read_bytes() == b"step,t,value\r\n"
+
+    def test_mismatched_columns_leave_no_file(self, tmp_path):
+        path = tmp_path / "table.csv"
+        with pytest.raises(ValueError, match="'a' has 3 rows, 'b' has 2 rows"):
+            _write_table(path, {"a": [1.0, 2.0, 3.0], "b": [1, 2]})
+        assert not path.exists()
+
+    @given(table=tables())
+    # zeros of both signs in one column, and uint64 neighbours that a float key would merge
+    @example(
+        table={"z": np.array([0.0, -0.0, 0.0]), "n": np.array([2**64 - 1, 2**64 - 2, 0], np.uint64)}
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_match_the_csv_module(self, table):
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+            _write_table(got, table)
+            reference_write_table(want, table)
+            assert got.read_bytes() == want.read_bytes()
 
 
 class TestRunExperiment:
@@ -442,6 +509,14 @@ class TestRunExperiment:
         rate = float(log["newton_cell_iters_per_s"])
         assert rate == pytest.approx(total / artifacts.runtime, abs=0.05)
         assert float(log["wall_seconds"]) == pytest.approx(artifacts.runtime, abs=5e-4)
+
+    def test_run_log_times_the_writing_phase(self, tmp_path):
+        artifacts = run_experiment(tiny_config(output_dir="case"), tmp_path)
+        log = dict(
+            line.split(": ", 1)
+            for line in (artifacts.out_dir / "run.log").read_text().splitlines()
+        )
+        assert float(log["write_seconds"]) >= 0
 
     def test_rerunning_emitted_config_is_byte_identical(self, tmp_path):
         first = run_experiment(tiny_config(output_dir="one"), tmp_path)
@@ -549,6 +624,27 @@ class TestSweep:
     def test_non_numeric_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="sweepable"):
             sweep(tiny_config(), "closure", ["sg"], tmp_path)
+
+
+class TestScanFigure1:
+    def test_reruns_are_byte_identical_and_share_the_raster(self, tmp_path):
+        cfg = ScanConfig(resolution=24, output_dir="scan")
+        runs = [scan_figure1(cfg, tmp_path / root) for root in ("one", "two")]
+        files = [sorted(path.name for path in run.out_dir.iterdir()) for run in runs]
+        assert files[0] == files[1]
+        for name in files[0]:
+            assert (runs[0].out_dir / name).read_bytes() == (runs[1].out_dir / name).read_bytes()
+        rasters = [
+            runs[0].out_dir / f"{tag}-{spec.strength!r}.csv" for tag, spec in cfg.filter_specs()
+        ]
+        assert len(rasters) == 8
+        shared = set()
+        for path in rasters:
+            lines = path.read_text().splitlines()
+            assert lines[0] == "u1,u2,inside_before,inside_after"
+            assert len(lines) - 1 == 24 * 24
+            shared.add(tuple(line.rsplit(",", 1)[0] for line in lines))
+        assert len(shared) == 1
 
 
 # -- command-line interface ---------------------------------------------------------
