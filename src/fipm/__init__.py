@@ -1,7 +1,7 @@
 """Filtered intrusive polynomial-moment methods for 1D conservation laws."""
 
 from .basis import QuadratureRule, gauss_rule, vandermonde
-from .closures import ClosureSolver, EulerEntropy, ScalarLogEntropy
+from .closures import ClosureSolver, EulerEntropy
 from .config import ExperimentConfig, ScanConfig, list_presets, load_config, parse_config
 from .errors import (
     BreakdownError,
@@ -23,7 +23,6 @@ __all__ = [
     "vandermonde",
     "ClosureSolver",
     "EulerEntropy",
-    "ScalarLogEntropy",
     "ExperimentConfig",
     "ScanConfig",
     "list_presets",

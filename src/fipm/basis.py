@@ -22,10 +22,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.nodes.size
-
 
 def gauss_rule(n_q: int) -> QuadratureRule:
     """Gauss-Legendre rule with n_q nodes; weights sum to one.

@@ -1,10 +1,14 @@
 """Convex entropy models and the moment-closure dual problem.
 
-A model supplies a strictly convex entropy s on its admissible states, the
-entropy variables v = s'(u), the ansatz map u = s'_*(v) (gradient of the
-Legendre conjugate s_*), and the ansatz Jacobian D s'_*(v), all three read
-from one per-node evaluation of v.  The closure of a moment vector u_hat is
-found by minimizing the dual functional
+A model supplies a strictly convex entropy s on its admissible states and the
+entropy variables v = s'(u).  Its dual side is one interface: ``evaluate(v)``
+computes once what the maps at dual values v (..., m) share, and the readers
+``conjugate_from``, ``states_from`` and ``jacobian_from`` take from that
+evaluation the Legendre conjugate s_*(v), the ansatz u = s'_*(v) and the
+m(m+1)/2 unique entries of the symmetric ansatz Jacobian D s'_*(v), on a
+leading axis in ``jacobian_pairs`` order.  The dual solve evaluates every
+iterate once and reads all three from it.  The closure of a moment vector
+u_hat is found by minimizing the dual functional
 
     d(v_hat) = <s_*(v_hat . phi)> - v_hat . u_hat + eta/2 ||v_hat||^2
 
@@ -23,15 +27,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .basis import QuadratureRule, vandermonde
 
 # ---------------------------------------------------------------------------
-# entropy models
+# entropy model
 # ---------------------------------------------------------------------------
 
-#: density (scalar value) and internal energy floor of a cold-start state
+#: density and internal energy floor of a cold-start state
 STATE_FLOOR = 1e-8
 
 
@@ -40,75 +43,7 @@ def jacobian_pairs(m):
     return list(zip(*np.triu_indices(m)))
 
 
-class _DualMaps:
-    """The dual-side maps of an entropy model, each read from one nodal evaluation.
-
-    ``evaluate(v)`` computes once what the maps at dual values v (..., m)
-    share; ``conjugate_from``, ``states_from`` and ``jacobian_from`` read it.
-    ``jacobian_from`` returns the m(m+1)/2 unique entries of the symmetric
-    Jacobian on a leading axis, in ``jacobian_pairs`` order.  The dual solve
-    evaluates every iterate once and reads all three from it; the views below
-    evaluate and read in one call.
-    """
-
-    def ansatz(self, v):
-        """s'_*(v), (..., m)."""
-        return self.states_from(self.evaluate(v))
-
-    def conjugate(self, v):
-        """s_*(v), (...)."""
-        return self.conjugate_from(self.evaluate(v))
-
-    def ansatz_jacobian(self, v):
-        """D s'_*(v), (..., m, m)."""
-        entries = self.jacobian_from(self.evaluate(v))
-        m = self.n_comp
-        jac = np.empty(entries.shape[1:] + (m, m))
-        for e, (k, l) in enumerate(jacobian_pairs(m)):
-            jac[..., k, l] = entries[e]
-            jac[..., l, k] = entries[e]
-        return jac
-
-
-class ScalarLogEntropy(_DualMaps):
-    """s(u) = u ln u on u > 0; ansatz s'_*(v) = exp(v - 1)."""
-
-    n_comp = 1
-
-    def entropy(self, u):
-        u = np.asarray(u, dtype=float)
-        return xlogy(u[..., 0], u[..., 0])
-
-    def entropy_vars(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.log(u) + 1.0
-
-    def evaluate(self, v):
-        """(exp(v - 1),): the conjugate, the ansatz and its Jacobian all equal it."""
-        v = np.asarray(v, dtype=float)
-        with np.errstate(over="ignore"):
-            return (np.exp(v[..., 0] - 1.0),)
-
-    def conjugate_from(self, ev):
-        return ev[0]
-
-    def states_from(self, ev):
-        return ev[0][..., None]
-
-    def jacobian_from(self, ev):
-        """Unique Jacobian entries, (1, ...)."""
-        return ev[0][None]
-
-    def dual_feasible(self, v):
-        v = np.asarray(v, dtype=float)
-        return np.isfinite(v[..., 0])
-
-    def safe_state(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.maximum(np.nan_to_num(u, nan=STATE_FLOOR), STATE_FLOOR)
-
-
-class EulerEntropy(_DualMaps):
+class EulerEntropy:
     """Physical entropy s(u) = -rho ln(rho^-gamma e_int) for 1D Euler states.
 
     u = (rho, m, E_t), e_int = E_t - m^2/(2 rho).  The dual domain is
@@ -251,7 +186,7 @@ class ClosureSolver:
 
     def node_states(self, v_hat):
         """Ansatz states at the quadrature nodes, (..., n_q, m)."""
-        return self.model.ansatz(self.node_values(v_hat))
+        return self.model.states_from(self._evaluate(v_hat)[1])
 
     def reconstruct(self, v_hat):
         """Moments of the ansatz, <phi s'_*(v_hat . phi)>, same shape as v_hat."""

@@ -16,6 +16,11 @@ from .basis import gauss_rule
 from .errors import VacuumError
 
 GAMMA_DEFAULT = 1.4
+#: star-pressure Newton iteration: iteration cap and relative step tolerance
+RIEMANN_MAX_ITER = 100
+RIEMANN_TOL = 1e-12
+#: Gauss nodes of the reference statistics' average over the uniform input
+REFERENCE_NODES = 100
 
 
 def pressure(u, gamma=GAMMA_DEFAULT):
@@ -142,7 +147,7 @@ class RiemannSolution:
         return conserved_from_primitive(self.sample(s), self.gamma)
 
 
-def exact_riemann(prim_l, prim_r, gamma=GAMMA_DEFAULT, max_iter=100, tol=1e-12):
+def exact_riemann(prim_l, prim_r, gamma=GAMMA_DEFAULT):
     """Solve the Riemann problem exactly for primitive left/right states.
 
     Newton iteration on the star pressure, started from the two-rarefaction
@@ -166,12 +171,12 @@ def exact_riemann(prim_l, prim_r, gamma=GAMMA_DEFAULT, max_iter=100, tol=1e-12):
     ) ** (1.0 / z)
     p = max(p_two_raref, 1e-14)
 
-    for _ in range(max_iter):
+    for _ in range(RIEMANN_MAX_ITER):
         f_l, df_l = _pressure_function(p, rho_l, p_l, c_l, gamma)
         f_r, df_r = _pressure_function(p, rho_r, p_r, c_r, gamma)
         f = f_l + f_r + (v_r - v_l)
         p_new = max(p - f / (df_l + df_r), 1e-14)
-        if abs(p_new - p) <= tol * max(p, 1e-14):
+        if abs(p_new - p) <= RIEMANN_TOL * max(p, 1e-14):
             p = p_new
             break
         p = p_new
@@ -184,22 +189,22 @@ def exact_riemann(prim_l, prim_r, gamma=GAMMA_DEFAULT, max_iter=100, tol=1e-12):
     )
 
 
-def reference_statistics(xs, t, x0, sigma, prim_l, prim_r, n_ref=100, gamma=GAMMA_DEFAULT):
+def reference_statistics(xs, t, x0, sigma, prim_l, prim_r, gamma=GAMMA_DEFAULT):
     """Mean and variance of the exact conserved solution over the uniform input.
 
     The discontinuity sits at x0 + sigma*xi with xi uniform on [-1, 1]; the
     left/right states are deterministic, so a single Riemann solution is
-    sampled at shifted similarity coordinates and averaged with an n_ref-point
-    Gauss rule.  At t = 0 the (shifted) initial data are averaged instead.
-    Returns (mean, var), each of shape (len(xs), 3).
+    sampled at shifted similarity coordinates and averaged with a
+    REFERENCE_NODES-point Gauss rule.  At t = 0 the (shifted) initial data
+    are averaged instead.  Returns (mean, var), each of shape (len(xs), 3).
     """
     xs = np.asarray(xs, dtype=float)
     sol = exact_riemann(prim_l, prim_r, gamma)
-    rule = gauss_rule(n_ref)
-    shifts = x0 + sigma * rule.nodes  # interface location per node, (n_ref,)
+    rule = gauss_rule(REFERENCE_NODES)
+    shifts = x0 + sigma * rule.nodes  # interface location per node
     if t > 0:
         s = (xs[:, None] - shifts[None, :]) / t
-        states = sol.sample_conserved(s)  # (n_x, n_ref, 3)
+        states = sol.sample_conserved(s)  # (n_x, REFERENCE_NODES, 3)
     else:
         left = conserved_from_primitive(np.asarray(prim_l, float), gamma)
         right = conserved_from_primitive(np.asarray(prim_r, float), gamma)

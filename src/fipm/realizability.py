@@ -8,8 +8,8 @@ conditions
     m_0 > 0,    m_0 m_2 > m_1^2,    m_0 > m_2,
 
 which are the positive-definiteness of the Hankel matrix together with the
-support constraint <(1 - xi^2) u> > 0.  Basis changes to and from the
-orthonormal coefficients (u_0, u_1, u_2) are exact linear maps.
+support constraint <(1 - xi^2) u> > 0.  The basis change from the
+orthonormal coefficients (u_0, u_1, u_2) is an exact linear map.
 
 The scan rasterizes the slice u_0 = 1 of the coefficient space, applies the
 order-2 gain vector of a filter to every point, and reports membership before
@@ -43,15 +43,6 @@ def gpc_to_monomial(u_hat):
     m1 = u_hat[..., 1] / SQRT3
     m2 = (2.0 * u_hat[..., 2] / SQRT5 + u_hat[..., 0]) / 3.0
     return np.stack([m0, m1, m2], axis=-1)
-
-
-def monomial_to_gpc(m):
-    """Inverse basis change, (m_0, m_1, m_2) -> (u_0, u_1, u_2)."""
-    m = np.asarray(m, dtype=float)
-    u0 = m[..., 0]
-    u1 = SQRT3 * m[..., 1]
-    u2 = SQRT5 * (3.0 * m[..., 2] - m[..., 0]) / 2.0
-    return np.stack([u0, u1, u2], axis=-1)
 
 
 def is_realizable_monomial(m, slack=0.0):

@@ -190,25 +190,6 @@ class EulerPhysics:
         return euler.admissible(u, self.gamma)
 
 
-class AdvectionPhysics:
-    """Linear transport at constant speed; any finite state is admissible."""
-
-    n_comp = 1
-
-    def __init__(self, speed=1.0):
-        self.speed = float(speed)
-
-    def flux(self, u):
-        return self.speed * np.asarray(u, dtype=float)
-
-    def max_speed(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.full(u.shape[:-1], abs(self.speed))
-
-    def admissible(self, u):
-        return np.all(np.isfinite(u), axis=-1)
-
-
 def rusanov(u_l, u_r, physics):
     """Local Lax-Friedrichs flux for arbitrary leading shapes."""
     s = np.maximum(physics.max_speed(u_l), physics.max_speed(u_r))
@@ -241,8 +222,9 @@ class StepDiagnostics:
     new_sum: np.ndarray
 
     def conservation_residual(self, dt_over_dx) -> float:
-        """Telescoped balance: sum of new moments minus base moments plus
-        boundary flux difference; zero up to rounding."""
+        """Telescoping of the flux-difference update against ``base``: new minus base
+        moment sums plus the boundary flux difference, zero up to rounding.  For a
+        reconstructing closure it therefore excludes the reconstruction defect base - u_bar."""
         res = self.new_sum - self.base_sum + dt_over_dx * (self.flux_right - self.flux_left)
         return float(np.abs(res).max())
 

@@ -72,24 +72,20 @@ def oscillation_metric(error, x, region):
     return float(np.sqrt(np.sum(dx * d2[mask] ** 2)))
 
 
-def delta_metrics(numeric: StatField, reference: StatField, region, component=0):
-    """Oscillation metrics (delta_mean, delta_var) of one component's errors."""
+def delta_metrics(numeric: StatField, reference: StatField, region):
+    """Oscillation metrics (delta_mean, delta_var) of the density (component 0) errors."""
     check_same_grid(numeric, reference)
-    d_mean = oscillation_metric(
-        numeric.mean[:, component] - reference.mean[:, component], numeric.x, region
-    )
-    d_var = oscillation_metric(
-        numeric.var[:, component] - reference.var[:, component], numeric.x, region
-    )
+    d_mean = oscillation_metric(numeric.mean[:, 0] - reference.mean[:, 0], numeric.x, region)
+    d_var = oscillation_metric(numeric.var[:, 0] - reference.var[:, 0], numeric.x, region)
     return d_mean, d_var
 
 
-def error_norms(numeric: StatField, reference: StatField, component=0):
-    """Grid L1 and L2 norms of one component's mean and variance errors."""
+def error_norms(numeric: StatField, reference: StatField):
+    """Grid L1 and L2 norms of the density (component 0) mean and variance errors."""
     check_same_grid(numeric, reference)
     dx = numeric.x[1] - numeric.x[0]
-    e_mean = numeric.mean[:, component] - reference.mean[:, component]
-    e_var = numeric.var[:, component] - reference.var[:, component]
+    e_mean = numeric.mean[:, 0] - reference.mean[:, 0]
+    e_var = numeric.var[:, 0] - reference.var[:, 0]
     return {
         "l1_mean": float(np.sum(dx * np.abs(e_mean))),
         "l2_mean": float(np.sqrt(np.sum(dx * e_mean**2))),

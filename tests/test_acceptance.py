@@ -13,13 +13,14 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 from conftest import record_criterion
+from entropy_models import ScalarLogEntropy
 from realizable_samples import sample_realizable
 from test_closures import fd_gradient, fd_jacobian, random_feasible_duals
 from test_euler import star_pressure_bisect
 
 from fipm import euler
 from fipm.basis import gauss_rule
-from fipm.closures import ClosureSolver, EulerEntropy, ScalarLogEntropy
+from fipm.closures import ClosureSolver, EulerEntropy
 from fipm.config import ExperimentConfig, load_config
 from fipm.errors import BreakdownError
 from fipm.filters import LOG_MACHINE_EPS, FilterKind, FilterSpec, gains

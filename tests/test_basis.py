@@ -31,7 +31,7 @@ class TestGaussRule:
     @pytest.mark.parametrize("n_q", [1, 2, 7, 30])
     def test_nodes_and_weights_shape_and_sign(self, n_q):
         rule = gauss_rule(n_q)
-        assert rule.n == n_q
+        assert rule.nodes.size == n_q
         assert np.all(np.diff(rule.nodes) > 0)
         assert np.all(np.abs(rule.nodes) < 1)
         assert np.all(rule.weights > 0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from realizable_samples import sample_realizable
+from realizable_samples import monomial_to_gpc, sample_realizable
 
 from fipm.basis import gauss_rule, vandermonde
 from fipm.filters import FilterKind, FilterSpec
@@ -14,7 +14,6 @@ from fipm.realizability import (
     gpc_to_monomial,
     is_realizable_monomial,
     is_realizable_n2,
-    monomial_to_gpc,
 )
 
 

@@ -15,10 +15,9 @@ import pytest
 from fipm import euler
 from fipm.basis import vandermonde
 from fipm.errors import BreakdownError, DualNonConvergenceError, InadmissibleStateError
-from fipm.filters import FilterKind, FilterSpec, apply_filter
+from fipm.filters import FilterKind, FilterSpec, apply_filter, gains
 from fipm.realizability import is_realizable_n2
 from fipm.solver import (
-    AdvectionPhysics,
     Closure,
     EulerPhysics,
     GridConfig,
@@ -30,6 +29,25 @@ from fipm.solver import (
 )
 
 SOD = UncertainShockIC(rho_l=1.0, p_l=1.0, rho_r=0.125, p_r=0.1, x0=0.5, sigma=0.05)
+
+
+class AdvectionPhysics:
+    """Linear transport at constant speed; any finite state is admissible."""
+
+    n_comp = 1
+
+    def __init__(self, speed=1.0):
+        self.speed = float(speed)
+
+    def flux(self, u):
+        return self.speed * np.asarray(u, dtype=float)
+
+    def max_speed(self, u):
+        u = np.asarray(u, dtype=float)
+        return np.full(u.shape[:-1], abs(self.speed))
+
+    def admissible(self, u):
+        return np.all(np.isfinite(u), axis=-1)
 
 
 def sod_solver(closure, n_cells=60, degree=3, n_quad=10, t_end=0.02, **kwargs):
@@ -331,6 +349,28 @@ class TestConservationAndRealizability:
         stepped, diag = solver.step(state, solver.grid.t_end)
         expected = solver.solver.reconstruct(stepped.duals).sum(axis=0)
         assert np.array_equal(diag.base_sum, expected)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FilterSpec(FilterKind.L2, 0.3),
+            FilterSpec(FilterKind.EXPONENTIAL, 2.0, order=10),
+            FilterSpec(FilterKind.ERFC, 2.0, order=4),
+        ],
+        ids=lambda spec: spec.kind.value,
+    )
+    def test_regularized_step_advances_the_moments_filtered_at_its_dt(self, spec):
+        """With eta > 0 a step advances the filtered moments, whose cell sum is
+        the gain vector at that step's dt times the sum of the moments."""
+        solver, u0, ghosts = sod_solver(
+            Closure.FIPM_REGULARIZED, n_cells=30, filter_spec=spec, eta=1e-7
+        )
+        state = solver.prepare(u0, ghosts)
+        for _ in range(3):
+            stepped, diag = solver.step(state, t_end=1.0)
+            expected = gains(spec, solver.degree, diag.dt)[:, None] * state.moments.sum(axis=0)
+            assert np.abs(diag.base_sum - expected).max() <= 1e-14 * np.abs(expected).max()
+            state = stepped
 
     def test_regularized_step_matches_exact_step_for_tiny_eta(self):
         solver_a, u0, ghosts = sod_solver(Closure.IPM)

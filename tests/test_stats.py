@@ -117,7 +117,7 @@ class TestFieldMetrics:
     def test_delta_metrics_of_quadratic_error(self):
         x, ref = self.grid_pair()
         num = make_field(x, np.stack([x**2, x], axis=1), np.zeros((101, 2)))
-        d_mean, d_var = delta_metrics(num, ref, (0.0, 1.0), component=0)
+        d_mean, d_var = delta_metrics(num, ref, (0.0, 1.0))
         dx = x[1] - x[0]
         length = dx * (x.size - 2)
         assert d_mean == pytest.approx(2 * np.sqrt(length), rel=1e-8)
@@ -125,8 +125,9 @@ class TestFieldMetrics:
 
     def test_error_norms_constant_offset(self):
         x, ref = self.grid_pair()
-        num = make_field(x, np.full((101, 2), 0.5), np.full((101, 2), 0.25))
-        norms = error_norms(num, ref, component=1)
+        mean = np.stack([np.full(101, 0.5), np.zeros(101)], axis=1)
+        var = np.stack([np.full(101, 0.25), np.zeros(101)], axis=1)
+        norms = error_norms(make_field(x, mean, var), ref)
         dx = x[1] - x[0]
         total = dx * x.size
         assert norms["l1_mean"] == pytest.approx(0.5 * total, rel=1e-12)
