@@ -108,6 +108,12 @@ class ExperimentConfig:
             self.build_solver()
         except ValueError as err:
             raise ConfigError(str(err)) from None
+        # the oscillation metrics sum over interior cell centers in the region
+        if not any(self.delta_lo <= x <= self.delta_hi for x in self.grid().centers()[1:-1]):
+            raise ConfigError(
+                f"oscillation region [{self.delta_lo}, {self.delta_hi}] holds no interior "
+                f"cell center of the {self.n_cells}-cell grid; widen it or refine the grid"
+            )
 
     # -- derived objects -----------------------------------------------------
 
@@ -256,7 +262,10 @@ class ScanConfig:
             repeated = sorted({v for v in values if values.count(v) > 1})
             if repeated:
                 raise ConfigError(f"{key} values repeat: {', '.join(map(repr, repeated))}")
-        self.filter_specs()
+        try:
+            self.filter_specs()
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
 
     def filter_specs(self) -> list[tuple[str, FilterSpec]]:
         """(file tag, filter) per scanned strength: exponential, then Fokker-Planck."""

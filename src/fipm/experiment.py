@@ -50,6 +50,12 @@ COMPONENTS = ("rho", "m", "E")
 
 SUMMARY_FIELDS = ("deltaE", "deltaVar", "l1_mean", "l2_mean", "l1_var", "l2_var")
 
+#: the files ``run_experiment`` writes, each under its fixed name
+RUN_ARTIFACTS = (
+    "config.cfg", "snapshot.csv", "telemetry.csv", "stats.csv", "reference.csv",
+    "errors.csv", "summary.csv", "plot.py", "run.log",
+)
+
 
 def resolve_output_root(explicit: str | os.PathLike | None = None) -> Path:
     """Explicit argument, else the FIPM_OUTPUT_ROOT variable, else the cwd."""
@@ -199,6 +205,9 @@ def run_experiment(cfg: ExperimentConfig, output_root=None) -> RunArtifacts:
     """
     out_dir = resolve_output_root(output_root) / cfg.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
+    # a failed rerun must not leave an earlier run's results beside its own log
+    for name in RUN_ARTIFACTS:
+        (out_dir / name).unlink(missing_ok=True)
     (out_dir / "config.cfg").write_text(cfg.to_text())
 
     start = time.perf_counter()

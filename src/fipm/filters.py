@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .errors import ConfigError
 
 #: log of the double-precision machine epsilon; the exponential filter damps
 #: the highest mode down to machine epsilon when lambda * dt = 1.
@@ -57,11 +56,11 @@ class FilterSpec:
 
     def __post_init__(self):
         if not isinstance(self.kind, FilterKind):
-            raise ConfigError(f"unknown filter kind: {self.kind!r}")
+            raise ValueError(f"unknown filter kind: {self.kind!r}")
         if self.strength < 0:
-            raise ConfigError(f"filter strength must be nonnegative, got {self.strength}")
+            raise ValueError(f"filter strength must be nonnegative, got {self.strength}")
         if self.kind in ORDERED_KINDS and self.order < 1:
-            raise ConfigError(f"filter order must be >= 1, got {self.order}")
+            raise ValueError(f"filter order must be >= 1, got {self.order}")
 
 
 def _base_gain(spec: FilterSpec, zeta: np.ndarray) -> np.ndarray:

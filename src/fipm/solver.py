@@ -3,14 +3,15 @@
 One explicit Euler step of the moment vector per cell, with kinetic numerical
 fluxes: the deterministic local Lax-Friedrichs flux is evaluated at every
 quadrature node between reconstructed nodal states, then projected back onto
-the basis.  Every closure shares one step: filter the moments, close them into
-nodal states, take the flux difference.  The Galerkin closures (plain or
-filtered) close with the truncated polynomial itself.  The dual closures solve
-the entropy dual, and the regularization eta alone decides what they advance:
-with the exact dual (eta = 0) the *reconstructed* moments of the ansatz, which
-are realizable with respect to the quadrature measure; with eta > 0 the
-filtered moments themselves.  Under every closure a nodal state outside the
-admissible set aborts the run.
+the basis.  There are two closures, and the filter and eta alone say how the
+moments are filtered.  Both share one step: filter the moments, close them into
+nodal states, take the flux difference.  The Galerkin closure sg closes with
+the truncated polynomial itself.  The IPM closure solves the entropy dual, and
+the regularization eta alone decides what it advances: with the exact dual
+(eta = 0) the *reconstructed* moments of the ansatz, which are realizable with
+respect to the quadrature measure; with eta > 0 the filtered moments
+themselves.  Under either closure a nodal state outside the admissible set
+aborts the run.
 
 Boundary conditions are Dirichlet: one ghost cell per side frozen at the
 projected initial moments, never filtered; ghosts are closed once.
@@ -37,43 +38,24 @@ from .filters import FilterKind, FilterSpec, apply_filter
 
 class Closure(enum.Enum):
     SG = "sg"
-    FSG = "fsg"
     IPM = "ipm"
-    FIPM_REALIZABLE = "fipm-realizable"
-    FIPM_REGULARIZED = "fipm-regularized"
-
-
-#: closures that never touch a dual problem
-GALERKIN = (Closure.SG, Closure.FSG)
 
 
 def check_combination(closure: Closure, filter_spec: FilterSpec | None, eta: float):
     """Raise ValueError unless the closure, filter and regularization go together.
 
-    The realizability-preserving Fokker-Planck filter pairs with the exact
-    closure, every other filter with the regularized one.  fsg takes any
-    filter or none: without one it degenerates to plain Galerkin bit-for-bit.
-    ipm takes no filter and either dual: with eta > 0 it is the regularized
-    loop without a filter.  The regularization is checked before the filter.
+    The Galerkin closure takes any filter or none, and no regularization.  The
+    exact dual (eta = 0) takes no filter or the realizability-preserving
+    Fokker-Planck filter; every other filter needs the regularized dual, eta > 0.
     """
-    kind = "none" if filter_spec is None else filter_spec.kind.value
-    if closure in GALERKIN:
+    if closure is Closure.SG:
         if eta != 0.0:
-            raise ValueError("Galerkin closures take no regularization; set eta = 0")
-        if closure is Closure.SG and kind != "none":
-            raise ValueError("closure sg takes no filter; use closure fsg")
-    elif closure is Closure.IPM:
-        if kind != "none":
-            raise ValueError(
-                "closure ipm takes no filter; use fipm-realizable or fipm-regularized"
-            )
-    elif closure is Closure.FIPM_REALIZABLE:
-        if eta != 0.0:
-            raise ValueError("fipm-realizable solves the exact dual; set eta = 0")
-        if kind != FilterKind.FOKKER_PLANCK.value:
-            raise ValueError(f"fipm-realizable requires the fokker-planck filter, got '{kind}'")
-    elif eta <= 0.0:
-        raise ValueError("fipm-regularized requires eta > 0")
+            raise ValueError("closure sg takes no regularization; set eta = 0")
+    elif eta == 0.0 and filter_spec and filter_spec.kind is not FilterKind.FOKKER_PLANCK:
+        raise ValueError(
+            f"filter '{filter_spec.kind.value}' needs eta > 0; "
+            "the exact dual takes only fokker-planck"
+        )
 
 
 @dataclass(frozen=True)
@@ -278,7 +260,7 @@ class MomentSolver:
             raise ValueError(f"tau must be positive, got {tau}")
         self.eta, self.tau = eta, tau
         check_combination(closure, filter_spec, eta)
-        if closure not in GALERKIN and not isinstance(physics, EulerPhysics):
+        if closure is Closure.IPM and not isinstance(physics, EulerPhysics):
             raise ValueError(
                 f"closure {closure.value} solves the Euler entropy dual; use EulerPhysics"
             )
@@ -287,21 +269,20 @@ class MomentSolver:
         self.degree = int(degree)
         self.quad = gauss_rule(n_quad)
         self.physics = physics
-        self.closure = closure
         self.filter_spec = filter_spec
         self.phi = vandermonde(degree, self.quad.nodes)
         self.phi_w = self.phi * self.quad.weights[:, None]
         self.solver = None
-        if closure not in GALERKIN:
+        if closure is Closure.IPM:
             self.solver = ClosureSolver(EulerEntropy(physics.gamma), degree, self.quad)
-        #: a dual closure advances its reconstructed moments exactly when eta = 0
+        #: the IPM closure advances its reconstructed moments exactly when eta = 0
         self._reconstructs = self.solver is not None and eta == 0.0
         self._ghost_states = None
         self._ghost_speed = None
 
     def _close(self, u, start, step, centers):
         """Close the moments ``u`` of the cells at ``centers`` into
-        ``(states, duals, info)``: nodal states (n, n_q, m), duals (None under a
+        ``(states, duals, info)``: nodal states (n, n_q, m), duals (None under the
         Galerkin closure) and the solve info.  The dual solve only reports;
         raise here at the worst unconverged cell, then at the first
         inadmissible node."""

@@ -122,7 +122,7 @@ def strength_sweep_stats():
     out = {}
     for strength in (0.0, 0.5, 1.0, 2.0, 4.0):
         cfg = desk_config(
-            "fipm-regularized",
+            "ipm",
             filter="exponential",
             filter_strength=strength,
             filter_order=10,
@@ -268,9 +268,7 @@ def test_criterion_7_galerkin_breakdown_is_detected():
 
 def test_criterion_8_conservation_and_realizability_witness():
     with criterion(8, "50 reconstructing steps conserve moments and stay realizable"):
-        cfg = desk_config(
-            "fipm-realizable", filter="fokker-planck", filter_strength=5e-5
-        )
+        cfg = desk_config("ipm", filter="fokker-planck", filter_strength=5e-5)
         solver = cfg.build_solver()
         grid, ic = cfg.grid(), cfg.ic()
         u0 = project_ic(grid.centers(), cfg.degree, ic, cfg.gamma)

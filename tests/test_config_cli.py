@@ -117,45 +117,41 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="form key=value"):
             parse_config(MINIMAL, overrides=["n_cells"])
 
+    def test_report_region_needs_an_interior_cell_center(self):
+        """On 4 cells the interior centers 0.375 and 0.625 both miss [0.7, 0.8]."""
+        with pytest.raises(ConfigError, match=r"\[0.7, 0.8\] holds no interior cell center"):
+            parse_config(MINIMAL, overrides=["n_cells=4"])
+        # on 5 cells the interior center 0.7 lies on the region's edge
+        assert parse_config(MINIMAL, overrides=["n_cells=5"]).n_cells == 5
+
     def test_echo_round_trips(self):
         cfg = parse_config(
-            MINIMAL, overrides=["closure=fsg", "filter=l2", "filter_strength=0.25"]
+            MINIMAL, overrides=["closure=sg", "filter=l2", "filter_strength=0.25"]
         )
         assert parse_config(cfg.to_text()) == cfg
 
 
 COMBINATION_FILTERS = ["none"] + [kind.value for kind in FilterKind]
-#: every (closure, filter, eta) the paper pairs, with eta in {0, 1e-7}
+#: every (closure, filter, eta) the paper pairs, with eta in {0, 1e-7}: the
+#: Galerkin closure with any filter and no regularization, the exact dual with
+#: no filter or fokker-planck, the regularized dual with any filter
 ACCEPTED = {
-    ("sg", "none", 0.0),
-    *(("fsg", filt, 0.0) for filt in COMBINATION_FILTERS),
+    *(("sg", filt, 0.0) for filt in COMBINATION_FILTERS),
     ("ipm", "none", 0.0),
-    ("ipm", "none", 1e-7),
-    ("fipm-realizable", "fokker-planck", 0.0),
-    *(("fipm-regularized", filt, 1e-7) for filt in COMBINATION_FILTERS),
+    ("ipm", "fokker-planck", 0.0),
+    *(("ipm", filt, 1e-7) for filt in COMBINATION_FILTERS),
 }
-assert len(ACCEPTED) == 14
+assert len(ACCEPTED) == 12
 
 
 class TestCompatibility:
     @pytest.mark.parametrize(
         "extra,message",
         [
-            ("closure = sg\nfilter = l2\nfilter_strength = 0.1", "sg takes no filter"),
-            ("closure = fsg\neta = 1e-7", "no regularization"),
-            ("closure = ipm\nfilter = l2\nfilter_strength = 0.1", "ipm takes no filter"),
+            ("closure = sg\neta = 1e-7", "sg takes no regularization"),
             (
-                "closure = fipm-realizable\nfilter = exponential\nfilter_strength = 1.0",
-                "requires the fokker-planck filter",
-            ),
-            (
-                "closure = fipm-realizable\nfilter = fokker-planck\n"
-                "filter_strength = 0.1\neta = 1e-7",
-                "exact dual",
-            ),
-            (
-                "closure = fipm-regularized\nfilter = exponential\nfilter_strength = 1.0",
-                "requires eta > 0",
+                "closure = ipm\nfilter = exponential\nfilter_strength = 1.0",
+                "filter 'exponential' needs eta > 0",
             ),
         ],
     )
@@ -259,13 +255,13 @@ class TestPresets:
 
     def test_filtered_preset_golden_values(self):
         exp = load_config("sod-fipm-exp")
-        assert exp.closure == "fipm-regularized"
+        assert exp.closure == "ipm"
         assert exp.filter == "exponential"
         assert exp.filter_strength == 2.0
         assert exp.filter_order == 10
         assert exp.eta == 1e-7
         fp = load_config("sod-fipm-fp")
-        assert fp.closure == "fipm-realizable"
+        assert fp.closure == "ipm"
         assert fp.filter == "fokker-planck"
         assert fp.filter_strength == 5e-5
         assert fp.eta == 0.0
@@ -280,6 +276,12 @@ class TestPresets:
         cfg = load_config("sod-highdensity-desk")
         assert cfg.rho_r == 0.8
         assert (cfg.rho_l, cfg.p_l, cfg.p_r) == (1.0, 1.0, 0.1)
+
+    @pytest.mark.parametrize("name", [n for n in list_presets() if n != "figure1-scan"])
+    def test_run_preset_round_trips_and_pairs_as_the_paper_does(self, name):
+        cfg = load_config(name)
+        assert parse_config(cfg.to_text()) == cfg
+        assert (cfg.closure, cfg.filter, cfg.eta) in ACCEPTED
 
     def test_scan_preset_golden_values(self):
         text, _ = read_config_text("figure1-scan")
@@ -540,6 +542,12 @@ class TestRunExperiment:
         assert (artifacts.out_dir / "config.cfg").is_file()
         assert not (artifacts.out_dir / "snapshot.csv").exists()
 
+    def test_failed_rerun_leaves_no_earlier_results(self, tmp_path):
+        assert run_experiment(tiny_config(output_dir="x"), tmp_path).exit_code == 0
+        rerun = run_experiment(tiny_config(closure="sg", output_dir="x"), tmp_path)
+        assert rerun.exit_code == 3
+        assert sorted(path.name for path in rerun.out_dir.iterdir()) == ["config.cfg", "run.log"]
+
     def test_inadmissible_dual_ansatz_exits_3_with_its_cell(self, tmp_path):
         """A filter this strong drives the regularized closure's density to 0."""
         cfg = load_config(
@@ -550,18 +558,6 @@ class TestRunExperiment:
         assert artifacts.exit_code == 3
         assert artifacts.error.startswith("BreakdownError: ansatz left the admissible set")
         assert artifacts.error.endswith("(cell 50, node 0, step 0) at x = 0.505")
-
-    def test_ipm_with_eta_writes_the_regularized_runs_csvs(self, tmp_path):
-        ipm = run_experiment(tiny_config(eta=1e-7, output_dir="ipm"), tmp_path)
-        regularized = run_experiment(
-            tiny_config(closure="fipm-regularized", eta=1e-7, output_dir="reg"), tmp_path
-        )
-        assert ipm.exit_code == regularized.exit_code == 0
-        for name in ARTIFACTS:
-            if name.endswith(".csv"):
-                assert (ipm.out_dir / name).read_bytes() == (
-                    regularized.out_dir / name
-                ).read_bytes(), name
 
     def test_sg_desk_breakdown_log_names_the_cell_centre(self, tmp_path):
         artifacts = run_experiment(load_config("sod-sg-desk"), tmp_path)
@@ -610,6 +606,9 @@ class TestSweep:
         assert result.rows[0].error is not None
         assert np.isnan(result.rows[0].deltaE)
         assert result.rows[1].error is None
+        empty_region = sweep(cfg, "n_cells", ["4"], tmp_path).rows[0]
+        assert "holds no interior cell center" in empty_region.error
+        assert np.isnan(empty_region.deltaE)
 
     def test_empty_value_list_gives_empty_table(self, tmp_path):
         result = sweep(tiny_config(output_dir="sw"), "eta", [], tmp_path)
@@ -671,6 +670,11 @@ class TestCli:
         assert main(["run", "sod-ipm", "--set", "eta=-1", "--dry-run"]) == 2
         assert "eta" in capsys.readouterr().err
         assert main(["run", "no-such-thing", "--dry-run"]) == 2
+        capsys.readouterr()
+        assert main(["run", "sod-fipm-exp-desk", "--set", "n_cells=4", "--dry-run"]) == 2
+        assert "holds no interior cell center" in capsys.readouterr().err
+        assert main(["run", "sod-ipm-desk", "--set", "closure=fsg", "--dry-run"]) == 2
+        assert "closure must be one of sg, ipm" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "preset,overrides,key",

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fipm.errors import ConfigError
 from fipm.filters import LOG_MACHINE_EPS, FilterKind, FilterSpec, apply_filter, gains
 
 ALL_KINDS = list(FilterKind)
@@ -134,15 +133,15 @@ class TestApplyFilter:
 
 class TestValidation:
     def test_negative_strength_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             FilterSpec(kind=FilterKind.L2, strength=-1.0)
 
     def test_bad_order_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             FilterSpec(kind=FilterKind.EXPONENTIAL, strength=1.0, order=0)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             FilterSpec(kind="boxcar", strength=1.0)
 
     def test_missing_dt_rejected(self):

@@ -217,7 +217,7 @@ class TestKineticFlux:
         np.testing.assert_allclose(rusanov(u_l, u_r, physics), 2.0 * u_l, rtol=1e-14)
 
 
-# -- Galerkin closures on linear advection ---------------------------------------
+# -- the Galerkin closure on linear advection ------------------------------------
 
 
 def advection_setup(n_cells=50, degree=3, n_quad=8, t_end=0.5, closure=Closure.SG, **kw):
@@ -245,16 +245,9 @@ class TestGalerkinAdvection:
             expected = expected - nu * (expected - shifted)
         np.testing.assert_allclose(result.moments, expected, atol=1e-12)
 
-    def test_unfiltered_fsg_is_bitwise_sg(self):
-        solver_sg, u0, ghosts = advection_setup()
-        solver_fsg, _, _ = advection_setup(closure=Closure.FSG)
-        res_sg = solver_sg.run(u0, ghosts)
-        res_fsg = solver_fsg.run(u0, ghosts)
-        assert np.array_equal(res_sg.moments, res_fsg.moments)
-
-    def test_fsg_step_factors_into_filter_then_sg_step(self):
+    def test_filtered_sg_step_factors_into_filter_then_sg_step(self):
         spec = FilterSpec(FilterKind.L2, strength=0.3)
-        solver_fsg, u0, ghosts = advection_setup(closure=Closure.FSG, filter_spec=spec)
+        solver_fsg, u0, ghosts = advection_setup(filter_spec=spec)
         solver_sg, _, _ = advection_setup()
         state = solver_fsg.prepare(u0, ghosts)
         stepped, diag = solver_fsg.step(state, t_end=1.0)
@@ -273,22 +266,16 @@ class TestGalerkinAdvection:
 
 
 class TestMomentSolverValidation:
-    def test_realizable_closure_demands_exact_dual(self):
-        with pytest.raises(ValueError, match="exact dual"):
-            sod_solver(Closure.FIPM_REALIZABLE, eta=1e-7)
+    def test_unfiltered_ipm_with_eta_advances_the_moments_themselves(self):
+        """eta alone decides what the dual closure advances, filter or none."""
+        solver, u0, ghosts = sod_solver(Closure.IPM, n_cells=30, eta=1e-7)
+        _, diag = solver.step(solver.prepare(u0, ghosts), 1.0)
+        assert np.array_equal(diag.base_sum, u0.sum(axis=0))
 
-    def test_ipm_with_eta_steps_as_the_unfiltered_regularized_closure(self):
-        """eta alone decides what a dual closure advances, whatever its name."""
-        solver_ipm, u0, ghosts = sod_solver(Closure.IPM, n_cells=30, eta=1e-7)
-        solver_reg, _, _ = sod_solver(Closure.FIPM_REGULARIZED, n_cells=30, eta=1e-7)
-        stepped_ipm, diag_ipm = solver_ipm.step(solver_ipm.prepare(u0, ghosts), 1.0)
-        stepped_reg, _ = solver_reg.step(solver_reg.prepare(u0, ghosts), 1.0)
-        assert np.array_equal(stepped_ipm.moments, stepped_reg.moments)
-        assert np.array_equal(diag_ipm.base_sum, u0.sum(axis=0))
-
-    def test_regularized_closure_demands_positive_eta(self):
+    def test_exact_dual_filter_other_than_fokker_planck_demands_positive_eta(self):
+        spec = FilterSpec(FilterKind.EXPONENTIAL, 2.0, order=10)
         with pytest.raises(ValueError, match="eta > 0"):
-            sod_solver(Closure.FIPM_REGULARIZED, eta=0.0)
+            sod_solver(Closure.IPM, filter_spec=spec, eta=0.0)
 
     def test_quadrature_must_resolve_basis(self):
         grid = GridConfig(a=0.0, b=1.0, n_cells=10, t_end=0.1)
@@ -311,9 +298,9 @@ class TestMomentSolverValidation:
 
 DUAL_CLOSURES = [
     (Closure.IPM, dict()),
-    (Closure.FIPM_REALIZABLE, dict(filter_spec=FilterSpec(FilterKind.FOKKER_PLANCK, 5e-5))),
+    (Closure.IPM, dict(filter_spec=FilterSpec(FilterKind.FOKKER_PLANCK, 5e-5))),
     (
-        Closure.FIPM_REGULARIZED,
+        Closure.IPM,
         dict(filter_spec=FilterSpec(FilterKind.EXPONENTIAL, 2.0, order=10), eta=1e-7),
     ),
 ]
@@ -334,7 +321,7 @@ class TestConservationAndRealizability:
     def test_reconstructing_run_leaves_realizable_moments(self):
         """Every post-run cell admits a converged exact dual (realizability witness)."""
         spec = FilterSpec(FilterKind.FOKKER_PLANCK, 5e-5)
-        solver, u0, ghosts = sod_solver(Closure.FIPM_REALIZABLE, filter_spec=spec)
+        solver, u0, ghosts = sod_solver(Closure.IPM, filter_spec=spec)
         result = solver.run(u0, ghosts)
         _, info = solver.solver.solve_batch(result.moments, result.duals, 1e-7, 0.0)
         assert info.all_converged
@@ -363,7 +350,7 @@ class TestConservationAndRealizability:
         """With eta > 0 a step advances the filtered moments, whose cell sum is
         the gain vector at that step's dt times the sum of the moments."""
         solver, u0, ghosts = sod_solver(
-            Closure.FIPM_REGULARIZED, n_cells=30, filter_spec=spec, eta=1e-7
+            Closure.IPM, n_cells=30, filter_spec=spec, eta=1e-7
         )
         state = solver.prepare(u0, ghosts)
         for _ in range(3):
@@ -374,7 +361,7 @@ class TestConservationAndRealizability:
 
     def test_regularized_step_matches_exact_step_for_tiny_eta(self):
         solver_a, u0, ghosts = sod_solver(Closure.IPM)
-        solver_b, _, _ = sod_solver(Closure.FIPM_REGULARIZED, eta=1e-7)
+        solver_b, _, _ = sod_solver(Closure.IPM, eta=1e-7)
         state_a = solver_a.prepare(u0, ghosts)
         state_b = solver_b.prepare(u0, ghosts)
         stepped_a, _ = solver_a.step(state_a, t_end=1.0)
@@ -489,7 +476,7 @@ class TestBreakdown:
 
     def test_filtered_sg_breaks_on_shock_tube_too(self):
         spec = FilterSpec(FilterKind.EXPONENTIAL, 2.0, order=10)
-        solver, u0, ghosts = sod_solver(Closure.FSG, n_cells=100, degree=3, filter_spec=spec)
+        solver, u0, ghosts = sod_solver(Closure.SG, n_cells=100, degree=3, filter_spec=spec)
         with pytest.raises(BreakdownError):
             solver.run(u0, ghosts)
 
