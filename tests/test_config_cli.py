@@ -142,6 +142,8 @@ ACCEPTED = {
     *(("ipm", filt, 1e-7) for filt in COMBINATION_FILTERS),
 }
 assert len(ACCEPTED) == 12
+#: closure names of earlier versions; each fails as any unknown choice
+REMOVED_CLOSURES = ["fsg", "fipm-realizable", "fipm-regularized"]
 
 
 class TestCompatibility:
@@ -162,7 +164,9 @@ class TestCompatibility:
 
     @pytest.mark.parametrize("eta", [0.0, 1e-7])
     @pytest.mark.parametrize("filt", COMBINATION_FILTERS)
-    @pytest.mark.parametrize("closure", [member.value for member in Closure])
+    @pytest.mark.parametrize(
+        "closure", [member.value for member in Closure] + REMOVED_CLOSURES
+    )
     def test_config_and_solver_accept_the_same_combinations(self, closure, filt, eta):
         fields = dict(closure=closure, filter=filt, eta=eta)
         if filt != "none":
