@@ -38,6 +38,22 @@ def _check_finite(cfg):
             raise ConfigError(f"key '{field.name}' must be finite, got {value!r}")
 
 
+def _keep_default(cfg, key: str, context: str):
+    """Reject a non-default value of ``key``, which is not read ``context``."""
+    default = type(cfg).__dataclass_fields__[key].default
+    if getattr(cfg, key) != default:
+        raise ConfigError(
+            f"key '{key}' is not read {context}; leave it at its default {default!r}"
+        )
+
+
+def _check_distinct(label: str, values):
+    """Reject a list in which a value repeats, naming each repeated value once."""
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"{label} values repeat: {', '.join(map(repr, repeated))}")
+
+
 def _echo(cfg) -> str:
     """Canonical ``key = value`` text of a config dataclass, every default resolved."""
     lines = []
@@ -86,17 +102,10 @@ class ExperimentConfig:
         _check_choice("closure", self.closure, [c.value for c in Closure])
         _check_choice("filter", self.filter, ["none"] + [k.value for k in FilterKind])
         # a filter key the chosen filter never reads would be ignored silently
-        unread = {
-            "filter_strength": self.filter == "none",
-            "filter_order": self.filter not in [k.value for k in ORDERED_KINDS],
-        }
-        for key, ignored in unread.items():
-            default = ExperimentConfig.__dataclass_fields__[key].default
-            if ignored and getattr(self, key) != default:
-                raise ConfigError(
-                    f"key '{key}' is not read by filter '{self.filter}'; "
-                    f"leave it at its default {default!r}"
-                )
+        if self.filter == "none":
+            _keep_default(self, "filter_strength", f"by filter '{self.filter}'")
+        if self.filter not in [k.value for k in ORDERED_KINDS]:
+            _keep_default(self, "filter_order", f"by filter '{self.filter}'")
         if not self.a <= self.delta_lo < self.delta_hi <= self.b:
             raise ConfigError(
                 f"oscillation region [{self.delta_lo}, {self.delta_hi}] must be an "
@@ -250,18 +259,11 @@ class ScanConfig:
         _check_finite(self)
         if self.resolution < 2:
             raise ConfigError(f"resolution must be at least 2, got {self.resolution}")
-        default = ScanConfig.__dataclass_fields__["order"].default
-        if not self.exp_exponents and self.order != default:
-            raise ConfigError(
-                "key 'order' is not read when exp_exponents is empty; "
-                f"leave it at its default {default!r}"
-            )
+        if not self.exp_exponents:
+            _keep_default(self, "order", "when exp_exponents is empty")
         # a strength listed twice would write its raster twice, over itself
         for key in ("exp_exponents", "fp_strengths"):
-            values = getattr(self, key)
-            repeated = sorted({v for v in values if values.count(v) > 1})
-            if repeated:
-                raise ConfigError(f"{key} values repeat: {', '.join(map(repr, repeated))}")
+            _check_distinct(key, getattr(self, key))
         try:
             self.filter_specs()
         except ValueError as err:

@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import euler
-from .config import _TYPES, ExperimentConfig, ScanConfig, _convert
+from .config import _TYPES, ExperimentConfig, ScanConfig, _check_distinct, _convert
 from .errors import ConfigError, FipmError
 from .realizability import filter_image_scan
 from .solver import RunResult, project_ic
@@ -318,9 +318,7 @@ def sweep(cfg: ExperimentConfig, key: str, values, output_root=None) -> SweepRes
     if _TYPES.get(key) not in ("float", "int"):
         raise ConfigError(f"'{key}' is not a sweepable numeric configuration key")
     values = [str(raw).strip() for raw in values]
-    repeated = sorted({raw for raw in values if values.count(raw) > 1})
-    if repeated:
-        raise ConfigError(f"sweep values repeat: {', '.join(map(repr, repeated))}")
+    _check_distinct("sweep", values)
     base_dir = resolve_output_root(output_root) / cfg.output_dir
     base_dir.mkdir(parents=True, exist_ok=True)
 

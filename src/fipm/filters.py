@@ -24,10 +24,10 @@ lambda_FP * N <= ln 1.05.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 
 #: log of the double-precision machine epsilon; the exponential filter damps
@@ -63,13 +63,6 @@ class FilterSpec:
             raise ValueError(f"filter order must be >= 1, got {self.order}")
 
 
-def _base_gain(spec: FilterSpec, zeta: np.ndarray) -> np.ndarray:
-    """Gain of the EXP/ERFC solution operator at unit exponent, zeta = i/N."""
-    if spec.kind is FilterKind.EXPONENTIAL:
-        return np.exp(LOG_MACHINE_EPS * zeta**spec.order)
-    return 0.5 * erfc(2 * np.sqrt(spec.order) * (zeta - 0.5))
-
-
 def gains(spec: FilterSpec, degree: int, dt: float | None = None) -> np.ndarray:
     """Gain vector (g_0, ..., g_N) for a basis truncated at ``degree``."""
     if degree < 0:
@@ -81,8 +74,13 @@ def gains(spec: FilterSpec, degree: int, dt: float | None = None) -> np.ndarray:
         return np.exp(-i * (i + 1) * spec.strength)
     if dt is None or dt <= 0:
         raise ValueError("this filter couples to the time step; pass dt > 0")
+    # the EXP/ERFC solution operator at unit exponent, raised to lambda * dt
     zeta = i / degree if degree > 0 else i
-    return _base_gain(spec, zeta) ** (spec.strength * dt)
+    if spec.kind is FilterKind.EXPONENTIAL:
+        base = np.exp(LOG_MACHINE_EPS * zeta**spec.order)
+    else:
+        base = 0.5 * np.array([math.erfc(2 * math.sqrt(spec.order) * (z - 0.5)) for z in zeta])
+    return base ** (spec.strength * dt)
 
 
 def apply_filter(

@@ -24,6 +24,7 @@ from fipm.config import (
     read_config_text,
 )
 from fipm.errors import ConfigError
+from fipm.euler import reference_statistics
 from fipm.experiment import _write_table, run_experiment, scan_figure1, sweep
 from fipm.filters import FilterKind, FilterSpec
 from fipm.solver import Closure, EulerPhysics, GridConfig, MomentSolver
@@ -286,6 +287,19 @@ class TestPresets:
         cfg = load_config(name)
         assert parse_config(cfg.to_text()) == cfg
         assert (cfg.closure, cfg.filter, cfg.eta) in ACCEPTED
+
+    @pytest.mark.parametrize("name", [n for n in list_presets() if n != "figure1-scan"])
+    def test_run_preset_report_region_holds_the_uncertain_shock(self, name):
+        # deltaE and deltaVar over a region without reference variance measure nothing
+        cfg = load_config(name)
+        x = cfg.grid().centers()
+        _, var = reference_statistics(
+            x, cfg.t_end, cfg.x0, cfg.sigma, *cfg.ic().primitive_states(), gamma=cfg.gamma
+        )
+        var_rho = var[:, 0]
+        interior = np.arange(1, len(x) - 1)
+        in_region = interior[(x[interior] >= cfg.delta_lo) & (x[interior] <= cfg.delta_hi)]
+        assert var_rho[in_region].max() >= 0.1 * var_rho.max()
 
     def test_scan_preset_golden_values(self):
         text, _ = read_config_text("figure1-scan")

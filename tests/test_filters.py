@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,6 +46,17 @@ class TestFrozenValues:
         # the erfc filter does NOT preserve the mean
         assert g[0] == pytest.approx(0.9999961278917845, rel=1e-14)
         assert g[0] < 1.0
+
+
+def test_erfc_matches_scipy_oracle():
+    for order in range(1, 13):
+        for degree in range(1, 16):
+            zeta = np.arange(degree + 1) / degree
+            expected = 0.5 * scipy.special.erfc(2 * np.sqrt(order) * (zeta - 0.5))
+            g = gains(make_spec(FilterKind.ERFC, 1.0, order=order), degree, dt=1.0)
+            np.testing.assert_allclose(
+                g, expected, rtol=1e-14, atol=0, err_msg=f"order {order}, degree {degree}"
+            )
 
 
 class TestStructure:
