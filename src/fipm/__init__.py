@@ -1,7 +1,7 @@
 """Filtered intrusive polynomial-moment methods for 1D conservation laws."""
 
 from .basis import QuadratureRule, gauss_rule, vandermonde
-from .closures import ClosureSolver, EulerEntropy
+from .closures import ClosureSolver
 from .config import ExperimentConfig, ScanConfig, list_presets, load_config, parse_config
 from .errors import (
     BreakdownError,
@@ -11,6 +11,7 @@ from .errors import (
     InadmissibleStateError,
     VacuumError,
 )
+from .euler import EulerEntropy
 from .experiment import run_experiment, scan_figure1, sweep
 from .filters import FilterKind, FilterSpec, gains
 from .realizability import filter_image_scan, is_realizable_n2
@@ -22,7 +23,6 @@ __all__ = [
     "gauss_rule",
     "vandermonde",
     "ClosureSolver",
-    "EulerEntropy",
     "ExperimentConfig",
     "ScanConfig",
     "list_presets",
@@ -34,6 +34,7 @@ __all__ = [
     "FipmError",
     "InadmissibleStateError",
     "VacuumError",
+    "EulerEntropy",
     "run_experiment",
     "scan_figure1",
     "sweep",

@@ -1,14 +1,15 @@
-"""Convex entropy models and the moment-closure dual problem.
+"""The moment-closure dual problem, for any convex entropy model.
 
-A model supplies a strictly convex entropy s on its admissible states and the
-entropy variables v = s'(u).  Its dual side is one interface: ``evaluate(v)``
-computes once what the maps at dual values v (..., m) share, and the readers
-``conjugate_from``, ``states_from`` and ``jacobian_from`` take from that
-evaluation the Legendre conjugate s_*(v), the ansatz u = s'_*(v) and the
-m(m+1)/2 unique entries of the symmetric ansatz Jacobian D s'_*(v), on a
-leading axis in ``jacobian_pairs`` order.  The dual solve evaluates every
-iterate once and reads all three from it.  The closure of a moment vector
-u_hat is found by minimizing the dual functional
+A model (``euler.EulerEntropy`` for the Euler system) supplies a strictly
+convex entropy s on its admissible states and the entropy variables
+v = s'(u).  Its dual side is one interface: ``evaluate(v)`` computes once what
+the maps at dual values v (..., m) share, and the readers ``conjugate_from``,
+``states_from`` and ``jacobian_from`` take from that evaluation the Legendre
+conjugate s_*(v), the ansatz u = s'_*(v) and the m(m+1)/2 unique entries of
+the symmetric ansatz Jacobian D s'_*(v), on a leading axis in
+``jacobian_pairs`` order.  The dual solve evaluates every iterate once and
+reads all three from it.  The closure of a moment vector u_hat is found by
+minimizing the dual functional
 
     d(v_hat) = <s_*(v_hat . phi)> - v_hat . u_hat + eta/2 ||v_hat||^2
 
@@ -30,102 +31,10 @@ import numpy as np
 
 from .basis import QuadratureRule, vandermonde
 
-# ---------------------------------------------------------------------------
-# entropy model
-# ---------------------------------------------------------------------------
-
-#: density and internal energy floor of a cold-start state
-STATE_FLOOR = 1e-8
-
 
 def jacobian_pairs(m):
     """(k, l) index pairs, k <= l row by row, of the unique ansatz-Jacobian entries."""
     return list(zip(*np.triu_indices(m)))
-
-
-class EulerEntropy:
-    """Physical entropy s(u) = -rho ln(rho^-gamma e_int) for 1D Euler states.
-
-    u = (rho, m, E_t), e_int = E_t - m^2/(2 rho).  The dual domain is
-    {v : v_3 < 0}; on it the ansatz is the closed-form inverse of s'.
-    """
-
-    n_comp = 3
-
-    def __init__(self, gamma=1.4):
-        self.gamma = float(gamma)
-
-    def _split(self, u):
-        u = np.asarray(u, dtype=float)
-        rho, m, e_t = u[..., 0], u[..., 1], u[..., 2]
-        return rho, m, e_t - 0.5 * m**2 / rho
-
-    def entropy(self, u):
-        rho, m, e_int = self._split(u)
-        return rho * (self.gamma * np.log(rho) - np.log(e_int))
-
-    def entropy_vars(self, u):
-        rho, m, e_int = self._split(u)
-        v_col = m / rho
-        w = -self.gamma * np.log(rho) + np.log(e_int)
-        v3 = -rho / e_int
-        v1 = self.gamma - w + 0.5 * v3 * v_col**2
-        return np.stack([v1, m / e_int, v3], axis=-1)
-
-    def evaluate(self, v):
-        """(rho, vel, v3) of the ansatz state at dual values v."""
-        v = np.asarray(v, dtype=float)
-        v1, v2, v3 = v[..., 0], v[..., 1], v[..., 2]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            vel = -v2 / v3
-            w = self.gamma - v1 + 0.5 * v3 * vel**2
-            rho = np.exp(-(w + np.log(-v3)) / (self.gamma - 1.0))
-        return rho, vel, v3
-
-    def conjugate_from(self, ev):
-        return (self.gamma - 1.0) * ev[0]
-
-    def states_from(self, ev):
-        rho, vel, v3 = ev
-        out = np.empty(rho.shape + (3,))
-        out[..., 0] = rho
-        out[..., 1] = rho * vel
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out[..., 2] = -rho / v3 + 0.5 * rho * vel**2
-        return out
-
-    def jacobian_from(self, ev):
-        """Unique Jacobian entries, (6, ...).
-
-        D s'_* = rho (c c^T / (gamma - 1) + K) with c = (1, vel, vel^2/2 - 1/v3)
-        and K = -(1/v3) [[0, 0, 0], [0, 1, vel], [0, vel, vel^2 - 1/v3]].
-        """
-        rho, vel, v3 = ev
-        jac = np.empty((6,) + rho.shape)
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            inv3 = 1.0 / v3
-            rho_inv3 = rho * inv3
-            r = rho / (self.gamma - 1.0)
-            c2 = 0.5 * vel**2 - inv3
-            jac[0] = r
-            jac[1] = r * vel
-            jac[2] = r * c2
-            jac[3] = jac[1] * vel - rho_inv3
-            jac[4] = vel * (jac[2] - rho_inv3)
-            jac[5] = c2 * jac[2] + rho_inv3 * (inv3 - vel**2)
-        return jac
-
-    def dual_feasible(self, v):
-        v = np.asarray(v, dtype=float)
-        v1, v2, v3 = v[..., 0], v[..., 1], v[..., 2]
-        return (v3 < 0) & np.isfinite(v1) & np.isfinite(v2) & np.isfinite(v3)
-
-    def safe_state(self, u):
-        u = np.asarray(np.nan_to_num(u, nan=STATE_FLOOR), dtype=float)
-        rho = np.maximum(u[..., 0], STATE_FLOOR)
-        m = u[..., 1]
-        e_int = np.maximum(u[..., 2] - 0.5 * m**2 / rho, STATE_FLOOR)
-        return np.stack([rho, m, e_int + 0.5 * m**2 / rho], axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,9 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError
+from .euler import GAMMA_DEFAULT, EulerEntropy
 from .filters import ORDERED_KINDS, FilterKind, FilterSpec
-from .solver import Closure, EulerPhysics, GridConfig, MomentSolver, UncertainShockIC
+from .solver import Closure, GridConfig, MomentSolver, UncertainShockIC
 
 
 def _check_choice(name: str, value: str, choices: list[str]):
@@ -85,7 +86,7 @@ class ExperimentConfig:
     n_quad: int
     closure: str
     cfl: float = 0.5
-    gamma: float = 1.4
+    gamma: float = GAMMA_DEFAULT
     filter: str = "none"
     filter_strength: float = 0.0
     filter_order: int = 2
@@ -149,7 +150,7 @@ class ExperimentConfig:
             self.grid(),
             self.degree,
             self.n_quad,
-            EulerPhysics(self.gamma),
+            EulerEntropy(self.gamma),
             closure=Closure(self.closure),
             filter_spec=self.filter_spec(),
             eta=self.eta,

@@ -1,4 +1,4 @@
-"""1D Euler equations: state maps, fluxes, and the exact Riemann solution.
+"""1D Euler equations: state maps, fluxes, the Euler model, the exact Riemann solution.
 
 Conserved variables are u = (rho, m, E_t) with momentum m = rho*v and total
 energy E_t = p/(gamma-1) + rho*v^2/2.  A state is admissible when density and
@@ -59,6 +59,107 @@ def max_wavespeed(u, gamma=GAMMA_DEFAULT):
     u = np.asarray(u, dtype=float)
     rho = u[..., 0]
     return np.abs(u[..., 1] / rho) + np.sqrt(gamma * pressure(u, gamma) / rho)
+
+
+#: density and internal energy floor of a cold-start state
+STATE_FLOOR = 1e-8
+
+
+class EulerEntropy:
+    """The Euler model at one gamma: flux, wave speed and admissible set for the
+    march, entropy s(u) = -rho ln(rho^-gamma e_int) and its dual for the closure.
+
+    u = (rho, m, E_t), e_int = E_t - m^2/(2 rho).  The dual domain is
+    {v : v_3 < 0}; on it the ansatz is the closed-form inverse of s'.
+    """
+
+    n_comp = 3
+
+    def __init__(self, gamma=GAMMA_DEFAULT):
+        if not gamma > 1.0:
+            raise ValueError(f"gamma must exceed 1, got {gamma}")
+        self.gamma = float(gamma)
+
+    def flux(self, u):
+        return physical_flux(u, self.gamma)
+
+    def max_speed(self, u):
+        return max_wavespeed(u, self.gamma)
+
+    def admissible(self, u):
+        return admissible(u, self.gamma)
+
+    def _split(self, u):
+        u = np.asarray(u, dtype=float)
+        rho, m, e_t = u[..., 0], u[..., 1], u[..., 2]
+        return rho, m, e_t - 0.5 * m**2 / rho
+
+    def entropy(self, u):
+        rho, m, e_int = self._split(u)
+        return rho * (self.gamma * np.log(rho) - np.log(e_int))
+
+    def entropy_vars(self, u):
+        rho, m, e_int = self._split(u)
+        v_col = m / rho
+        w = -self.gamma * np.log(rho) + np.log(e_int)
+        v3 = -rho / e_int
+        v1 = self.gamma - w + 0.5 * v3 * v_col**2
+        return np.stack([v1, m / e_int, v3], axis=-1)
+
+    def evaluate(self, v):
+        """(rho, vel, v3) of the ansatz state at dual values v."""
+        v = np.asarray(v, dtype=float)
+        v1, v2, v3 = v[..., 0], v[..., 1], v[..., 2]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            vel = -v2 / v3
+            w = self.gamma - v1 + 0.5 * v3 * vel**2
+            rho = np.exp(-(w + np.log(-v3)) / (self.gamma - 1.0))
+        return rho, vel, v3
+
+    def conjugate_from(self, ev):
+        return (self.gamma - 1.0) * ev[0]
+
+    def states_from(self, ev):
+        rho, vel, v3 = ev
+        out = np.empty(rho.shape + (3,))
+        out[..., 0] = rho
+        out[..., 1] = rho * vel
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out[..., 2] = -rho / v3 + 0.5 * rho * vel**2
+        return out
+
+    def jacobian_from(self, ev):
+        """Unique Jacobian entries, (6, ...).
+
+        D s'_* = rho (c c^T / (gamma - 1) + K) with c = (1, vel, vel^2/2 - 1/v3)
+        and K = -(1/v3) [[0, 0, 0], [0, 1, vel], [0, vel, vel^2 - 1/v3]].
+        """
+        rho, vel, v3 = ev
+        jac = np.empty((6,) + rho.shape)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            inv3 = 1.0 / v3
+            rho_inv3 = rho * inv3
+            r = rho / (self.gamma - 1.0)
+            c2 = 0.5 * vel**2 - inv3
+            jac[0] = r
+            jac[1] = r * vel
+            jac[2] = r * c2
+            jac[3] = jac[1] * vel - rho_inv3
+            jac[4] = vel * (jac[2] - rho_inv3)
+            jac[5] = c2 * jac[2] + rho_inv3 * (inv3 - vel**2)
+        return jac
+
+    def dual_feasible(self, v):
+        v = np.asarray(v, dtype=float)
+        v1, v2, v3 = v[..., 0], v[..., 1], v[..., 2]
+        return (v3 < 0) & np.isfinite(v1) & np.isfinite(v2) & np.isfinite(v3)
+
+    def safe_state(self, u):
+        u = np.asarray(np.nan_to_num(u, nan=STATE_FLOOR), dtype=float)
+        rho = np.maximum(u[..., 0], STATE_FLOOR)
+        m = u[..., 1]
+        e_int = np.maximum(u[..., 2] - 0.5 * m**2 / rho, STATE_FLOOR)
+        return np.stack([rho, m, e_int + 0.5 * m**2 / rho], axis=-1)
 
 
 # ---------------------------------------------------------------------------

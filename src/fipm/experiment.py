@@ -199,8 +199,8 @@ def _log_lines(status, cfg, runtime, extra):
 def run_experiment(cfg: ExperimentConfig, output_root=None) -> RunArtifacts:
     """Run one configuration and write its artifact directory.
 
-    Solver aborts (breakdown, dual non-convergence, inadmissible states) are
-    recorded in run.log and reported with exit code 3; the configuration echo
+    Solver aborts, each a ``FipmError``, are recorded in run.log and reported
+    with exit code 3, and any other error propagates; the configuration echo
     is always written first so failures stay reproducible too.
     """
     out_dir = resolve_output_root(output_root) / cfg.output_dir
@@ -218,7 +218,7 @@ def run_experiment(cfg: ExperimentConfig, output_root=None) -> RunArtifacts:
         u0 = project_ic(grid.centers(), cfg.degree, ic, cfg.gamma)
         ghosts = project_ic(grid.ghost_centers(), cfg.degree, ic, cfg.gamma)
         result: RunResult = solver.run(u0, ghosts)
-    except (FipmError, RuntimeError) as err:
+    except FipmError as err:
         runtime = time.perf_counter() - start
         message = f"{type(err).__name__}: {err}"
         (out_dir / "run.log").write_text(
@@ -370,6 +370,10 @@ def scan_figure1(cfg: ScanConfig, output_root=None) -> ScanArtifacts:
     """
     out_dir = resolve_output_root(output_root) / cfg.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
+    # a rerun over other strengths must not leave an earlier run's rasters behind
+    for pattern in ("scan-summary.csv", "exp-*.csv", "fp-*.csv"):
+        for path in out_dir.glob(pattern):
+            path.unlink()
     (out_dir / "config.cfg").write_text(cfg.to_text())
 
     rows = []

@@ -31,9 +31,13 @@ import numpy as np
 
 from . import euler
 from .basis import _legendre_rows, gauss_rule, vandermonde
-from .closures import ClosureSolver, EulerEntropy, SolveInfo
-from .errors import BreakdownError, DualNonConvergenceError, InadmissibleStateError
+from .closures import ClosureSolver, SolveInfo
+from .errors import BreakdownError, DualNonConvergenceError, FipmError, InadmissibleStateError
 from .filters import FilterKind, FilterSpec, apply_filter
+
+
+#: steps a run may take before it aborts short of t_end
+MAX_STEPS = 1_000_000
 
 
 class Closure(enum.Enum):
@@ -152,26 +156,6 @@ def project_ic(centers, degree, ic: UncertainShockIC, gamma=euler.GAMMA_DEFAULT)
     return out
 
 
-class EulerPhysics:
-    """Deterministic Euler fluxes used inside the kinetic flux."""
-
-    n_comp = 3
-
-    def __init__(self, gamma=euler.GAMMA_DEFAULT):
-        if gamma <= 1.0:
-            raise ValueError(f"gamma must exceed 1, got {gamma}")
-        self.gamma = gamma
-
-    def flux(self, u):
-        return euler.physical_flux(u, self.gamma)
-
-    def max_speed(self, u):
-        return euler.max_wavespeed(u, self.gamma)
-
-    def admissible(self, u):
-        return euler.admissible(u, self.gamma)
-
-
 def rusanov(u_l, u_r, physics):
     """Local Lax-Friedrichs flux for arbitrary leading shapes."""
     s = np.maximum(physics.max_speed(u_l), physics.max_speed(u_r))
@@ -260,9 +244,9 @@ class MomentSolver:
             raise ValueError(f"tau must be positive, got {tau}")
         self.eta, self.tau = eta, tau
         check_combination(closure, filter_spec, eta)
-        if closure is Closure.IPM and not isinstance(physics, EulerPhysics):
+        if closure is Closure.IPM and not isinstance(physics, euler.EulerEntropy):
             raise ValueError(
-                f"closure {closure.value} solves the Euler entropy dual; use EulerPhysics"
+                f"closure {closure.value} solves the Euler entropy dual; use EulerEntropy"
             )
         self.grid = grid
         self._centers = grid.centers()
@@ -272,9 +256,7 @@ class MomentSolver:
         self.filter_spec = filter_spec
         self.phi = vandermonde(degree, self.quad.nodes)
         self.phi_w = self.phi * self.quad.weights[:, None]
-        self.solver = None
-        if closure is Closure.IPM:
-            self.solver = ClosureSolver(EulerEntropy(physics.gamma), degree, self.quad)
+        self.solver = ClosureSolver(physics, degree, self.quad) if closure is Closure.IPM else None
         #: the IPM closure advances its reconstructed moments exactly when eta = 0
         self._reconstructs = self.solver is not None and eta == 0.0
         self._ghost_states = None
@@ -379,8 +361,8 @@ class MomentSolver:
 
     # -- full march -------------------------------------------------------------
 
-    def run(self, u0, ghost_moments, max_steps=1_000_000) -> RunResult:
-        """March from the initial moments to grid.t_end."""
+    def run(self, u0, ghost_moments) -> RunResult:
+        """March from the initial moments to grid.t_end, in at most MAX_STEPS steps."""
         t_end = self.grid.t_end
         state = self.prepare(u0, ghost_moments)
         telemetry = []
@@ -388,8 +370,8 @@ class MomentSolver:
         while state.t < t_end - eps_t:
             state, diag = self.step(state, t_end)
             telemetry.append(diag)
-            if state.step >= max_steps:
-                raise RuntimeError(f"exceeded {max_steps} steps before reaching t_end")
+            if state.step >= MAX_STEPS:
+                raise FipmError(f"step cap reached at step {state.step}, t = {state.t!r}")
         return RunResult(
             t_final=state.t,
             moments=state.moments,

@@ -9,7 +9,8 @@ its unique entries.
 import numpy as np
 from scipy.special import xlogy
 
-from fipm.closures import STATE_FLOOR, jacobian_pairs
+from fipm.closures import jacobian_pairs
+from fipm.euler import STATE_FLOOR
 
 
 class ScalarLogEntropy:

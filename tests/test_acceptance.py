@@ -20,7 +20,7 @@ from test_euler import star_pressure_bisect
 
 from fipm import euler
 from fipm.basis import gauss_rule
-from fipm.closures import ClosureSolver, EulerEntropy
+from fipm.closures import ClosureSolver
 from fipm.config import ExperimentConfig, load_config
 from fipm.errors import BreakdownError
 from fipm.filters import LOG_MACHINE_EPS, FilterKind, FilterSpec, gains
@@ -168,7 +168,7 @@ def test_criterion_3_dual_solver_calculus_and_round_trip():
     with criterion(3, "dual gradient/Hessian match finite differences; moment round trip"):
         start = time.perf_counter()
         tau = 1e-7
-        for model in (ScalarLogEntropy(), EulerEntropy()):
+        for model in (ScalarLogEntropy(), euler.EulerEntropy()):
             solver = ClosureSolver(model, degree=5, quad=gauss_rule(20))
             points = moderate_interior_points(solver, 100, np.random.default_rng(11))
             shape = points[0].shape

@@ -18,9 +18,8 @@ from fipm.closures import (
     LS_SLOPE,
     NEWTON_MAX_ITER,
     ClosureSolver,
-    EulerEntropy,
 )
-from fipm.euler import admissible, conserved_from_primitive
+from fipm.euler import EulerEntropy, admissible, conserved_from_primitive
 
 RNG = np.random.default_rng(12345)
 #: gradient-norm tolerance of the dual solves below, the march's default tau

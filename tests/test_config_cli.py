@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fipm
+from fipm import solver as solver_module
 from fipm.cli import main
 from fipm.config import (
     ScanConfig,
@@ -24,10 +25,10 @@ from fipm.config import (
     read_config_text,
 )
 from fipm.errors import ConfigError
-from fipm.euler import reference_statistics
+from fipm.euler import EulerEntropy, reference_statistics
 from fipm.experiment import _write_table, run_experiment, scan_figure1, sweep
 from fipm.filters import FilterKind, FilterSpec
-from fipm.solver import Closure, EulerPhysics, GridConfig, MomentSolver
+from fipm.solver import Closure, GridConfig, MomentSolver
 
 MINIMAL = """
 a = 0.0
@@ -181,7 +182,7 @@ class TestCompatibility:
         spec = None if filt == "none" else FilterSpec(FilterKind(filt), 0.1, order=2)
         try:
             MomentSolver(
-                GridConfig(0.0, 1.0, 60, 0.01), 2, 6, EulerPhysics(),
+                GridConfig(0.0, 1.0, 60, 0.01), 2, 6, EulerEntropy(),
                 closure=Closure(closure),
                 filter_spec=spec,
                 eta=eta,
@@ -207,7 +208,7 @@ class TestCompatibility:
         try:
             MomentSolver(
                 GridConfig(0.0, 1.0, 60, 0.01), fields["degree"], fields["n_quad"],
-                EulerPhysics(fields["gamma"]), closure=Closure(closure),
+                EulerEntropy(fields["gamma"]), closure=Closure(closure),
                 eta=fields["eta"], tau=fields["tau"],
             )
             solver_error = None
@@ -593,6 +594,22 @@ class TestRunExperiment:
         assert artifacts.error.startswith("InadmissibleStateError: time step collapsed")
         assert "status: failed" in (artifacts.out_dir / "run.log").read_text()
 
+    def test_step_cap_exits_3(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(solver_module, "MAX_STEPS", 2)
+        artifacts = run_experiment(tiny_config(output_dir="capped"), tmp_path)
+        assert artifacts.exit_code == 3
+        assert artifacts.error.startswith("FipmError: step cap reached at step 2, t = ")
+
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
+        """Only a FipmError is a solver failure; any other error is not turned into exit 3."""
+
+        def broken_step(self, state, t_end):
+            raise RuntimeError("broken step")
+
+        monkeypatch.setattr(MomentSolver, "step", broken_step)
+        with pytest.raises(RuntimeError, match="broken step"):
+            run_experiment(tiny_config(output_dir="broken"), tmp_path)
+
     def test_output_root_env_variable(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FIPM_OUTPUT_ROOT", str(tmp_path / "rooted"))
         artifacts = run_experiment(tiny_config(output_dir="case"))
@@ -663,6 +680,17 @@ class TestScanFigure1:
             shared.add(tuple(line.rsplit(",", 1)[0] for line in lines))
         assert len(shared) == 1
 
+    def test_rerun_over_other_strengths_leaves_one_raster_per_summary_row(self, tmp_path):
+        scan_figure1(ScanConfig(resolution=8, exp_exponents=(0.05, 0.1), output_dir="s"), tmp_path)
+        rerun = scan_figure1(
+            ScanConfig(resolution=8, exp_exponents=(0.2,), fp_strengths=(), output_dir="s"),
+            tmp_path,
+        )
+        names = sorted(path.name for path in rerun.out_dir.iterdir())
+        assert names == ["config.cfg", "exp-0.2.csv", "scan-summary.csv"]
+        summary = (rerun.out_dir / "scan-summary.csv").read_text().splitlines()
+        assert summary[1:] == [f"exponential,0.2,{rerun.rows[0][2]},{rerun.rows[0][3]}"]
+
 
 # -- command-line interface ---------------------------------------------------------
 
@@ -714,6 +742,14 @@ class TestCli:
     def test_non_finite_values_exit_2(self, key, value, capsys):
         assert main(["run", "sod-ipm-desk", "--set", f"{key}={value}", "--dry-run"]) == 2
         assert f"key '{key}' expects a finite float" in capsys.readouterr().err
+
+    def test_gamma_at_most_one_exits_2(self, tmp_path, capsys):
+        code = main(
+            ["run", "sod-ipm-desk", "--set", "gamma=1.0", "--output-root", str(tmp_path)]
+        )
+        assert code == 2
+        assert "gamma must exceed 1" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_solver_abort_exits_3(self, tmp_path, capsys):
         code = main(

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from fipm.errors import VacuumError
 from fipm.euler import (
+    EulerEntropy,
     admissible,
     conserved_from_primitive,
     exact_riemann,
@@ -20,7 +21,7 @@ from fipm.euler import (
     pressure,
     reference_statistics,
 )
-from fipm.solver import EulerPhysics, rusanov
+from fipm.solver import rusanov
 
 GAMMA = 1.4
 SOD_L = np.array([1.0, 0.0, 1.0])  # primitive (rho, v, p)
@@ -110,27 +111,41 @@ class TestStateMaps:
         assert flags.tolist() == [True, False]
 
 
+class TestEulerModel:
+    @pytest.mark.parametrize("gamma", [1.0, 0.5, -1.4])
+    def test_gamma_at_most_one_rejected(self, gamma):
+        with pytest.raises(ValueError, match=f"gamma must exceed 1, got {gamma}"):
+            EulerEntropy(gamma)
+
+    def test_march_maps_use_the_model_gamma(self):
+        u = conserved_from_primitive(np.array([[0.7, 0.3, 1.2], [1.1, -0.4, 0.6]]), 5 / 3)
+        model = EulerEntropy(5 / 3)
+        np.testing.assert_array_equal(model.flux(u), physical_flux(u, 5 / 3))
+        np.testing.assert_array_equal(model.max_speed(u), max_wavespeed(u, 5 / 3))
+        np.testing.assert_array_equal(model.admissible(u), admissible(u, 5 / 3))
+
+
 class TestNumericalFlux:
     """The Rusanov flux of the moment solver on Euler states."""
 
     def test_consistency(self):
         u = conserved_from_primitive(np.array([0.7, 0.3, 1.2]))
-        assert rusanov(u, u, EulerPhysics()) == pytest.approx(physical_flux(u), abs=1e-14)
+        assert rusanov(u, u, EulerEntropy()) == pytest.approx(physical_flux(u), abs=1e-14)
 
     def test_hand_value_sod_interface(self):
         u_l = conserved_from_primitive(SOD_L)
         u_r = conserved_from_primitive(SOD_R)
         s = 1.1832159566199232  # the larger of the two sound speeds
         expected = 0.5 * (physical_flux(u_l) + physical_flux(u_r)) - 0.5 * s * (u_r - u_l)
-        assert rusanov(u_l, u_r, EulerPhysics()) == pytest.approx(expected, abs=1e-14)
+        assert rusanov(u_l, u_r, EulerEntropy()) == pytest.approx(expected, abs=1e-14)
 
     def test_batched(self):
         rng = np.random.default_rng(2)
         w = np.abs(rng.normal(size=(6, 3))) + 0.1
         u = conserved_from_primitive(w)
-        out = rusanov(u[:-1], u[1:], EulerPhysics())
+        out = rusanov(u[:-1], u[1:], EulerEntropy())
         for j in range(5):
-            assert out[j] == pytest.approx(rusanov(u[j], u[j + 1], EulerPhysics()), abs=1e-14)
+            assert out[j] == pytest.approx(rusanov(u[j], u[j + 1], EulerEntropy()), abs=1e-14)
 
 
 class TestExactRiemann:

@@ -13,13 +13,18 @@ import numpy as np
 import pytest
 
 from fipm import euler
+from fipm import solver as solver_module
 from fipm.basis import vandermonde
-from fipm.errors import BreakdownError, DualNonConvergenceError, InadmissibleStateError
+from fipm.errors import (
+    BreakdownError,
+    DualNonConvergenceError,
+    FipmError,
+    InadmissibleStateError,
+)
 from fipm.filters import FilterKind, FilterSpec, apply_filter, gains
 from fipm.realizability import is_realizable_n2
 from fipm.solver import (
     Closure,
-    EulerPhysics,
     GridConfig,
     MomentSolver,
     UncertainShockIC,
@@ -52,7 +57,7 @@ class AdvectionPhysics:
 
 def sod_solver(closure, n_cells=60, degree=3, n_quad=10, t_end=0.02, **kwargs):
     grid = GridConfig(a=0.0, b=1.0, n_cells=n_cells, t_end=t_end)
-    solver = MomentSolver(grid, degree, n_quad, EulerPhysics(), closure=closure, **kwargs)
+    solver = MomentSolver(grid, degree, n_quad, euler.EulerEntropy(), closure=closure, **kwargs)
     u0 = project_ic(grid.centers(), degree, SOD)
     ghosts = project_ic(grid.ghost_centers(), degree, SOD)
     return solver, u0, ghosts
@@ -181,7 +186,7 @@ class TestProjectIC:
 class TestKineticFlux:
     def test_constant_state_consistency(self):
         """Equal constant-in-xi states produce the physical flux in row 0 only."""
-        physics = EulerPhysics()
+        physics = euler.EulerEntropy()
         quad_n = 8
         from fipm.basis import gauss_rule
 
@@ -280,7 +285,7 @@ class TestMomentSolverValidation:
     def test_quadrature_must_resolve_basis(self):
         grid = GridConfig(a=0.0, b=1.0, n_cells=10, t_end=0.1)
         with pytest.raises(ValueError, match="quadrature"):
-            MomentSolver(grid, degree=4, n_quad=3, physics=EulerPhysics())
+            MomentSolver(grid, degree=4, n_quad=3, physics=euler.EulerEntropy())
 
     def test_dual_closures_need_the_euler_entropy(self):
         grid = GridConfig(a=0.0, b=1.0, n_cells=10, t_end=0.1)
@@ -326,7 +331,7 @@ class TestConservationAndRealizability:
         _, info = solver.solver.solve_batch(result.moments, result.duals, 1e-7, 0.0)
         assert info.all_converged
         states = solver.solver.node_states(result.duals)
-        assert np.all(EulerPhysics().admissible(states))
+        assert np.all(euler.EulerEntropy().admissible(states))
 
     @pytest.mark.parametrize("closure,kwargs", DUAL_CLOSURES[:2])
     def test_step_advances_the_reconstructed_moments(self, closure, kwargs):
@@ -371,7 +376,7 @@ class TestConservationAndRealizability:
     @pytest.mark.parametrize("closure,kwargs", DUAL_CLOSURES)
     def test_constant_field_is_a_fixed_point(self, closure, kwargs):
         grid = GridConfig(a=0.0, b=1.0, n_cells=8, t_end=0.1)
-        solver = MomentSolver(grid, 2, 6, EulerPhysics(), closure=closure, **kwargs)
+        solver = MomentSolver(grid, 2, 6, euler.EulerEntropy(), closure=closure, **kwargs)
         u0 = np.zeros((8, 3, 3))
         u0[:, 0] = euler.conserved_from_primitive(np.array([1.0, 0.2, 1.5]))
         ghosts = u0[:2].copy()
@@ -395,7 +400,7 @@ class TestDeterministicRuns:
     def test_high_moments_stay_zero_when_sigma_zero(self):
         ic = UncertainShockIC(1.0, 1.0, 0.125, 0.1, x0=0.5, sigma=0.0)
         grid = GridConfig(a=0.0, b=1.0, n_cells=50, t_end=0.05)
-        solver = MomentSolver(grid, 2, 6, EulerPhysics(), closure=Closure.IPM)
+        solver = MomentSolver(grid, 2, 6, euler.EulerEntropy(), closure=Closure.IPM)
         u0 = project_ic(grid.centers(), 2, ic)
         ghosts = project_ic(grid.ghost_centers(), 2, ic)
         result = solver.run(u0, ghosts)
@@ -408,7 +413,7 @@ class TestDeterministicRuns:
         errors = []
         for n_cells in (40, 80, 160):
             grid = GridConfig(a=0.0, b=1.0, n_cells=n_cells, t_end=t_end)
-            solver = MomentSolver(grid, 0, 2, EulerPhysics(), closure=Closure.IPM)
+            solver = MomentSolver(grid, 0, 2, euler.EulerEntropy(), closure=Closure.IPM)
             u0 = project_ic(grid.centers(), 0, ic)
             ghosts = project_ic(grid.ghost_centers(), 0, ic)
             result = solver.run(u0, ghosts)
@@ -453,10 +458,13 @@ class TestRunControl:
             solver.step(state, t_end=state.t)
         assert f"t = 0.0, s_prev = {state.s_prev!r}" in str(err.value)
 
-    def test_step_cap_aborts(self):
+    def test_step_cap_aborts(self, monkeypatch):
+        monkeypatch.setattr(solver_module, "MAX_STEPS", 2)
         solver, u0, ghosts = sod_solver(Closure.IPM, n_cells=30, t_end=0.02)
-        with pytest.raises(RuntimeError, match="steps"):
-            solver.run(u0, ghosts, max_steps=2)
+        state = solver.step(solver.step(solver.prepare(u0, ghosts), 0.02)[0], 0.02)[0]
+        with pytest.raises(FipmError) as err:
+            solver.run(u0, ghosts)
+        assert str(err.value) == f"step cap reached at step 2, t = {state.t!r}"
 
 
 # -- breakdown and abort paths ------------------------------------------------------
@@ -490,7 +498,7 @@ class TestBreakdown:
         """Galerkin ghosts are closed and checked like any cell."""
         grid = GridConfig(0.0, 1.0, 60, 0.01)
         sod = UncertainShockIC(1.0, 1.0, 0.125, 0.1, x0=0.5, sigma=0.0)
-        solver = MomentSolver(grid, 2, 6, EulerPhysics(), closure=Closure.SG)
+        solver = MomentSolver(grid, 2, 6, euler.EulerEntropy(), closure=Closure.SG)
         u0 = project_ic(grid.centers(), 2, sod)
         ghosts = project_ic(grid.ghost_centers(), 2, sod)
         ghosts[1, 0, 2] = -1.0  # negative energy: no state at any node
