@@ -29,8 +29,8 @@ def pressure(u, gamma=GAMMA_DEFAULT):
     return (gamma - 1.0) * (u[..., 2] - 0.5 * u[..., 1] ** 2 / u[..., 0])
 
 
-def admissible(u, gamma=GAMMA_DEFAULT):
-    """Elementwise check rho > 0 and p > 0; returns a boolean array."""
+def admissible(u):
+    """Elementwise check rho > 0 and p > 0, i.e. E_t > m^2 / (2 rho) at any gamma."""
     u = np.asarray(u, dtype=float)
     rho = u[..., 0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -87,7 +87,7 @@ class EulerEntropy:
         return max_wavespeed(u, self.gamma)
 
     def admissible(self, u):
-        return admissible(u, self.gamma)
+        return admissible(u)
 
     def _split(self, u):
         u = np.asarray(u, dtype=float)

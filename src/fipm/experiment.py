@@ -25,6 +25,9 @@ they are; cells joined by ``,``, every row and the header ended by ``\r\n``.
 A string cell or header name is quoted as ``csv.QUOTE_MINIMAL`` quotes it:
 wrapped in ``"``, inner ``"`` doubled, when it holds ``,``, ``"``, ``\r`` or
 ``\n`` or is the empty and only field of its row; numbers are never quoted.
+It writes the header, then the rows in blocks of ``ROWS_PER_WRITE``, so a
+160 000-row raster never exists as one string; each distinct number of a
+column is formatted once for the whole column.
 Timing never enters a CSV, so every CSV is a deterministic function of the
 configuration and rerunning an emitted config.cfg reproduces it byte for byte.
 """
@@ -67,6 +70,9 @@ def resolve_output_root(explicit: str | os.PathLike | None = None) -> Path:
 
 _QUOTED = re.compile(r'[,"\r\n]')
 
+#: rows that ``_write_table`` formats and writes at a time
+ROWS_PER_WRITE = 8192
+
 
 def _csv_field(text: str, alone: bool) -> str:
     """``text`` as ``csv.QUOTE_MINIMAL`` writes it; ``alone``: the only field of its row."""
@@ -75,12 +81,15 @@ def _csv_field(text: str, alone: bool) -> str:
     return text
 
 
-def _column_text(values, alone: bool) -> list[str]:
-    """One column's cells, each distinct number formatted once."""
-    values = np.asarray(values)
+def _column_blocks(values: np.ndarray, alone: bool):
+    """One column's cells, ``ROWS_PER_WRITE`` rows at a time, each distinct number formatted once."""
+    starts = range(0, len(values), ROWS_PER_WRITE)
     kind = values.dtype.kind
     if kind not in "fbiu":
-        return [_csv_field(str(v), alone) for v in values.tolist()]
+        for start in starts:
+            block = values[start : start + ROWS_PER_WRITE]
+            yield [_csv_field(str(v), alone) for v in block.tolist()]
+        return
     if kind == "f":
         values = values.astype(np.float64, copy=False)
         # keyed by bit pattern, so -0.0 keeps its own text apart from 0.0
@@ -88,9 +97,10 @@ def _column_text(values, alone: bool) -> list[str]:
     else:
         # keyed in its own dtype, so a uint64 above 2**63 cannot wrap
         keys, fmt = values, lambda v: str(int(v))
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    distinct, first = np.unique(keys, return_index=True)
     texts = np.array([fmt(v) for v in values[first].tolist()], dtype=object)
-    return texts[inverse].tolist()
+    for start in starts:
+        yield texts[np.searchsorted(distinct, keys[start : start + ROWS_PER_WRITE])].tolist()
 
 
 def _write_table(path: Path, columns: dict):
@@ -104,17 +114,23 @@ def _write_table(path: Path, columns: dict):
     with each inner ``"`` doubled, when it contains ``,``, ``"``, ``\r`` or
     ``\n``, or when it is the empty and only field of its row.  Columns of
     unequal length raise ``ValueError`` before the file is opened.
+
+    The header is written first, then the rows in blocks of ``ROWS_PER_WRITE``,
+    so the text held at once is one block's whatever the table's length.  Each
+    distinct number of a column is formatted once, for the whole column.
     """
     alone = len(columns) == 1
-    cells = {name: _column_text(values, alone) for name, values in columns.items()}
-    lengths = {name: len(column) for name, column in cells.items()}
+    arrays = {name: np.asarray(values) for name, values in columns.items()}
+    lengths = {name: len(values) for name, values in arrays.items()}
     if len(set(lengths.values())) > 1:
         counts = ", ".join(f"{name!r} has {n} rows" for name, n in lengths.items())
         raise ValueError(f"columns of {path.name} differ in length: {counts}")
-    lines = [",".join(_csv_field(str(name), alone) for name in columns)]
-    lines += map(",".join, zip(*cells.values()))
+    header = ",".join(_csv_field(str(name), alone) for name in columns)
+    blocks = zip(*(_column_blocks(values, alone) for values in arrays.values()))
     with open(path, "w", newline="") as handle:
-        handle.write("\r\n".join(lines) + "\r\n")
+        handle.write(header + "\r\n")
+        for block in blocks:
+            handle.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
 
 
 def _stat_columns(field: StatField, prefix="") -> dict:

@@ -46,9 +46,12 @@ def gpc_to_monomial(u_hat):
 
 
 def is_realizable_monomial(m, slack=0.0):
-    """Strict interior membership for monomial triples; boundary is outside."""
-    m = np.asarray(m, dtype=float)
-    m0, m1, m2 = m[..., 0], m[..., 1], m[..., 2]
+    """Strict interior membership for monomial triples; boundary is outside.
+
+    ``m`` is an array whose last axis is (m_0, m_1, m_2), or a tuple of the
+    three components as arrays that broadcast against one another.
+    """
+    m0, m1, m2 = m if isinstance(m, tuple) else np.moveaxis(np.asarray(m, dtype=float), -1, 0)
     return (m0 > -slack) & (m0 * m2 - m1**2 > -slack) & (m0 - m2 > -slack)
 
 
@@ -80,19 +83,27 @@ def filter_image_scan(spec: FilterSpec, resolution=400) -> ScanResult:
     """Rasterize the u_0 = 1 slice and test membership before/after filtering.
 
     Gains are taken at dt = 1, so a dt-coupled filter's exponent is its strength.
+    The point (1, u1_i, u2_j) has m_0 and m_2 from (1, 0, u2_j) and m_1 from
+    (1, u1_i, 0), gains included, so the monomials are taken on the two axes
+    and meet on the (i, j) grid only inside the membership test.
     """
     if resolution < 2:
         raise ValueError(f"need at least a 2x2 raster, got {resolution}")
-    g = gains(spec, 2, 1.0)
     u1 = np.linspace(U1_RANGE[0], U1_RANGE[1], resolution)
     u2 = np.linspace(U2_RANGE[0], U2_RANGE[1], resolution)
-    grid_u1, grid_u2 = np.meshgrid(u1, u2, indexing="ij")
-    pts = np.stack([np.ones_like(grid_u1), grid_u1, grid_u2], axis=-1)
-    before = is_realizable_n2(pts)
-    after = is_realizable_n2(pts * g, slack=AFTER_SLACK)
+    ones, zeros = np.ones(resolution), np.zeros(resolution)
+    along_u1 = np.stack([ones, u1, zeros], axis=-1)
+    along_u2 = np.stack([ones, zeros, u2], axis=-1)
+
+    def inside(gain, slack):
+        m_u1 = gpc_to_monomial(along_u1 * gain)
+        m_u2 = gpc_to_monomial(along_u2 * gain)
+        m = (m_u2[None, :, 0], m_u1[:, None, 1], m_u2[None, :, 2])
+        return is_realizable_monomial(m, slack=slack).ravel()
+
     return ScanResult(
-        u1=grid_u1.ravel(),
-        u2=grid_u2.ravel(),
-        inside_before=before.ravel(),
-        inside_after=after.ravel(),
+        u1=np.repeat(u1, resolution),
+        u2=np.tile(u2, resolution),
+        inside_before=inside(1.0, 0.0),
+        inside_after=inside(gains(spec, 2, 1.0), AFTER_SLACK),
     )

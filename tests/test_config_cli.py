@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from fipm.config import (
 )
 from fipm.errors import ConfigError
 from fipm.euler import EulerEntropy, reference_statistics
-from fipm.experiment import _write_table, run_experiment, scan_figure1, sweep
+from fipm.experiment import ROWS_PER_WRITE, _write_table, run_experiment, scan_figure1, sweep
 from fipm.filters import FilterKind, FilterSpec
 from fipm.solver import Closure, GridConfig, MomentSolver
 
@@ -485,6 +486,42 @@ class TestWriteTable:
             _write_table(got, table)
             reference_write_table(want, table)
             assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize(
+        "n_rows",
+        [0, 1, ROWS_PER_WRITE - 1, ROWS_PER_WRITE, ROWS_PER_WRITE + 1, 2 * ROWS_PER_WRITE + 3],
+    )
+    def test_bytes_match_the_csv_module_across_row_blocks(self, tmp_path, n_rows):
+        rows = np.arange(n_rows)
+        floats = np.array([0.1, -0.0, np.nan, np.inf, 0.0, -2.5])
+        texts = np.array(["a,b", 'say "hi"', "x\ny", "plain", ""])
+        mixed = {
+            "f": floats[rows % len(floats)],
+            "b": rows % 3 == 0,
+            "s": texts[rows % len(texts)].tolist(),
+        }
+        # the empty and only field is quoted, also on either side of a block's end
+        empty = (rows % 4 == 0) | (rows == ROWS_PER_WRITE - 1) | (rows == ROWS_PER_WRITE)
+        alone = {"s": np.where(empty, "", "x").tolist()}
+        for name, table in (("mixed", mixed), ("alone", alone)):
+            got, want = tmp_path / f"got-{name}.csv", tmp_path / f"want-{name}.csv"
+            _write_table(got, table)
+            reference_write_table(want, table)
+            assert got.read_bytes() == want.read_bytes(), name
+
+    def test_peak_memory_of_a_raster_stays_below_twice_the_file(self, tmp_path):
+        # 160 000 rows: two axes of 400 distinct floats each and two flag columns
+        u1 = np.repeat(np.linspace(-1.2, 1.2, 400), 400)
+        u2 = np.tile(np.linspace(-np.sqrt(5) / 2, np.sqrt(5), 400), 400)
+        table = {"u1": u1, "u2": u2, "inside_before": u1**2 < u2, "inside_after": u1**2 < u2 / 2}
+        path = tmp_path / "raster.csv"
+        tracemalloc.start()
+        try:
+            _write_table(path, table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * path.stat().st_size
 
 
 class TestRunExperiment:

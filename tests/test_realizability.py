@@ -1,5 +1,8 @@
 """Membership, basis-change, and filter-image contracts for order-2 triples."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,8 +10,11 @@ from hypothesis import strategies as st
 from realizable_samples import monomial_to_gpc, sample_realizable
 
 from fipm.basis import gauss_rule, vandermonde
-from fipm.filters import FilterKind, FilterSpec
+from fipm.config import parse_scan_config, read_config_text
+from fipm.filters import FilterKind, FilterSpec, gains
 from fipm.realizability import (
+    AFTER_SLACK,
+    U1_RANGE,
     U2_RANGE,
     filter_image_scan,
     gpc_to_monomial,
@@ -139,8 +145,6 @@ class TestFokkerPlanckTheorem:
         # a concrete witness: (1, 1.1, 0.5) is realizable, its image is not
         witness = np.array([1.0, 1.1, 0.5])
         assert is_realizable_n2(witness)
-        from fipm.filters import gains
-
         g = gains(spec, 2, dt=1.0)
         assert not is_realizable_n2(witness * g, slack=1e-12)
 
@@ -166,3 +170,40 @@ class TestScan:
         spec = FilterSpec(kind=FilterKind.FOKKER_PLANCK, strength=0.1)
         with pytest.raises(ValueError):
             filter_image_scan(spec, resolution=1)
+
+
+FIGURE1 = parse_scan_config(*read_config_text("figure1-scan"))
+#: the figure-1 scan-summary rows that the benchmark stores
+FIGURE1_SUMMARY = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "expected.json").read_text()
+)["figure1-scan"]["summary"]
+
+
+def raster_points(resolution):
+    """The scan's (res^2, 3) point stack, built explicitly."""
+    u1 = np.linspace(*U1_RANGE, resolution)
+    u2 = np.linspace(*U2_RANGE, resolution)
+    grid_u1, grid_u2 = np.meshgrid(u1, u2, indexing="ij")
+    return np.stack([np.ones_like(grid_u1), grid_u1, grid_u2], axis=-1).reshape(-1, 3)
+
+
+class TestScanOnAxes:
+    @pytest.mark.parametrize("resolution", [2, 7, 150])
+    @pytest.mark.parametrize("tag, spec", FIGURE1.filter_specs())
+    def test_flags_equal_the_stacked_points(self, tag, spec, resolution):
+        scan = filter_image_scan(spec, resolution=resolution)
+        pts = raster_points(resolution)
+        assert np.array_equal(scan.u1, pts[:, 1])
+        assert np.array_equal(scan.u2, pts[:, 2])
+        assert np.array_equal(scan.inside_before, is_realizable_n2(pts))
+        after = is_realizable_n2(pts * gains(spec, 2, 1.0), slack=AFTER_SLACK)
+        assert np.array_equal(scan.inside_after, after)
+
+    def test_full_preset_keeps_the_stored_counts(self):
+        rows = []
+        for _, spec in FIGURE1.filter_specs():
+            scan = filter_image_scan(spec, resolution=FIGURE1.resolution)
+            counts = [str(scan.n_inside), str(scan.n_escaped)]
+            rows.append([spec.kind.value, repr(spec.strength), *counts])
+        assert rows == FIGURE1_SUMMARY
+        assert {row[2] for row in rows} == {"133738"}
