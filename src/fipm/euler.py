@@ -1,9 +1,9 @@
-"""1D Euler equations: state maps, fluxes, the Euler model, the exact Riemann solution.
+"""1D Euler equations: the Euler model, the exact Riemann solution and its statistics.
 
 Conserved variables are u = (rho, m, E_t) with momentum m = rho*v and total
 energy E_t = p/(gamma-1) + rho*v^2/2.  A state is admissible when density and
-pressure are strictly positive.  All maps broadcast over leading axes; the
-component axis is last.
+pressure are strictly positive.  Flux, wave speed and admissibility are methods
+of the model at its gamma; all maps broadcast over leading axes, component last.
 """
 
 from __future__ import annotations
@@ -23,42 +23,11 @@ RIEMANN_TOL = 1e-12
 REFERENCE_NODES = 100
 
 
-def pressure(u, gamma=GAMMA_DEFAULT):
-    """p = (gamma - 1) * (E_t - m^2 / (2 rho)) for u = (..., 3)."""
-    u = np.asarray(u, dtype=float)
-    return (gamma - 1.0) * (u[..., 2] - 0.5 * u[..., 1] ** 2 / u[..., 0])
-
-
-def admissible(u):
-    """Elementwise check rho > 0 and p > 0, i.e. E_t > m^2 / (2 rho) at any gamma."""
-    u = np.asarray(u, dtype=float)
-    rho = u[..., 0]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        e_int = u[..., 2] - 0.5 * u[..., 1] ** 2 / rho
-    return (rho > 0) & (e_int > 0) & np.isfinite(rho) & np.isfinite(e_int)
-
-
 def conserved_from_primitive(w, gamma=GAMMA_DEFAULT):
     """(rho, v, p) -> (rho, rho v, p/(gamma-1) + rho v^2/2)."""
     w = np.asarray(w, dtype=float)
     rho, v, p = w[..., 0], w[..., 1], w[..., 2]
     return np.stack([rho, rho * v, p / (gamma - 1.0) + 0.5 * rho * v**2], axis=-1)
-
-
-def physical_flux(u, gamma=GAMMA_DEFAULT):
-    """Euler flux f(u) = (m, m^2/rho + p, v (E_t + p))."""
-    u = np.asarray(u, dtype=float)
-    rho, m, e_t = u[..., 0], u[..., 1], u[..., 2]
-    p = pressure(u, gamma)
-    v = m / rho
-    return np.stack([m, m * v + p, v * (e_t + p)], axis=-1)
-
-
-def max_wavespeed(u, gamma=GAMMA_DEFAULT):
-    """|v| + c with sound speed c = sqrt(gamma p / rho)."""
-    u = np.asarray(u, dtype=float)
-    rho = u[..., 0]
-    return np.abs(u[..., 1] / rho) + np.sqrt(gamma * pressure(u, gamma) / rho)
 
 
 #: density and internal energy floor of a cold-start state
@@ -80,19 +49,28 @@ class EulerEntropy:
             raise ValueError(f"gamma must exceed 1, got {gamma}")
         self.gamma = float(gamma)
 
-    def flux(self, u):
-        return physical_flux(u, self.gamma)
-
-    def max_speed(self, u):
-        return max_wavespeed(u, self.gamma)
-
-    def admissible(self, u):
-        return admissible(u)
-
     def _split(self, u):
         u = np.asarray(u, dtype=float)
         rho, m, e_t = u[..., 0], u[..., 1], u[..., 2]
         return rho, m, e_t - 0.5 * m**2 / rho
+
+    def flux(self, u):
+        """f(u) = (m, m v + p, v (E_t + p)) with p = (gamma - 1) e_int."""
+        rho, m, e_int = self._split(u)
+        p = (self.gamma - 1.0) * e_int
+        v = m / rho
+        return np.stack([m, m * v + p, v * (np.asarray(u, dtype=float)[..., 2] + p)], axis=-1)
+
+    def max_speed(self, u):
+        """|v| + c with sound speed c = sqrt(gamma p / rho)."""
+        rho, m, e_int = self._split(u)
+        return np.abs(m / rho) + np.sqrt(self.gamma * ((self.gamma - 1.0) * e_int) / rho)
+
+    def admissible(self, u):
+        """rho > 0 and e_int > 0, both finite; p > 0 then holds at any gamma."""
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            rho, _, e_int = self._split(u)
+        return (rho > 0) & (e_int > 0) & np.isfinite(rho) & np.isfinite(e_int)
 
     def entropy(self, u):
         rho, m, e_int = self._split(u)

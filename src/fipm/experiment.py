@@ -6,7 +6,7 @@ Every run writes, inside ``<output root>/<output_dir>``:
   snapshot.csv   final moments, one row per cell
   telemetry.csv  per-step time step and dual-solver work
   stats.csv      mean/variance per conserved component from the final moments
-  reference.csv  exact-solution statistics on the same grid
+  reference.csv  exact Riemann statistics on the same grid, Gauss-averaged over xi
   errors.csv     numeric-minus-reference mean/variance errors
   summary.csv    oscillation metrics over the report region plus error norms
   plot.py        standalone matplotlib script over these CSVs
@@ -52,6 +52,9 @@ from .stats import StatField, delta_metrics, error_norms, stats_from_moments
 COMPONENTS = ("rho", "m", "E")
 
 SUMMARY_FIELDS = ("deltaE", "deltaVar", "l1_mean", "l2_mean", "l1_var", "l2_var")
+
+#: the raster names ``scan_figure1`` writes, <exp|fp>-<repr of a strength>.csv
+SCAN_RASTER = re.compile(r"(exp|fp)-(\d+\.\d+|\d(\.\d+)?e[-+]\d+)\.csv")
 
 #: the files ``run_experiment`` writes, each under its fixed name
 RUN_ARTIFACTS = (
@@ -386,9 +389,10 @@ def scan_figure1(cfg: ScanConfig, output_root=None) -> ScanArtifacts:
     """
     out_dir = resolve_output_root(output_root) / cfg.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    # a rerun over other strengths must not leave an earlier run's rasters behind
-    for pattern in ("scan-summary.csv", "exp-*.csv", "fp-*.csv"):
-        for path in out_dir.glob(pattern):
+    # a rerun over other strengths must not leave an earlier run's rasters behind;
+    # any other file in the directory is not the scan's to remove
+    for path in out_dir.glob("*.csv"):
+        if path.name == "scan-summary.csv" or SCAN_RASTER.fullmatch(path.name):
             path.unlink()
     (out_dir / "config.cfg").write_text(cfg.to_text())
 

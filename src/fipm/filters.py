@@ -57,6 +57,8 @@ class FilterSpec:
     def __post_init__(self):
         if not isinstance(self.kind, FilterKind):
             raise ValueError(f"unknown filter kind: {self.kind!r}")
+        if not math.isfinite(self.strength):
+            raise ValueError(f"filter strength must be finite, got {self.strength}")
         if self.strength < 0:
             raise ValueError(f"filter strength must be nonnegative, got {self.strength}")
         if self.kind in ORDERED_KINDS and self.order < 1:

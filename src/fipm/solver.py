@@ -25,6 +25,7 @@ it; the conservative update shares the same dt.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,13 @@ from .filters import FilterKind, FilterSpec, apply_filter
 
 #: steps a run may take before it aborts short of t_end
 MAX_STEPS = 1_000_000
+
+
+def _require_finite(**values):
+    """Raise ValueError naming the first of ``values`` that is nan or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 class Closure(enum.Enum):
@@ -73,6 +81,7 @@ class GridConfig:
     cfl: float = 0.5
 
     def __post_init__(self):
+        _require_finite(**vars(self))
         if not self.b > self.a:
             raise ValueError(f"need b > a, got [{self.a}, {self.b}]")
         if self.n_cells < 3:
@@ -109,6 +118,7 @@ class UncertainShockIC:
     sigma: float
 
     def __post_init__(self):
+        _require_finite(**vars(self))
         if min(self.rho_l, self.p_l, self.rho_r, self.p_r) <= 0:
             raise ValueError("initial densities and pressures must be positive")
         if self.sigma < 0:
@@ -238,6 +248,7 @@ class MomentSolver:
             raise ValueError(
                 f"n_quad must be at least degree+1 = {degree + 1} quadrature nodes, got {n_quad}"
             )
+        _require_finite(eta=eta, tau=tau)
         if eta < 0:
             raise ValueError(f"eta must be nonnegative, got {eta}")
         if tau <= 0:
@@ -304,8 +315,11 @@ class MomentSolver:
         """Initial marching state; closes the ghosts and the initial cells once."""
         u0 = np.array(u0, dtype=float)
         ghost_moments = np.asarray(ghost_moments, dtype=float)
-        if u0.shape != (self.grid.n_cells, self.degree + 1, self.physics.n_comp):
+        rows = (self.degree + 1, self.physics.n_comp)
+        if u0.shape != (self.grid.n_cells, *rows):
             raise ValueError(f"initial moments have wrong shape {u0.shape}")
+        if ghost_moments.shape != (2, *rows):
+            raise ValueError(f"ghost moments have wrong shape {ghost_moments.shape}")
         self._ghost_states, _, _ = self._close(ghost_moments, None, 0, self.grid.ghost_centers())
         self._ghost_speed = float(np.max(self.physics.max_speed(self._ghost_states)))
         states, duals, _ = self._close(u0, None, 0, self._centers)

@@ -19,7 +19,7 @@ from fipm.closures import (
     NEWTON_MAX_ITER,
     ClosureSolver,
 )
-from fipm.euler import EulerEntropy, admissible, conserved_from_primitive
+from fipm.euler import EulerEntropy, conserved_from_primitive
 
 RNG = np.random.default_rng(12345)
 #: gradient-norm tolerance of the dual solves below, the march's default tau
@@ -108,7 +108,7 @@ class TestModelCalculus:
         model = EulerEntropy(1.4)
         bad = np.array([[-1.0, 0.5, 0.1], [1.0, 3.0, 1.0], [np.nan, 0.0, 1.0]])
         fixed = model.safe_state(bad)
-        assert np.all(admissible(fixed))
+        assert np.all(model.admissible(fixed))
         good = random_euler_states(5)
         assert model.safe_state(good) == pytest.approx(good, rel=1e-12)
 
@@ -326,7 +326,7 @@ class TestSolve:
         v, info = euler_solver.solve_batch(u, None, TAU, 0.0)
         assert info.all_converged
         states = euler_solver.node_states(v)
-        assert np.all(admissible(states))
+        assert np.all(euler_solver.model.admissible(states))
 
 
 class TestNewtonPath:

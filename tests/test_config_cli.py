@@ -728,6 +728,22 @@ class TestScanFigure1:
         summary = (rerun.out_dir / "scan-summary.csv").read_text().splitlines()
         assert summary[1:] == [f"exponential,0.2,{rerun.rows[0][2]},{rerun.rows[0][3]}"]
 
+    def test_rerun_removes_only_the_names_the_scan_writes(self, tmp_path):
+        first = ScanConfig(resolution=4, exp_exponents=(0.2,), fp_strengths=(1e-5,), output_dir="s")
+        out_dir = scan_figure1(first, tmp_path).out_dir
+        assert (out_dir / "fp-1e-05.csv").is_file()
+        for name in ("exp-notes.csv", "fp-draft.csv"):
+            (out_dir / name).write_text("kept\n")
+        scan_figure1(
+            ScanConfig(resolution=4, exp_exponents=(0.1,), fp_strengths=(), output_dir="s"),
+            tmp_path,
+        )
+        names = sorted(path.name for path in out_dir.iterdir())
+        assert names == [
+            "config.cfg", "exp-0.1.csv", "exp-notes.csv", "fp-draft.csv", "scan-summary.csv"
+        ]
+        assert (out_dir / "fp-draft.csv").read_text() == "kept\n"
+
 
 # -- command-line interface ---------------------------------------------------------
 

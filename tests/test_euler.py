@@ -11,27 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fipm.errors import VacuumError
-from fipm.euler import (
-    EulerEntropy,
-    admissible,
-    conserved_from_primitive,
-    exact_riemann,
-    max_wavespeed,
-    physical_flux,
-    pressure,
-    reference_statistics,
-)
+from fipm.euler import EulerEntropy, conserved_from_primitive, exact_riemann, reference_statistics
 from fipm.solver import rusanov
 
 GAMMA = 1.4
 SOD_L = np.array([1.0, 0.0, 1.0])  # primitive (rho, v, p)
 SOD_R = np.array([0.125, 0.0, 0.1])
+MODEL = EulerEntropy(GAMMA)
 
 
 def primitive_from_conserved(u, gamma=GAMMA):
     """(rho, m, E_t) -> (rho, v, p), the inverse of conserved_from_primitive."""
     u = np.asarray(u, dtype=float)
-    return np.stack([u[..., 0], u[..., 1] / u[..., 0], pressure(u, gamma)], axis=-1)
+    p = (gamma - 1.0) * (u[..., 2] - 0.5 * u[..., 1] ** 2 / u[..., 0])
+    return np.stack([u[..., 0], u[..., 1] / u[..., 0], p], axis=-1)
 
 
 def side_pressure_fn(p, rho_k, p_k, gamma):
@@ -68,7 +61,8 @@ def star_pressure_bisect(prim_l, prim_r, gamma):
 
 class TestStateMaps:
     def test_pressure_hand_value(self):
-        assert pressure(np.array([1.0, 0.0, 2.5])) == pytest.approx(1.0, abs=1e-15)
+        # at rest the momentum flux is the pressure, 0.4 * 2.5
+        assert MODEL.flux(np.array([1.0, 0.0, 2.5]))[1] == pytest.approx(1.0, abs=1e-15)
 
     def test_sod_conserved_states(self):
         assert conserved_from_primitive(SOD_L) == pytest.approx([1.0, 0.0, 2.5], abs=1e-15)
@@ -83,31 +77,31 @@ class TestStateMaps:
     def test_primitive_round_trip(self, rho, v, p):
         w = np.array([rho, v, p])
         u = conserved_from_primitive(w)
-        assert admissible(u)
+        assert MODEL.admissible(u)
         # recovery of p from E_t - m^2/(2 rho) cancels digits at high Mach
         assert primitive_from_conserved(u) == pytest.approx(w, rel=1e-7, abs=1e-9)
 
     def test_flux_hand_value(self):
         # u = (1, 2, 5): v = 2, p = 0.4 * (5 - 2) = 1.2
-        assert physical_flux(np.array([1.0, 2.0, 5.0])) == pytest.approx(
+        assert MODEL.flux(np.array([1.0, 2.0, 5.0])) == pytest.approx(
             [2.0, 5.2, 12.4], abs=1e-14
         )
 
     def test_wavespeeds_of_sod_states(self):
-        assert max_wavespeed(conserved_from_primitive(SOD_L)) == pytest.approx(
+        assert MODEL.max_speed(conserved_from_primitive(SOD_L)) == pytest.approx(
             1.1832159566199232, abs=1e-14
         )
-        assert max_wavespeed(conserved_from_primitive(SOD_R)) == pytest.approx(
+        assert MODEL.max_speed(conserved_from_primitive(SOD_R)) == pytest.approx(
             1.0583005244258363, abs=1e-14
         )
 
     def test_admissibility(self):
-        assert admissible(np.array([1.0, 0.0, 2.5]))
-        assert not admissible(np.array([-1.0, 0.0, 2.5]))
-        assert not admissible(np.array([1.0, 3.0, 2.5]))  # e_int = 2.5 - 4.5 < 0
-        assert not admissible(np.array([0.0, 0.0, 1.0]))
-        assert not admissible(np.array([np.nan, 0.0, 1.0]))
-        flags = admissible(np.array([[1.0, 0.0, 2.5], [1.0, 0.0, -1.0]]))
+        assert MODEL.admissible(np.array([1.0, 0.0, 2.5]))
+        assert not MODEL.admissible(np.array([-1.0, 0.0, 2.5]))
+        assert not MODEL.admissible(np.array([1.0, 3.0, 2.5]))  # e_int = 2.5 - 4.5 < 0
+        assert not MODEL.admissible(np.array([0.0, 0.0, 1.0]))
+        assert not MODEL.admissible(np.array([np.nan, 0.0, 1.0]))
+        flags = MODEL.admissible(np.array([[1.0, 0.0, 2.5], [1.0, 0.0, -1.0]]))
         assert flags.tolist() == [True, False]
 
 
@@ -118,11 +112,21 @@ class TestEulerModel:
             EulerEntropy(gamma)
 
     def test_march_maps_use_the_model_gamma(self):
-        u = conserved_from_primitive(np.array([[0.7, 0.3, 1.2], [1.1, -0.4, 0.6]]), 5 / 3)
-        model = EulerEntropy(5 / 3)
-        np.testing.assert_array_equal(model.flux(u), physical_flux(u, 5 / 3))
-        np.testing.assert_array_equal(model.max_speed(u), max_wavespeed(u, 5 / 3))
-        np.testing.assert_array_equal(model.admissible(u), admissible(u))
+        """Flux and wave speed against the primitive-variable formulas at gamma = 5/3."""
+        gamma = 5 / 3
+        rho, v, p = np.array([[0.7, 1.1], [0.3, -0.4], [1.2, 0.6]])
+        e_t = p / (gamma - 1.0) + 0.5 * rho * v**2
+        u = np.stack([rho, rho * v, e_t], axis=-1)
+        model = EulerEntropy(gamma)
+        expected = np.stack([rho * v, rho * v**2 + p, v * (e_t + p)], axis=-1)
+        np.testing.assert_allclose(model.flux(u), expected, rtol=1e-14)
+        speed = np.abs(v) + np.sqrt(gamma * p / rho)
+        np.testing.assert_allclose(model.max_speed(u), speed, rtol=1e-14)
+        assert model.admissible(u).tolist() == [True, True]
+        # nan density or momentum, zero density at rest and moving, e_int = 1.5 - 2 < 0
+        bad = [[np.nan, 0.0, 1.0], [1.0, np.nan, 1.0], [0.0, 0.0, 1.0], [0.0, 1.0, 1.0],
+               [1.0, 2.0, 1.5]]
+        assert not np.any(model.admissible(np.array(bad)))
 
 
 class TestNumericalFlux:
@@ -130,13 +134,13 @@ class TestNumericalFlux:
 
     def test_consistency(self):
         u = conserved_from_primitive(np.array([0.7, 0.3, 1.2]))
-        assert rusanov(u, u, EulerEntropy()) == pytest.approx(physical_flux(u), abs=1e-14)
+        assert rusanov(u, u, MODEL) == pytest.approx(MODEL.flux(u), abs=1e-14)
 
     def test_hand_value_sod_interface(self):
         u_l = conserved_from_primitive(SOD_L)
         u_r = conserved_from_primitive(SOD_R)
         s = 1.1832159566199232  # the larger of the two sound speeds
-        expected = 0.5 * (physical_flux(u_l) + physical_flux(u_r)) - 0.5 * s * (u_r - u_l)
+        expected = 0.5 * (MODEL.flux(u_l) + MODEL.flux(u_r)) - 0.5 * s * (u_r - u_l)
         assert rusanov(u_l, u_r, EulerEntropy()) == pytest.approx(expected, abs=1e-14)
 
     def test_batched(self):
@@ -194,7 +198,7 @@ class TestExactRiemann:
         integral = np.trapezoid(states, xs, axis=0)
         u_l = conserved_from_primitive(SOD_L)
         u_r = conserved_from_primitive(SOD_R)
-        expected = u_l + u_r + t * (physical_flux(u_l) - physical_flux(u_r))
+        expected = u_l + u_r + t * (MODEL.flux(u_l) - MODEL.flux(u_r))
         assert integral == pytest.approx(expected, abs=5e-4)
 
     def test_symmetric_problem_is_mirror_symmetric(self):

@@ -196,7 +196,7 @@ class TestKineticFlux:
         state = np.array([1.2, 0.3, 2.9])
         states = np.tile(state, (quad_n, 1))
         flux = kinetic_flux(states, states, phi_w, physics)
-        np.testing.assert_allclose(flux[0], euler.physical_flux(state), rtol=1e-14)
+        np.testing.assert_allclose(flux[0], physics.flux(state), rtol=1e-14)
         np.testing.assert_allclose(flux[1:], 0.0, atol=1e-12)
 
     def test_advection_against_direct_quadrature(self):
@@ -296,6 +296,41 @@ class TestMomentSolverValidation:
         solver, u0, ghosts = sod_solver(Closure.IPM)
         with pytest.raises(ValueError, match="shape"):
             solver.prepare(u0[:, :2, :], ghosts)
+
+    @pytest.mark.parametrize(
+        "rows,degrees",
+        [(slice(1), slice(None)), ([0, 1, 1], slice(None)), (slice(None), slice(2))],
+        ids=["one-row", "three-rows", "two-moments"],
+    )
+    def test_rejects_wrong_ghost_shape(self, rows, degrees):
+        """One or three ghost rows, or too few moments, fail before any closure."""
+        solver, u0, ghosts = sod_solver(Closure.IPM, n_cells=20, degree=2, n_quad=6)
+        bad = ghosts[rows][:, degrees]
+        with pytest.raises(ValueError, match=rf"ghost moments have wrong shape \({bad.shape[0]}, "):
+            solver.prepare(u0, bad)
+
+
+NON_FINITE_INPUTS = {
+    "a-inf": (lambda: GridConfig(-np.inf, 1.0, 10, 0.1), "a"),
+    "t_end-inf": (lambda: GridConfig(0.0, 1.0, 10, np.inf), "t_end"),
+    "eta-nan": (lambda: sod_solver(Closure.IPM, eta=np.nan), "eta"),
+    "eta-inf": (lambda: sod_solver(Closure.IPM, eta=np.inf), "eta"),
+    "tau-nan": (lambda: sod_solver(Closure.IPM, tau=np.nan), "tau"),
+    "tau-inf": (lambda: sod_solver(Closure.IPM, tau=np.inf), "tau"),
+    "exp-strength-nan": (lambda: FilterSpec(FilterKind.EXPONENTIAL, np.nan), "filter strength"),
+    "fp-strength-inf": (lambda: FilterSpec(FilterKind.FOKKER_PLANCK, np.inf), "filter strength"),
+    "rho_l-nan": (lambda: UncertainShockIC(np.nan, 1.0, 0.125, 0.1, 0.5, 0.05), "rho_l"),
+    "p_r-inf": (lambda: UncertainShockIC(1.0, 1.0, 0.125, np.inf, 0.5, 0.05), "p_r"),
+    "x0-nan": (lambda: UncertainShockIC(1.0, 1.0, 0.125, 0.1, np.nan, 0.05), "x0"),
+    "sigma-nan": (lambda: UncertainShockIC(1.0, 1.0, 0.125, 0.1, 0.5, np.nan), "sigma"),
+}
+
+
+@pytest.mark.parametrize("build,name", NON_FINITE_INPUTS.values(), ids=list(NON_FINITE_INPUTS))
+def test_non_finite_parameter_is_rejected_by_name(build, name):
+    """A nan or inf parameter fails in its constructor, not as a solver failure later."""
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got -?(nan|inf)$"):
+        build()
 
 
 # -- conservation and realizability across closures -------------------------------
