@@ -15,8 +15,10 @@ minimizing the dual functional
 
 over coefficient matrices v_hat of shape (N+1, m); eta = 0 is the exact
 closure, eta > 0 its regularization.  Minimization is damped Newton with
-backtracking on all cells of a batch simultaneously; candidates that leave the
-dual domain or overflow are treated as line-search rejections.
+backtracking on all cells of a batch simultaneously.  The dual domain is where
+the objective is finite: ``conjugate_from(evaluate(y))`` is not finite at finite
+node values y outside it, and a non-finite y needs a v_hat . v_hat that is not.
+So a candidate that leaves the domain or overflows is a line-search rejection.
 
 Brackets <.> are evaluated with the probability-normalized Gauss rule, so
 "admissible"/"realizable" statements below are with respect to the quadrature
@@ -95,7 +97,7 @@ class ClosureSolver:
 
     def node_states(self, v_hat):
         """Ansatz states at the quadrature nodes, (..., n_q, m)."""
-        return self.model.states_from(self._evaluate(v_hat)[1])
+        return self.model.states_from(self._evaluate(v_hat))
 
     def reconstruct(self, v_hat):
         """Moments of the ansatz, <phi s'_*(v_hat . phi)>, same shape as v_hat."""
@@ -109,25 +111,21 @@ class ClosureSolver:
 
     # -- batched dual calculus and Newton solve ------------------------------
     #
-    # Each kernel reads a nodal evaluation ``ev = model.evaluate(y)`` of the
-    # node values y of a batch (B, N+1, m); the public objective, gradient and
-    # hessian evaluate and call the same kernels that the Newton loop runs on
-    # the evaluation it already holds.
+    # Each kernel reads a nodal evaluation ``ev`` of a batch (B, N+1, m); the
+    # public objective, gradient and hessian evaluate and call the same kernels
+    # that the Newton loop runs on the evaluation it already holds.
 
     def _evaluate(self, v):
-        y = self.node_values(v)
-        return y, self.model.evaluate(y)
+        return self.model.evaluate(self.node_values(v))
 
-    def _objective_at(self, v, u, eta, y, ev):
-        feasible = np.all(self.model.dual_feasible(y), axis=-1)
+    def _objective_at(self, v, u, eta, ev):
         with np.errstate(invalid="ignore", over="ignore"):
             val = (
                 self.model.conjugate_from(ev) @ self.quad.weights
                 - np.einsum("bim,bim->b", v, u)
                 + 0.5 * eta * np.einsum("bim,bim->b", v, v)
             )
-        bad = ~feasible | ~np.isfinite(val)
-        return np.where(bad, np.inf, val)
+        return np.where(np.isfinite(val), val, np.inf)
 
     def _gradient_at(self, v, u, eta, states):
         return np.matmul(self.phi_w.T, states) + eta * v - u
@@ -152,16 +150,16 @@ class ClosureSolver:
     def objective(self, v, u, eta):
         """Dual objective per cell of a batch (B, N+1, m); +inf outside the dual
         domain or where the conjugate overflows."""
-        return self._objective_at(v, u, eta, *self._evaluate(v))
+        return self._objective_at(v, u, eta, self._evaluate(v))
 
     def gradient(self, v, u, eta):
         """Gradient per cell and the nodal ansatz states (B, n_q, m) it was computed from."""
-        a = self.model.states_from(self._evaluate(v)[1])
+        a = self.model.states_from(self._evaluate(v))
         return self._gradient_at(v, u, eta, a), a
 
     def hessian(self, v, eta):
         """Hessian per cell, (B, (N+1) m, (N+1) m)."""
-        return self._hessian_at(self.model.jacobian_from(self._evaluate(v)[1]), eta)
+        return self._hessian_at(self.model.jacobian_from(self._evaluate(v)), eta)
 
     @staticmethod
     def _newton_directions(h, g_flat):
@@ -188,8 +186,8 @@ class ClosureSolver:
         """
         noise = 1e-14 * (1.0 + np.abs(f0))
         v_new = v + direction
-        y, ev = self._evaluate(v_new)
-        f_new = self._objective_at(v_new, u, eta, y, ev)
+        ev = self._evaluate(v_new)
+        f_new = self._objective_at(v_new, u, eta, ev)
         accepted = f_new <= f0 + LS_SLOPE * slope + noise
         todo = np.flatnonzero(~accepted)
         v_new[todo] = v[todo]
@@ -200,8 +198,8 @@ class ClosureSolver:
                 break
             step *= LS_CONTRACTION
             cand = v[todo] + step * direction[todo]
-            y, ev_cand = self._evaluate(cand)
-            f_cand = self._objective_at(cand, u[todo], eta, y, ev_cand)
+            ev_cand = self._evaluate(cand)
+            f_cand = self._objective_at(cand, u[todo], eta, ev_cand)
             ok = f_cand <= f0[todo] + LS_SLOPE * step * slope[todo] + noise[todo]
             hit = todo[ok]
             v_new[hit] = cand[ok]
@@ -237,8 +235,8 @@ class ClosureSolver:
         converged = np.zeros(b, dtype=bool)
         states = np.full((b, self.phi.shape[0], u.shape[-1]), np.nan)
 
-        y, ev = self._evaluate(v)
-        f = self._objective_at(v, u, eta, y, ev)
+        ev = self._evaluate(v)
+        f = self._objective_at(v, u, eta, ev)
         feasible = np.isfinite(f)
         cells = np.flatnonzero(feasible)
         work = (v, u, f, *ev)

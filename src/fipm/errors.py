@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finite-input check."""
+
+import math
+
+
+def require_finite(**values):
+    """Raise ValueError naming the first of ``values`` that is nan or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 class FipmError(Exception):

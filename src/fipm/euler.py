@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import gauss_rule
-from .errors import VacuumError
+from .errors import VacuumError, require_finite
 
 GAMMA_DEFAULT = 1.4
 #: star-pressure Newton iteration: iteration cap and relative step tolerance
@@ -38,13 +38,14 @@ class EulerEntropy:
     """The Euler model at one gamma: flux, wave speed and admissible set for the
     march, entropy s(u) = -rho ln(rho^-gamma e_int) and its dual for the closure.
 
-    u = (rho, m, E_t), e_int = E_t - m^2/(2 rho).  The dual domain is
-    {v : v_3 < 0}; on it the ansatz is the closed-form inverse of s'.
+    u = (rho, m, E_t), e_int = E_t - m^2/(2 rho).  On the dual domain, finite v with v_3 < 0,
+    the ansatz inverts s'; off it the conjugate is nan or +inf, save rho = 0 at v_1 = -inf.
     """
 
     n_comp = 3
 
     def __init__(self, gamma=GAMMA_DEFAULT):
+        require_finite(gamma=gamma)
         if not gamma > 1.0:
             raise ValueError(f"gamma must exceed 1, got {gamma}")
         self.gamma = float(gamma)
@@ -127,11 +128,6 @@ class EulerEntropy:
             jac[5] = c2 * jac[2] + rho_inv3 * (inv3 - vel**2)
         return jac
 
-    def dual_feasible(self, v):
-        v = np.asarray(v, dtype=float)
-        v1, v2, v3 = v[..., 0], v[..., 1], v[..., 2]
-        return (v3 < 0) & np.isfinite(v1) & np.isfinite(v2) & np.isfinite(v3)
-
     def safe_state(self, u):
         u = np.asarray(np.nan_to_num(u, nan=STATE_FLOOR), dtype=float)
         rho = np.maximum(u[..., 0], STATE_FLOOR)
@@ -171,56 +167,39 @@ class RiemannSolution:
     v_star: float
 
     def sample(self, s):
-        """Primitive state (rho, v, p) at similarity coordinates s = x/t."""
+        """Primitive state (rho, v, p) at s = x/t, nan where s is nan.  Each side is one wave:
+        its data ahead of the head speed, the star state behind the tail, a fan between."""
         s_in = np.asarray(s, dtype=float)
         s = np.atleast_1d(s_in)
-        rho = np.empty_like(s)
-        v = np.empty_like(s)
-        p = np.empty_like(s)
+        out = np.full(s.shape + (3,), np.nan)
+        rho, v, p = np.moveaxis(out, -1, 0)
         gamma = self.gamma
         beta = (gamma - 1.0) / (gamma + 1.0)
-
-        for side in ("left", "right"):
-            if side == "left":
-                rho_k, v_k, p_k = self.prim_l
-                sign = 1.0
-                region = s <= self.v_star
-            else:
-                rho_k, v_k, p_k = self.prim_r
-                sign = -1.0
-                region = s > self.v_star
-            if not np.any(region):
-                continue
+        sides = ((self.prim_l, 1.0, s <= self.v_star), (self.prim_r, -1.0, s > self.v_star))
+        for prim, sign, region in sides:
+            rho_k, v_k, p_k = prim
             c_k = np.sqrt(gamma * p_k / rho_k)
             ratio = self.p_star / p_k
             if self.p_star > p_k:  # shock on this side
                 rho_star = rho_k * (ratio + beta) / (beta * ratio + 1.0)
-                s_shock = v_k - sign * c_k * np.sqrt(
+                head = tail = v_k - sign * c_k * np.sqrt(
                     (gamma + 1.0) / (2.0 * gamma) * ratio + (gamma - 1.0) / (2.0 * gamma)
                 )
-                ahead = region & (sign * s < sign * s_shock)
-                behind = region & ~ahead
-                rho[ahead], v[ahead], p[ahead] = rho_k, v_k, p_k
-                rho[behind], v[behind], p[behind] = rho_star, self.v_star, self.p_star
             else:  # rarefaction on this side
                 rho_star = rho_k * ratio ** (1.0 / gamma)
-                c_star = c_k * ratio ** ((gamma - 1.0) / (2.0 * gamma))
-                s_head = v_k - sign * c_k
-                s_tail = self.v_star - sign * c_star
-                ahead = region & (sign * s < sign * s_head)
-                inside = region & (sign * s >= sign * s_head) & (sign * s < sign * s_tail)
-                behind = region & (sign * s >= sign * s_tail)
-                rho[ahead], v[ahead], p[ahead] = rho_k, v_k, p_k
-                rho[behind], v[behind], p[behind] = rho_star, self.v_star, self.p_star
-                if np.any(inside):
-                    si = s[inside]
-                    fac = 2.0 / (gamma + 1.0) + sign * beta / c_k * (v_k - si)
-                    rho[inside] = rho_k * fac ** (2.0 / (gamma - 1.0))
-                    v[inside] = 2.0 / (gamma + 1.0) * (
-                        sign * c_k + 0.5 * (gamma - 1.0) * v_k + si
-                    )
-                    p[inside] = p_k * fac ** (2.0 * gamma / (gamma - 1.0))
-        return np.stack([rho, v, p], axis=-1).reshape(s_in.shape + (3,))
+                head = v_k - sign * c_k
+                tail = self.v_star - sign * c_k * ratio ** ((gamma - 1.0) / (2.0 * gamma))
+            ahead = region & (sign * s < sign * head)
+            behind = region & (sign * s >= sign * tail)
+            fan = region & ~ahead & ~behind
+            out[ahead] = prim
+            out[behind] = rho_star, self.v_star, self.p_star
+            si = s[fan]
+            fac = 2.0 / (gamma + 1.0) + sign * beta / c_k * (v_k - si)
+            rho[fan] = rho_k * fac ** (2.0 / (gamma - 1.0))
+            v[fan] = 2.0 / (gamma + 1.0) * (sign * c_k + 0.5 * (gamma - 1.0) * v_k + si)
+            p[fan] = p_k * fac ** (2.0 * gamma / (gamma - 1.0))
+        return out.reshape(s_in.shape + (3,))
 
     def sample_conserved(self, s):
         return conserved_from_primitive(self.sample(s), self.gamma)
@@ -236,6 +215,7 @@ def exact_riemann(prim_l, prim_r, gamma=GAMMA_DEFAULT):
     prim_r = np.asarray(prim_r, dtype=float)
     rho_l, v_l, p_l = prim_l
     rho_r, v_r, p_r = prim_r
+    require_finite(rho_l=rho_l, v_l=v_l, p_l=p_l, rho_r=rho_r, v_r=v_r, p_r=p_r)
     if min(rho_l, p_l, rho_r, p_r) <= 0:
         raise ValueError("Riemann data must have positive density and pressure")
     c_l = np.sqrt(gamma * p_l / rho_l)

@@ -26,8 +26,8 @@ A string cell or header name is quoted as ``csv.QUOTE_MINIMAL`` quotes it:
 wrapped in ``"``, inner ``"`` doubled, when it holds ``,``, ``"``, ``\r`` or
 ``\n`` or is the empty and only field of its row; numbers are never quoted.
 It writes the header, then the rows in blocks of ``ROWS_PER_WRITE``, so a
-160 000-row raster never exists as one string; each distinct number of a
-column is formatted once for the whole column.
+160 000-row raster never exists as one string; each distinct value of a
+column, number or string, is formatted once for the whole column.
 Timing never enters a CSV, so every CSV is a deterministic function of the
 configuration and rerunning an emitted config.cfg reproduces it byte for byte.
 """
@@ -85,24 +85,20 @@ def _csv_field(text: str, alone: bool) -> str:
 
 
 def _column_blocks(values: np.ndarray, alone: bool):
-    """One column's cells, ``ROWS_PER_WRITE`` rows at a time, each distinct number formatted once."""
-    starts = range(0, len(values), ROWS_PER_WRITE)
+    """One column's cells, ``ROWS_PER_WRITE`` rows at a time, each distinct value formatted once."""
     kind = values.dtype.kind
-    if kind not in "fbiu":
-        for start in starts:
-            block = values[start : start + ROWS_PER_WRITE]
-            yield [_csv_field(str(v), alone) for v in block.tolist()]
-        return
     if kind == "f":
         values = values.astype(np.float64, copy=False)
         # keyed by bit pattern, so -0.0 keeps its own text apart from 0.0
         keys, fmt = values.view(np.int64), repr
-    else:
+    elif kind in "biu":
         # keyed in its own dtype, so a uint64 above 2**63 cannot wrap
         keys, fmt = values, lambda v: str(int(v))
+    else:
+        keys, fmt = values, lambda v: _csv_field(str(v), alone)
     distinct, first = np.unique(keys, return_index=True)
     texts = np.array([fmt(v) for v in values[first].tolist()], dtype=object)
-    for start in starts:
+    for start in range(0, len(values), ROWS_PER_WRITE):
         yield texts[np.searchsorted(distinct, keys[start : start + ROWS_PER_WRITE])].tolist()
 
 
@@ -120,7 +116,7 @@ def _write_table(path: Path, columns: dict):
 
     The header is written first, then the rows in blocks of ``ROWS_PER_WRITE``,
     so the text held at once is one block's whatever the table's length.  Each
-    distinct number of a column is formatted once, for the whole column.
+    distinct value of a column is formatted once, for the whole column.
     """
     alone = len(columns) == 1
     arrays = {name: np.asarray(values) for name, values in columns.items()}

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import require_finite
 
 #: log of the double-precision machine epsilon; the exponential filter damps
 #: the highest mode down to machine epsilon when lambda * dt = 1.
@@ -57,8 +58,7 @@ class FilterSpec:
     def __post_init__(self):
         if not isinstance(self.kind, FilterKind):
             raise ValueError(f"unknown filter kind: {self.kind!r}")
-        if not math.isfinite(self.strength):
-            raise ValueError(f"filter strength must be finite, got {self.strength}")
+        require_finite(**{"filter strength": self.strength, "filter order": self.order})
         if self.strength < 0:
             raise ValueError(f"filter strength must be nonnegative, got {self.strength}")
         if self.kind in ORDERED_KINDS and self.order < 1:

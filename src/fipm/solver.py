@@ -25,7 +25,6 @@ it; the conservative update shares the same dt.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,18 +33,12 @@ from . import euler
 from .basis import _legendre_rows, gauss_rule, vandermonde
 from .closures import ClosureSolver, SolveInfo
 from .errors import BreakdownError, DualNonConvergenceError, FipmError, InadmissibleStateError
+from .errors import require_finite
 from .filters import FilterKind, FilterSpec, apply_filter
 
 
 #: steps a run may take before it aborts short of t_end
 MAX_STEPS = 1_000_000
-
-
-def _require_finite(**values):
-    """Raise ValueError naming the first of ``values`` that is nan or infinite."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
 
 
 class Closure(enum.Enum):
@@ -81,7 +74,7 @@ class GridConfig:
     cfl: float = 0.5
 
     def __post_init__(self):
-        _require_finite(**vars(self))
+        require_finite(**vars(self))
         if not self.b > self.a:
             raise ValueError(f"need b > a, got [{self.a}, {self.b}]")
         if self.n_cells < 3:
@@ -118,7 +111,7 @@ class UncertainShockIC:
     sigma: float
 
     def __post_init__(self):
-        _require_finite(**vars(self))
+        require_finite(**vars(self))
         if min(self.rho_l, self.p_l, self.rho_r, self.p_r) <= 0:
             raise ValueError("initial densities and pressures must be positive")
         if self.sigma < 0:
@@ -248,7 +241,7 @@ class MomentSolver:
             raise ValueError(
                 f"n_quad must be at least degree+1 = {degree + 1} quadrature nodes, got {n_quad}"
             )
-        _require_finite(eta=eta, tau=tau)
+        require_finite(eta=eta, tau=tau)
         if eta < 0:
             raise ValueError(f"eta must be nonnegative, got {eta}")
         if tau <= 0:

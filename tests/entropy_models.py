@@ -42,10 +42,6 @@ class ScalarLogEntropy:
         """Unique Jacobian entries, (1, ...)."""
         return ev[0][None]
 
-    def dual_feasible(self, v):
-        v = np.asarray(v, dtype=float)
-        return np.isfinite(v[..., 0])
-
     def safe_state(self, u):
         u = np.asarray(u, dtype=float)
         return np.maximum(np.nan_to_num(u, nan=STATE_FLOOR), STATE_FLOOR)

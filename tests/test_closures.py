@@ -8,7 +8,7 @@ scalar solve against an independent bisection oracle.
 import numpy as np
 import pytest
 from entropy_models import ScalarLogEntropy, ansatz, ansatz_jacobian, conjugate
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fipm.basis import gauss_rule
@@ -56,6 +56,17 @@ def random_euler_states(n, rng=RNG):
 ALL_MODELS = [ScalarLogEntropy(), EulerEntropy(1.4)]
 
 
+#: every float, with the signed zeros, infinities and nan drawn often
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]) | st.floats()
+
+
+def outside_euler_dual_domain(v):
+    """v_3 >= 0 (either zero) or a non-finite component, except v_1 = -inf with
+    the rest inside, whose ansatz density is zero: a finite conjugate."""
+    rest_inside = np.isfinite(v[1]) and np.isfinite(v[2]) and v[2] < 0
+    return (v[2] >= 0 or not np.all(np.isfinite(v))) and not (v[0] == -np.inf and rest_inside)
+
+
 def random_states(model, n, rng=RNG):
     if isinstance(model, EulerEntropy):
         return random_euler_states(n, rng)
@@ -73,7 +84,7 @@ class TestModelCalculus:
     def test_ansatz_inverts_entropy_vars(self, model):
         u = random_states(model, 40)
         v = model.entropy_vars(u)
-        assert np.all(model.dual_feasible(v))
+        assert np.all(np.isfinite(conjugate(model, v)))
         assert ansatz(model, v) == pytest.approx(u, rel=1e-9, abs=1e-11)
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__)
@@ -98,11 +109,22 @@ class TestModelCalculus:
         assert jac == pytest.approx(np.swapaxes(jac, -1, -2), rel=1e-12, abs=1e-12)
         assert np.all(np.linalg.eigvalsh(jac) > 0)
 
-    def test_euler_feasibility_boundary(self):
+    @given(v=st.tuples(EDGE_FLOATS, EDGE_FLOATS, EDGE_FLOATS).filter(outside_euler_dual_domain))
+    @example(v=(0.0, 0.0, 0.0))
+    @example(v=(0.0, 0.0, -0.0))
+    @example(v=(0.0, 0.0, 0.1))
+    @example(v=(np.nan, 0.0, -0.5))
+    @example(v=(0.0, np.inf, -0.5))
+    @example(v=(np.inf, 0.0, -0.5))
+    @settings(max_examples=300, deadline=None)
+    def test_euler_conjugate_is_not_finite_outside_the_dual_domain(self, v):
+        assert not np.isfinite(conjugate(EulerEntropy(1.4), np.array(v)))
+
+    def test_euler_conjugate_at_the_domain_edges(self):
+        """Finite just inside v_3 < 0; v_1 = -inf with the rest inside is a zero density."""
         model = EulerEntropy(1.4)
-        assert not model.dual_feasible(np.array([0.0, 0.0, 0.1]))
-        assert not model.dual_feasible(np.array([0.0, 0.0, 0.0]))
-        assert model.dual_feasible(np.array([0.0, 0.0, -0.5]))
+        assert np.isfinite(conjugate(model, np.array([0.0, 0.0, -0.5])))
+        assert conjugate(model, np.array([-np.inf, 0.3, -0.5])) == 0.0
 
     def test_safe_state_projects_into_admissibility(self):
         model = EulerEntropy(1.4)
@@ -140,10 +162,7 @@ def random_feasible_duals(solver, n, scale=0.1, rng=None):
         v[0] = model.entropy_vars(u0)
         v[1:] = scale * rng.normal(size=v[1:].shape) * np.abs(v[0]).max()
         for _ in range(30):
-            y = solver.node_values(v)
-            if np.all(model.dual_feasible(y)) and (
-                model.n_comp == 1 or np.all(y[:, 2] < -1e-3)
-            ):
+            if model.n_comp == 1 or np.all(solver.node_values(v)[:, 2] < -1e-3):
                 out.append(v.copy())
                 break
             v[1:] *= 0.5
@@ -196,6 +215,22 @@ class TestDualFunctionals:
         f = euler_solver.objective(v_hat, np.zeros((2, 6, 3)), 0.0)
         assert f[0] == np.inf
         assert np.isfinite(f[1])
+
+    @pytest.mark.parametrize("eta", [0.0, 1e-3])
+    def test_objective_is_inf_where_the_node_values_are_not_finite(self, euler_solver, eta):
+        """v_1 = -inf at every node has a zero, finite conjugate; an infinite or
+        overflowing coefficient makes v_hat . v_hat, and so the objective, not finite."""
+        v_hat = np.stack(random_feasible_duals(euler_solver, 3))
+        v_hat[0, 0, 0] = -np.inf
+        v_hat[1, 5, 0] = -1e308  # finite, but its node values overflow
+        u = euler_solver.reconstruct(v_hat[2:])
+        with np.errstate(over="ignore"):  # the node-value product itself overflows
+            y = euler_solver.node_values(v_hat)
+            f = euler_solver.objective(v_hat, np.concatenate([u, u, u]), eta)
+        assert np.all(y[0, :, 0] == -np.inf) and np.any(np.isinf(y[1, :, 0]))
+        assert np.all(conjugate(euler_solver.model, y[0]) == 0.0)
+        assert f[0] == np.inf and f[1] == np.inf
+        assert np.isfinite(f[2])
 
 
 def loop_hessian(solver, v_hat, eta):
@@ -434,6 +469,17 @@ def reference_solve_batch(solver, u_hat, start, tol, eta):
     return v, converged, iterations, grad_norm, states, backtracked, stalled
 
 
+class DualInterfaceOnly:
+    """A model seen only through n_comp, entropy_vars, safe_state, evaluate and
+    the three readers, all that the dual solve may call."""
+
+    def __init__(self, model):
+        self.n_comp = model.n_comp
+        readers = ("conjugate_from", "states_from", "jacobian_from")
+        for name in ("entropy_vars", "safe_state", "evaluate", *readers):
+            setattr(self, name, getattr(model, name))
+
+
 class TestReferencePath:
     """solve_batch's working-set loop walks the iterate path of the plain loop."""
 
@@ -481,3 +527,14 @@ class TestReferencePath:
         for b in np.flatnonzero(conv):
             scale = np.abs(states[b]).max()
             assert np.abs(info.states[b] - states[b]).max() <= 1e-12 * scale, b
+
+    def test_solve_reads_only_the_dual_interface(self, euler_solver):
+        """The infeasible start, the stall and the converged cells come out the same."""
+        u, start = self.mixed_batch(euler_solver)
+        narrow = ClosureSolver(DualInterfaceOnly(euler_solver.model), 5, euler_solver.quad)
+        v, info = euler_solver.solve_batch(u, start, TAU, 0.0)
+        v_narrow, info_narrow = narrow.solve_batch(u, start, TAU, 0.0)
+        assert not info.converged[9] and not info.converged[10]
+        assert np.array_equal(v_narrow, v)
+        for name in ("converged", "iterations", "grad_norm", "states"):
+            assert np.array_equal(getattr(info_narrow, name), getattr(info, name), equal_nan=True)

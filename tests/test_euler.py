@@ -152,7 +152,78 @@ class TestNumericalFlux:
             assert out[j] == pytest.approx(rusanov(u[j], u[j + 1], EulerEntropy()), abs=1e-14)
 
 
+#: Sod (rarefaction, shock), Toro's 123 problem (two rarefactions) and the
+#: collision of Toro's test 5 (two shocks)
+WAVE_CASES = {
+    "sod": (SOD_L, SOD_R),
+    "123": (np.array([1.0, -2.0, 0.4]), np.array([1.0, 2.0, 0.4])),
+    "two-shocks": (np.array([5.99924, 19.5975, 460.894]), np.array([5.99242, -6.19633, 46.0950])),
+}
+
+
+def side_wave(sol, prim, sign):
+    """(is_shock, head, tail) of the wave on one side (sign +1 left, -1 right),
+    by the shock-speed and characteristic formulas of Toro, sections 4.4-4.5."""
+    rho, v, p = prim
+    c = np.sqrt(GAMMA * p / rho)
+    ratio = sol.p_star / p
+    if ratio > 1.0:
+        speed = v - sign * c * np.sqrt(
+            (GAMMA + 1.0) / (2.0 * GAMMA) * ratio + (GAMMA - 1.0) / (2.0 * GAMMA)
+        )
+        return True, speed, speed
+    c_star = c * ratio ** ((GAMMA - 1.0) / (2.0 * GAMMA))
+    return False, v - sign * c, sol.v_star - sign * c_star
+
+
 class TestExactRiemann:
+    @pytest.mark.parametrize("case", WAVE_CASES)
+    def test_shock_edge_star_state_at_the_speed_data_one_ulp_ahead(self, case):
+        prim_l, prim_r = WAVE_CASES[case]
+        sol = exact_riemann(prim_l, prim_r)
+        shocks = 0
+        for prim, sign in ((prim_l, 1.0), (prim_r, -1.0)):
+            is_shock, speed, _ = side_wave(sol, prim, sign)
+            if not is_shock:
+                continue
+            shocks += 1
+            at, ahead = sol.sample(np.array([speed, np.nextafter(speed, -sign * np.inf)]))
+            assert np.array_equal(ahead, prim)
+            assert at[1] == sol.v_star and at[2] == sol.p_star
+            # the density behind it satisfies the Rankine-Hugoniot mass balance
+            mass_jump = at[0] * sol.v_star - prim[0] * prim[1]
+            assert speed * (at[0] - prim[0]) == pytest.approx(mass_jump, rel=1e-12)
+        assert shocks == {"sod": 1, "123": 0, "two-shocks": 2}[case]
+
+    @pytest.mark.parametrize("case", WAVE_CASES)
+    def test_fan_keeps_entropy_and_riemann_invariant(self, case):
+        """Inside a fan p / rho^gamma and v + sign 2c/(gamma-1) keep their data
+        values (sign +1 left, -1 right); the fan meets the data at its head."""
+        prim_l, prim_r = WAVE_CASES[case]
+        sol = exact_riemann(prim_l, prim_r)
+        fans = 0
+        for prim, sign in ((prim_l, 1.0), (prim_r, -1.0)):
+            is_shock, head, tail = side_wave(sol, prim, sign)
+            if is_shock:
+                continue
+            fans += 1
+            rho, v, p = sol.sample(np.linspace(head, tail, 203)[:-1]).T
+            c_k = np.sqrt(GAMMA * prim[2] / prim[0])
+            invariant = prim[1] + sign * 2.0 * c_k / (GAMMA - 1.0)
+            c = np.sqrt(GAMMA * p / rho)
+            assert p / rho**GAMMA == pytest.approx(prim[2] / prim[0] ** GAMMA, rel=1e-12)
+            assert v + sign * 2.0 * c / (GAMMA - 1.0) == pytest.approx(invariant, rel=1e-12)
+            assert np.array_equal(sol.sample(np.nextafter(head, -sign * np.inf)), prim)
+            assert sol.sample(head) == pytest.approx(prim, rel=1e-12, abs=1e-15)
+        assert fans == {"sod": 1, "123": 2, "two-shocks": 0}[case]
+
+    def test_nan_coordinate_gives_a_nan_row(self):
+        s = np.full((50, 4), np.nan)
+        s[:, 1] = np.linspace(-2.0, 2.0, 50)
+        w = exact_riemann(SOD_L, SOD_R).sample(s)
+        assert np.all(np.isnan(np.delete(w, 1, axis=1)))
+        assert np.all(np.isfinite(w[:, 1]))
+
     def test_sod_star_state_frozen(self):
         sol = exact_riemann(SOD_L, SOD_R)
         # classical published values for the Sod tube

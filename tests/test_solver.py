@@ -323,6 +323,12 @@ NON_FINITE_INPUTS = {
     "p_r-inf": (lambda: UncertainShockIC(1.0, 1.0, 0.125, np.inf, 0.5, 0.05), "p_r"),
     "x0-nan": (lambda: UncertainShockIC(1.0, 1.0, 0.125, 0.1, np.nan, 0.05), "x0"),
     "sigma-nan": (lambda: UncertainShockIC(1.0, 1.0, 0.125, 0.1, 0.5, np.nan), "sigma"),
+    "exp-order-nan": (lambda: FilterSpec(FilterKind.EXPONENTIAL, 1.0, order=np.nan), "filter order"),
+    "gamma-inf": (lambda: euler.EulerEntropy(np.inf), "gamma"),
+    "gamma-nan": (lambda: euler.EulerEntropy(np.nan), "gamma"),
+    "riemann-rho_l-nan": (lambda: euler.exact_riemann([np.nan, 0, 1], [0.125, 0, 0.1]), "rho_l"),
+    "riemann-p_l-inf": (lambda: euler.exact_riemann([1, 0, np.inf], [0.125, 0, 0.1]), "p_l"),
+    "riemann-v_r-nan": (lambda: euler.exact_riemann([1, 0, 1], [0.125, np.nan, 0.1]), "v_r"),
 }
 
 
