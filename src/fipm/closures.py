@@ -116,7 +116,8 @@ class ClosureSolver:
     # that the Newton loop runs on the evaluation it already holds.
 
     def _evaluate(self, v):
-        return self.model.evaluate(self.node_values(v))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.model.evaluate(self.node_values(v))
 
     def _objective_at(self, v, u, eta, ev):
         with np.errstate(invalid="ignore", over="ignore"):

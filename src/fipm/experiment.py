@@ -26,8 +26,9 @@ A string cell or header name is quoted as ``csv.QUOTE_MINIMAL`` quotes it:
 wrapped in ``"``, inner ``"`` doubled, when it holds ``,``, ``"``, ``\r`` or
 ``\n`` or is the empty and only field of its row; numbers are never quoted.
 It writes the header, then the rows in blocks of ``ROWS_PER_WRITE``, so a
-160 000-row raster never exists as one string; each distinct value of a
-column, number or string, is formatted once for the whole column.
+160 000-row raster never exists as one string.  One sort finds a column's
+distinct values, numbers or strings, each formatted once with the ``,`` or
+``\r\n`` after it, and a block is written as its interleaved cells in one join.
 Timing never enters a CSV, so every CSV is a deterministic function of the
 configuration and rerunning an emitted config.cfg reproduces it byte for byte.
 """
@@ -84,21 +85,22 @@ def _csv_field(text: str, alone: bool) -> str:
     return text
 
 
-def _column_blocks(values: np.ndarray, alone: bool):
-    """One column's cells, ``ROWS_PER_WRITE`` rows at a time, each distinct value formatted once."""
+def _column_blocks(values: np.ndarray, alone: bool, end: str):
+    """One column's cells, each ended by ``end``, ``ROWS_PER_WRITE`` rows at a time."""
     kind = values.dtype.kind
     if kind == "f":
-        values = values.astype(np.float64, copy=False)
         # keyed by bit pattern, so -0.0 keeps its own text apart from 0.0
-        keys, fmt = values.view(np.int64), repr
+        keys, fmt = values.astype(np.float64, copy=False).view(np.int64), repr
     elif kind in "biu":
         # keyed in its own dtype, so a uint64 above 2**63 cannot wrap
         keys, fmt = values, lambda v: str(int(v))
     else:
         keys, fmt = values, lambda v: _csv_field(str(v), alone)
-    distinct, first = np.unique(keys, return_index=True)
-    texts = np.array([fmt(v) for v in values[first].tolist()], dtype=object)
-    for start in range(0, len(values), ROWS_PER_WRITE):
+    ordered = np.sort(keys)
+    distinct = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
+    shown = distinct.view(np.float64) if kind == "f" else distinct
+    texts = np.array([fmt(v) + end for v in shown.tolist()], dtype=object)
+    for start in range(0, len(keys), ROWS_PER_WRITE):
         yield texts[np.searchsorted(distinct, keys[start : start + ROWS_PER_WRITE])].tolist()
 
 
@@ -115,8 +117,10 @@ def _write_table(path: Path, columns: dict):
     unequal length raise ``ValueError`` before the file is opened.
 
     The header is written first, then the rows in blocks of ``ROWS_PER_WRITE``,
-    so the text held at once is one block's whatever the table's length.  Each
-    distinct value of a column is formatted once, for the whole column.
+    so the text held at once is one block's whatever the table's length.  One
+    sort finds a column's distinct values, and each is formatted once, followed
+    by ``,`` or, in the last column, ``\r\n``; a block's cells, interleaved row
+    by row into one list, are written with one ``"".join``.
     """
     alone = len(columns) == 1
     arrays = {name: np.asarray(values) for name, values in columns.items()}
@@ -125,11 +129,15 @@ def _write_table(path: Path, columns: dict):
         counts = ", ".join(f"{name!r} has {n} rows" for name, n in lengths.items())
         raise ValueError(f"columns of {path.name} differ in length: {counts}")
     header = ",".join(_csv_field(str(name), alone) for name in columns)
-    blocks = zip(*(_column_blocks(values, alone) for values in arrays.values()))
+    ends = [","] * (len(arrays) - 1) + ["\r\n"]
+    blocks = zip(*(_column_blocks(v, alone, end) for v, end in zip(arrays.values(), ends)))
     with open(path, "w", newline="") as handle:
         handle.write(header + "\r\n")
         for block in blocks:
-            handle.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
+            cells = [None] * (len(block) * len(block[0]))
+            for k, column in enumerate(block):
+                cells[k :: len(block)] = column
+            handle.write("".join(cells))
 
 
 def _stat_columns(field: StatField, prefix="") -> dict:

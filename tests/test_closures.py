@@ -224,9 +224,9 @@ class TestDualFunctionals:
         v_hat[0, 0, 0] = -np.inf
         v_hat[1, 5, 0] = -1e308  # finite, but its node values overflow
         u = euler_solver.reconstruct(v_hat[2:])
-        with np.errstate(over="ignore"):  # the node-value product itself overflows
+        with np.errstate(over="ignore"):  # the public node-value product itself overflows
             y = euler_solver.node_values(v_hat)
-            f = euler_solver.objective(v_hat, np.concatenate([u, u, u]), eta)
+        f = euler_solver.objective(v_hat, np.concatenate([u, u, u]), eta)
         assert np.all(y[0, :, 0] == -np.inf) and np.any(np.isinf(y[1, :, 0]))
         assert np.all(conjugate(euler_solver.model, y[0]) == 0.0)
         assert f[0] == np.inf and f[1] == np.inf

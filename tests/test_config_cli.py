@@ -29,6 +29,7 @@ from fipm.errors import ConfigError
 from fipm.euler import EulerEntropy, reference_statistics
 from fipm.experiment import ROWS_PER_WRITE, _write_table, run_experiment, scan_figure1, sweep
 from fipm.filters import FilterKind, FilterSpec
+from fipm.realizability import filter_image_scan
 from fipm.solver import Closure, GridConfig, MomentSolver
 
 MINIMAL = """
@@ -479,6 +480,21 @@ class TestWriteTable:
     @example(
         table={"z": np.array([0.0, -0.0, 0.0]), "n": np.array([2**64 - 1, 2**64 - 2, 0], np.uint64)}
     )
+    # two NaN bit patterns, signed zeros and infinities in the one and last column,
+    # whose cells end in the row end
+    @example(
+        table={
+            "f": np.concatenate(
+                [
+                    np.array([0x7FF8000000000001, 0x7FF8000000000000]).view(np.float64),
+                    [0.0, -0.0, np.inf, -np.inf, -0.0, np.nan],
+                ]
+            )
+        }
+    )
+    @example(table={"flag": np.array([True, False, False, True])})
+    # a last column of strings that need quoting
+    @example(table={"n": np.arange(4), "s": ["a,b", 'say "hi"', "", "x\ny"]})
     @settings(max_examples=300, deadline=None)
     def test_bytes_match_the_csv_module(self, table):
         with tempfile.TemporaryDirectory() as tmp:
@@ -508,6 +524,18 @@ class TestWriteTable:
             _write_table(got, table)
             reference_write_table(want, table)
             assert got.read_bytes() == want.read_bytes(), name
+
+    def test_bytes_match_the_csv_module_on_a_figure1_raster(self, tmp_path):
+        cfg = parse_scan_config(read_config_text("figure1-scan")[0])
+        tag, spec = cfg.filter_specs()[0]
+        assert (tag, spec.strength) == ("exp", 0.05)
+        scan = filter_image_scan(spec, resolution=cfg.resolution)
+        table = dataclasses.asdict(scan)
+        assert len(scan.u1) == 160_000
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        _write_table(got, table)
+        reference_write_table(want, table)
+        assert got.read_bytes() == want.read_bytes()
 
     def test_peak_memory_of_a_raster_stays_below_twice_the_file(self, tmp_path):
         # 160 000 rows: two axes of 400 distinct floats each and two flag columns
