@@ -88,6 +88,9 @@ class ClosureSolver:
         # T[(i, j), q] = w_q phi_i(xi_q) phi_j(xi_q), reused in every Hessian
         self._t = np.einsum("qi,qj->ijq", self.phi_w, self.phi).reshape(-1, len(quad.weights))
         self._pairs = jacobian_pairs(model.n_comp)
+        # GEMM product and Hessian of _hessian_at, kept so that the Newton loop
+        # writes into pages it already holds
+        self._work = np.empty(0)
 
     # -- pointwise maps ----------------------------------------------------
 
@@ -133,12 +136,23 @@ class ClosureSolver:
 
     def _hessian_at(self, jac, eta):
         """H[b, (i,k), (j,l)] = sum_q T[(i,j), q] J[b, q, k, l] from the unique
-        Jacobian entries jac (E, B, n_q): one matrix product with T per entry,
-        each result written straight into its blocks."""
+        Jacobian entries jac (E, B, n_q): one stacked matmul with T into the kept
+        work array, each of its E products then copied into its blocks of H.
+
+        H is a view of the work array and is overwritten by the next call.  The
+        array grows by at least a quarter at a time and never shrinks.  Each
+        regrowth frees the smaller array, and glibc then raises its mmap threshold
+        to that size; small steps lift it early in a run past the march's other
+        state-sized temporaries, which then reuse heap pages, not fresh mappings."""
         n_e, b, _ = jac.shape
         n, m = self.degree + 1, self.model.n_comp
-        prod = (jac @ self._t.T).reshape(n_e, b, n, n)
-        h = np.empty((b, n, m, n, m))
+        n_prod, n_h = n_e * b * n * n, b * (n * m) ** 2
+        if self._work.size < n_prod + n_h:
+            self._work = np.empty(max(n_prod + n_h, self._work.size * 5 // 4))
+        prod = self._work[:n_prod].reshape(n_e, b, n * n)
+        np.matmul(jac, self._t.T, out=prod)
+        prod = prod.reshape(n_e, b, n, n)
+        h = self._work[n_prod : n_prod + n_h].reshape(b, n, m, n, m)
         for e, (k, l) in enumerate(self._pairs):
             h[:, :, k, :, l] = prod[e]
             if k != l:
@@ -160,7 +174,7 @@ class ClosureSolver:
 
     def hessian(self, v, eta):
         """Hessian per cell, (B, (N+1) m, (N+1) m)."""
-        return self._hessian_at(self.model.jacobian_from(self._evaluate(v)), eta)
+        return self._hessian_at(self.model.jacobian_from(self._evaluate(v)), eta).copy()
 
     @staticmethod
     def _newton_directions(h, g_flat):

@@ -1,9 +1,17 @@
-"""Shared reporting for the acceptance suite.
+"""Shared fixtures and reporting.
 
 Acceptance tests record one line per criterion; the terminal-summary hook
 prints them after the run so the verdicts are visible regardless of pytest's
-per-test output capturing.
+per-test output capturing.  The header names the fipm package under test, so
+every run shows which tree it tested.
 """
+
+import functools
+
+import pytest
+from desk_presets import run_preset
+
+import fipm
 
 _criterion_lines: list[tuple[int, str]] = []
 
@@ -13,9 +21,19 @@ def record_criterion(number: int, title: str, passed: bool):
     _criterion_lines.append((number, f"criterion {number}: {title}: {verdict}"))
 
 
+def pytest_report_header(config):
+    return f"fipm under test: {fipm.__file__}"
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not _criterion_lines:
         return
     terminalreporter.section("acceptance criteria")
     for _, line in sorted(_criterion_lines):
         terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="session")
+def desk_run(tmp_path_factory):
+    """``desk_run(preset)``: a desk preset's DeskRun, run once per session on first use."""
+    return functools.cache(lambda name: run_preset(name, tmp_path_factory.mktemp(name)))

@@ -4,11 +4,13 @@ Each test wraps its assertions in the `criterion` context manager so a single
 pass/fail line per criterion is printed in the terminal summary.  The
 shock-tube comparisons run at desk scale (400 cells, degree 5, 20 quadrature
 nodes) and take a couple of seconds per run; expensive runs are shared
-through module-scoped fixtures.
+through module-scoped fixtures, and a run that is a shipped desk preset is taken
+from the session's ``desk_run`` rather than run again.
 """
 
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -100,6 +102,13 @@ def run_stats(cfg: ExperimentConfig) -> StatField:
     return stats_from_moments(grid.centers(), result.moments, COMPONENTS)
 
 
+def preset_stats(desk_run, preset, cfg: ExperimentConfig) -> StatField:
+    """The stats of cfg, taken from the session's run of ``preset`` where cfg is that preset."""
+    if cfg == replace(load_config(preset), output_dir=cfg.output_dir):
+        return desk_run(preset).stat_field()
+    return run_stats(cfg)
+
+
 @pytest.fixture(scope="module")
 def desk_reference() -> StatField:
     grid = desk_config("ipm").grid()
@@ -117,8 +126,9 @@ def regularization_stats():
 
 
 @pytest.fixture(scope="module")
-def strength_sweep_stats():
-    """Exponential-filter runs (order 10, eta=1e-7) over the strength grid."""
+def strength_sweep_stats(desk_run):
+    """Exponential-filter runs (order 10, eta=1e-7) over the strength grid; strength 2
+    is the sod-fipm-exp-desk preset."""
     out = {}
     for strength in (0.0, 0.5, 1.0, 2.0, 4.0):
         cfg = desk_config(
@@ -128,13 +138,13 @@ def strength_sweep_stats():
             filter_order=10,
             eta=1e-7,
         )
-        out[strength] = run_stats(cfg)
+        out[strength] = preset_stats(desk_run, "sod-fipm-exp-desk", cfg)
     return out
 
 
 @pytest.fixture(scope="module")
-def unfiltered_ipm_stats():
-    return run_stats(desk_config("ipm"))
+def unfiltered_ipm_stats(desk_run):
+    return preset_stats(desk_run, "sod-ipm-desk", desk_config("ipm"))
 
 
 def test_criterion_1_heat_semigroup_filter_preserves_sampled_moments():

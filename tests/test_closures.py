@@ -269,6 +269,29 @@ class TestHessianAssembly:
             assert np.abs(h[b] - h[b].T).max() <= 1e-14 * scale
 
 
+class TestKeptWorkArray:
+    """The Hessian work array is kept between calls; nothing of an earlier call may show."""
+
+    def test_smaller_later_batch_matches_a_fresh_solver(self):
+        model, quad = EulerEntropy(1.4), gauss_rule(20)
+        solver = ClosureSolver(model, degree=5, quad=quad)
+        duals = np.stack(random_feasible_duals(solver, 55, rng=np.random.default_rng(3)))
+        jac = model.jacobian_from(solver._evaluate(duals))
+        solver._hessian_at(jac[:, :50], 1e-3)
+        h = solver._hessian_at(jac[:, 50:], 0.0)
+        fresh = ClosureSolver(model, degree=5, quad=quad)
+        assert np.array_equal(h, fresh._hessian_at(jac[:, 50:], 0.0))
+
+    def test_hessian_result_survives_a_later_solve(self, euler_solver):
+        duals = np.stack(random_feasible_duals(euler_solver, 4))
+        h = euler_solver.hessian(duals, 0.0)
+        kept = h.copy()
+        u = euler_solver.reconstruct(duals)
+        _, info = euler_solver.solve_batch(u, None, TAU, 0.0)
+        assert info.all_converged and info.total_iterations > 0
+        assert np.array_equal(h, kept)
+
+
 class TestSolve:
     def test_recovers_constant_state(self, scalar_solver):
         u_hat = np.zeros((4, 1))

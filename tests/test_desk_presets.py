@@ -1,0 +1,29 @@
+"""The four desk presets, run end to end, against their stored outputs.
+
+Newton cell-iterations must match exactly; every summary.csv value and every
+stats.csv mean and variance column must match to RTOL of that column's largest
+stored magnitude.  ``desk_presets.py`` regenerates the stored values.
+"""
+
+import numpy as np
+import pytest
+from desk_presets import PRESETS, stored
+
+RTOL = 1e-9
+
+
+def assert_columns_match(got, want):
+    for name, values in want.items():
+        values = np.atleast_1d(values)
+        worst = np.abs(np.atleast_1d(got[name]) - values).max()
+        assert worst <= RTOL * np.abs(values).max(), f"{name} differs by {worst:.3e}"
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_preset_reproduces_its_stored_outputs(desk_run, preset):
+    run, want = desk_run(preset), stored(preset)
+    assert run.newton_cell_iterations == want.newton_cell_iterations
+    assert list(run.summary) == list(want.summary)
+    assert_columns_match(run.summary, want.summary)
+    assert list(run.stats) == ["x", *want.stats]
+    assert_columns_match(run.stats, want.stats)

@@ -492,6 +492,19 @@ class TestRunControl:
             assert diag.newton_total >= 0
             assert diag.grad_max < solver.tau
 
+    def test_second_run_with_other_ghosts_matches_a_fresh_solver(self):
+        other = UncertainShockIC(rho_l=2.0, p_l=3.0, rho_r=0.5, p_r=0.2, x0=0.5, sigma=0.05)
+        solver, u0, ghosts = sod_solver(Closure.IPM, n_cells=30, t_end=0.01)
+        grid = solver.grid
+        u0_b = project_ic(grid.centers(), solver.degree, other)
+        ghosts_b = project_ic(grid.ghost_centers(), solver.degree, other)
+        assert not np.array_equal(ghosts, ghosts_b)
+        solver.run(u0, ghosts)
+        again = solver.run(u0_b, ghosts_b)
+        fresh = sod_solver(Closure.IPM, n_cells=30, t_end=0.01)[0].run(u0_b, ghosts_b)
+        assert again.n_steps == fresh.n_steps
+        assert np.array_equal(again.moments, fresh.moments)
+
     def test_collapsed_time_step_is_a_located_failure(self):
         solver, u0, ghosts = sod_solver(Closure.IPM, n_cells=30)
         state = solver.prepare(u0, ghosts)
