@@ -19,22 +19,27 @@ A sweep adds sweep.csv (value, deltaE, deltaVar per value) to the base
 directory; a realizability scan writes its config.cfg, one exp-<strength>.csv
 or fp-<strength>.csv raster per strength, and scan-summary.csv.
 
-Every CSV goes through ``_write_table``, whose one format rule is: floats as
+Every CSV goes through ``_write_tables``, whose one format rule is: floats as
 their shortest round-trip ``repr``, ints and bools as integers, strings as
 they are; cells joined by ``,``, every row and the header ended by ``\r\n``.
 A string cell or header name is quoted as ``csv.QUOTE_MINIMAL`` quotes it:
 wrapped in ``"``, inner ``"`` doubled, when it holds ``,``, ``"``, ``\r`` or
 ``\n`` or is the empty and only field of its row; numbers are never quoted.
-It writes the header, then the rows in blocks of ``ROWS_PER_WRITE``, so a
+One call writes one or more tables together, such as the 8 rasters of a scan,
+which must have one row count, else ``ValueError`` before any file is opened.
+It writes the headers, then the rows in blocks of ``ROWS_PER_WRITE``, so a
 160 000-row raster never exists as one string.  One sort finds a column's
 distinct values, numbers or strings, each formatted once with the ``,`` or
 ``\r\n`` after it, and a block is written as its interleaved cells in one join.
+A column object that several tables of one call hold, like the rasters' shared
+``u1``, ``u2`` and ``inside_before``, is sorted and formatted once for all.
 Timing never enters a CSV, so every CSV is a deterministic function of the
 configuration and rerunning an emitted config.cfg reproduces it byte for byte.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import re
 import time
@@ -74,7 +79,7 @@ def resolve_output_root(explicit: str | os.PathLike | None = None) -> Path:
 
 _QUOTED = re.compile(r'[,"\r\n]')
 
-#: rows that ``_write_table`` formats and writes at a time
+#: rows that ``_write_tables`` formats and writes at a time
 ROWS_PER_WRITE = 8192
 
 
@@ -98,14 +103,16 @@ def _column_blocks(values: np.ndarray, alone: bool, end: str):
         keys, fmt = values, lambda v: _csv_field(str(v), alone)
     ordered = np.sort(keys)
     distinct = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
+    # the sorted copy is as long as the column; only its distinct values are needed
+    del ordered
     shown = distinct.view(np.float64) if kind == "f" else distinct
     texts = np.array([fmt(v) + end for v in shown.tolist()], dtype=object)
     for start in range(0, len(keys), ROWS_PER_WRITE):
         yield texts[np.searchsorted(distinct, keys[start : start + ROWS_PER_WRITE])].tolist()
 
 
-def _write_table(path: Path, columns: dict):
-    r"""Write a CSV with one column per entry of ``columns``; the keys are the header.
+def _write_tables(tables: dict):
+    r"""Write each ``path: columns`` entry of ``tables`` as a CSV; ``columns``' keys are its header.
 
     The bytes are those of ``csv.writer`` in its default dialect, fed floats
     as their shortest round-trip ``repr``, ints and bools as integers and
@@ -113,31 +120,52 @@ def _write_table(path: Path, columns: dict):
     ``\r\n``, the header included, also with zero rows.  A numeric cell is
     never quoted.  A str cell, header names included, is wrapped in ``"``,
     with each inner ``"`` doubled, when it contains ``,``, ``"``, ``\r`` or
-    ``\n``, or when it is the empty and only field of its row.  Columns of
-    unequal length raise ``ValueError`` before the file is opened.
+    ``\n``, or when it is the empty and only field of its row.
 
-    The header is written first, then the rows in blocks of ``ROWS_PER_WRITE``,
-    so the text held at once is one block's whatever the table's length.  One
-    sort finds a column's distinct values, and each is formatted once, followed
-    by ``,`` or, in the last column, ``\r\n``; a block's cells, interleaved row
-    by row into one list, are written with one ``"".join``.
+    The tables of one call are written together and must all have one row
+    count: columns of unequal length, within a table or across tables, raise
+    ``ValueError`` before any file is opened.  Each header is written first,
+    then the rows in blocks of ``ROWS_PER_WRITE``, every table advancing one
+    block at a time, so the text held at once is one block's whatever the
+    tables' length.  One sort finds a column's distinct values, and each is
+    formatted once, followed by ``,`` or, in the last column, ``\r\n``.  A
+    column object that several tables hold, or one table holds twice, with the
+    same separator and quoting after it, is sorted once and each of its blocks
+    formatted once for all of them.  A block of a table, its cells interleaved
+    row by row into one list, is written with one ``"".join``.
     """
-    alone = len(columns) == 1
-    arrays = {name: np.asarray(values) for name, values in columns.items()}
-    lengths = {name: len(values) for name, values in arrays.items()}
-    if len(set(lengths.values())) > 1:
-        counts = ", ".join(f"{name!r} has {n} rows" for name, n in lengths.items())
-        raise ValueError(f"columns of {path.name} differ in length: {counts}")
-    header = ",".join(_csv_field(str(name), alone) for name in columns)
-    ends = [","] * (len(arrays) - 1) + ["\r\n"]
-    blocks = zip(*(_column_blocks(v, alone, end) for v, end in zip(arrays.values(), ends)))
-    with open(path, "w", newline="") as handle:
-        handle.write(header + "\r\n")
-        for block in blocks:
-            cells = [None] * (len(block) * len(block[0]))
-            for k, column in enumerate(block):
-                cells[k :: len(block)] = column
-            handle.write("".join(cells))
+    arrays, layouts, counts = {}, [], {}
+    for path, columns in tables.items():
+        alone = len(columns) == 1
+        ends = [","] * (len(columns) - 1) + ["\r\n"]
+        # a column object is shared by identity (each stays alive in ``tables``), and the
+        # rest of its key is the quoting and separator that ``_column_blocks`` applies
+        keys = [(id(values), alone, end) for values, end in zip(columns.values(), ends)]
+        for key, values in zip(keys, columns.values()):
+            if key not in arrays:
+                arrays[key] = np.asarray(values)
+        lengths = {name: len(arrays[key]) for name, key in zip(columns, keys)}
+        if len(set(lengths.values())) > 1:
+            rows = ", ".join(f"{name!r} has {n} rows" for name, n in lengths.items())
+            raise ValueError(f"columns of {path.name} differ in length: {rows}")
+        counts[path] = next(iter(lengths.values()), 0)
+        header = ",".join(_csv_field(str(name), alone) for name in columns)
+        layouts.append((header + "\r\n", keys))
+    if len(set(counts.values())) > 1:
+        rows = ", ".join(f"{path.name} has {n} rows" for path, n in counts.items())
+        raise ValueError(f"tables written together differ in length: {rows}")
+    blocks = {key: _column_blocks(values, *key[1:]) for key, values in arrays.items()}
+    with contextlib.ExitStack() as stack:
+        handles = [stack.enter_context(open(path, "w", newline="")) for path in tables]
+        for handle, (header, _) in zip(handles, layouts):
+            handle.write(header)
+        for texts in zip(*blocks.values()):
+            block = dict(zip(blocks, texts))
+            for handle, (_, keys) in zip(handles, layouts):
+                cells = [None] * (len(keys) * len(block[keys[0]]))
+                for k, key in enumerate(keys):
+                    cells[k :: len(keys)] = block[key]
+                handle.write("".join(cells))
 
 
 def _stat_columns(field: StatField, prefix="") -> dict:
@@ -256,35 +284,33 @@ def run_experiment(cfg: ExperimentConfig, output_root=None) -> RunArtifacts:
     for k in range(moments.shape[2]):
         for i in range(moments.shape[1]):
             snapshot[f"u{k}_mom{i}"] = moments[:, i, k]
-    _write_table(out_dir / "snapshot.csv", snapshot)
+    _write_tables({out_dir / "snapshot.csv": snapshot})
     telemetry = result.telemetry
-    _write_table(
-        out_dir / "telemetry.csv",
-        {
-            "step": [d.step for d in telemetry],
-            "t": [d.t for d in telemetry],
-            "dt": [d.dt for d in telemetry],
-            "total_newton_iters": [d.newton_total for d in telemetry],
-            "max_newton_iters": [d.newton_max for d in telemetry],
-            "max_grad_norm": [d.grad_max for d in telemetry],
-        },
-    )
+    steps = {
+        "step": [d.step for d in telemetry],
+        "t": [d.t for d in telemetry],
+        "dt": [d.dt for d in telemetry],
+        "total_newton_iters": [d.newton_total for d in telemetry],
+        "max_newton_iters": [d.newton_max for d in telemetry],
+        "max_grad_norm": [d.grad_max for d in telemetry],
+    }
+    _write_tables({out_dir / "telemetry.csv": steps})
 
     numeric = stats_from_moments(x, result.moments, COMPONENTS)
     ref_mean, ref_var = euler.reference_statistics(
         x, result.t_final, cfg.x0, cfg.sigma, *ic.primitive_states(), gamma=cfg.gamma
     )
     reference = StatField(x=x, mean=ref_mean, var=ref_var, components=COMPONENTS)
-    _write_table(out_dir / "stats.csv", _stat_columns(numeric))
-    _write_table(out_dir / "reference.csv", _stat_columns(reference))
+    _write_tables({out_dir / "stats.csv": _stat_columns(numeric)})
+    _write_tables({out_dir / "reference.csv": _stat_columns(reference)})
     errors = StatField(
         x=x, mean=numeric.mean - ref_mean, var=numeric.var - ref_var, components=COMPONENTS
     )
-    _write_table(out_dir / "errors.csv", _stat_columns(errors, prefix="err_"))
+    _write_tables({out_dir / "errors.csv": _stat_columns(errors, prefix="err_")})
 
     d_mean, d_var = delta_metrics(numeric, reference, cfg.delta_region())
     summary = {"deltaE": d_mean, "deltaVar": d_var, **error_norms(numeric, reference)}
-    _write_table(out_dir / "summary.csv", {name: [summary[name]] for name in SUMMARY_FIELDS})
+    _write_tables({out_dir / "summary.csv": {name: [summary[name]] for name in SUMMARY_FIELDS}})
     (out_dir / "plot.py").write_text(PLOT_SCRIPT)
     write_seconds = time.perf_counter() - start - runtime
     newton = sum(d.newton_total for d in telemetry)
@@ -364,14 +390,12 @@ def sweep(cfg: ExperimentConfig, key: str, values, output_root=None) -> SweepRes
         )
 
     result = SweepResult(out_dir=base_dir, key=key, rows=rows)
-    _write_table(
-        result.table_path,
-        {
-            "value": [r.value for r in rows],
-            "deltaE": [r.deltaE for r in rows],
-            "deltaVar": [r.deltaVar for r in rows],
-        },
-    )
+    columns = {
+        "value": [r.value for r in rows],
+        "deltaE": [r.deltaE for r in rows],
+        "deltaVar": [r.deltaVar for r in rows],
+    }
+    _write_tables({result.table_path: columns})
     return result
 
 
@@ -400,23 +424,20 @@ def scan_figure1(cfg: ScanConfig, output_root=None) -> ScanArtifacts:
             path.unlink()
     (out_dir / "config.cfg").write_text(cfg.to_text())
 
-    rows = []
+    rows, rasters = [], {}
     for tag, spec in cfg.filter_specs():
         scan = filter_image_scan(spec, resolution=cfg.resolution)
-        _write_table(
-            out_dir / f"{tag}-{spec.strength!r}.csv",
-            {
-                "u1": scan.u1,
-                "u2": scan.u2,
-                "inside_before": scan.inside_before,
-                "inside_after": scan.inside_after,
-            },
-        )
+        # every scan holds the same u1, u2 and inside_before, which are formatted once
+        rasters[out_dir / f"{tag}-{spec.strength!r}.csv"] = {
+            "u1": scan.u1,
+            "u2": scan.u2,
+            "inside_before": scan.inside_before,
+            "inside_after": scan.inside_after,
+        }
         rows.append((spec.kind.value, spec.strength, scan.n_inside, scan.n_escaped))
+    _write_tables(rasters)
 
     header = ("filter", "strength", "n_inside", "n_escaped")
-    _write_table(
-        out_dir / "scan-summary.csv",
-        {name: [row[i] for row in rows] for i, name in enumerate(header)},
-    )
+    summary = {name: [row[i] for row in rows] for i, name in enumerate(header)}
+    _write_tables({out_dir / "scan-summary.csv": summary})
     return ScanArtifacts(out_dir=out_dir, rows=rows)

@@ -13,12 +13,16 @@ orthonormal coefficients (u_0, u_1, u_2) is an exact linear map.
 
 The scan rasterizes the slice u_0 = 1 of the coefficient space, applies the
 order-2 gain vector of a filter to every point, and reports membership before
-and after.  Filtered points can land within machine noise of the boundary, so
-the after-check accepts a small documented slack; the before-check is strict.
+and after.  The raster and its membership before filtering depend only on the
+resolution, so they are built once per resolution and shared, read-only, by
+every filter's scan.  Filtered points can land within machine noise of the
+boundary, so the after-check accepts a small documented slack; the
+before-check is strict.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,31 +83,46 @@ class ScanResult:
         return int(np.sum(self.inside_before & ~self.inside_after))
 
 
+@functools.lru_cache(maxsize=2)
+def _raster(resolution):
+    """The u_0 = 1 slice at ``resolution``, every array read-only.
+
+    Returns the per-axis triples (1, u1_i, 0) and (1, 0, u2_j), and the
+    flattened ``u1``, ``u2`` and unfiltered membership that every filter's
+    scan at this resolution shares.
+    """
+    u1 = np.linspace(U1_RANGE[0], U1_RANGE[1], resolution)
+    u2 = np.linspace(U2_RANGE[0], U2_RANGE[1], resolution)
+    ones, zeros = np.ones(resolution), np.zeros(resolution)
+    axes = (np.stack([ones, u1, zeros], axis=-1), np.stack([ones, zeros, u2], axis=-1))
+    shared = (np.repeat(u1, resolution), np.tile(u2, resolution), _inside(axes, 1.0, 0.0))
+    for array in (*axes, *shared):
+        array.flags.writeable = False
+    return axes, shared
+
+
+def _inside(axes, gain, slack):
+    """Membership of the raster points, gains applied, decided on the two axes."""
+    along_u1, along_u2 = axes
+    m_u1 = gpc_to_monomial(along_u1 * gain)
+    m_u2 = gpc_to_monomial(along_u2 * gain)
+    m = (m_u2[None, :, 0], m_u1[:, None, 1], m_u2[None, :, 2])
+    return is_realizable_monomial(m, slack=slack).ravel()
+
+
 def filter_image_scan(spec: FilterSpec, resolution=400) -> ScanResult:
     """Rasterize the u_0 = 1 slice and test membership before/after filtering.
 
     Gains are taken at dt = 1, so a dt-coupled filter's exponent is its strength.
     The point (1, u1_i, u2_j) has m_0 and m_2 from (1, 0, u2_j) and m_1 from
     (1, u1_i, 0), gains included, so the monomials are taken on the two axes
-    and meet on the (i, j) grid only inside the membership test.
+    and meet on the (i, j) grid only inside the membership test.  The rasters
+    of the last two resolutions asked for are kept: scans at one resolution
+    return the same read-only ``u1``, ``u2`` and ``inside_before`` arrays, and
+    each computes only its own ``inside_after``.
     """
     if resolution < 2:
         raise ValueError(f"need at least a 2x2 raster, got {resolution}")
-    u1 = np.linspace(U1_RANGE[0], U1_RANGE[1], resolution)
-    u2 = np.linspace(U2_RANGE[0], U2_RANGE[1], resolution)
-    ones, zeros = np.ones(resolution), np.zeros(resolution)
-    along_u1 = np.stack([ones, u1, zeros], axis=-1)
-    along_u2 = np.stack([ones, zeros, u2], axis=-1)
-
-    def inside(gain, slack):
-        m_u1 = gpc_to_monomial(along_u1 * gain)
-        m_u2 = gpc_to_monomial(along_u2 * gain)
-        m = (m_u2[None, :, 0], m_u1[:, None, 1], m_u2[None, :, 2])
-        return is_realizable_monomial(m, slack=slack).ravel()
-
-    return ScanResult(
-        u1=np.repeat(u1, resolution),
-        u2=np.tile(u2, resolution),
-        inside_before=inside(1.0, 0.0),
-        inside_after=inside(gains(spec, 2, 1.0), AFTER_SLACK),
-    )
+    axes, (u1, u2, inside_before) = _raster(resolution)
+    after = _inside(axes, gains(spec, 2, 1.0), AFTER_SLACK)
+    return ScanResult(u1=u1, u2=u2, inside_before=inside_before, inside_after=after)

@@ -11,10 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from csv_reference import reference_write_table
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fipm
+from fipm import experiment
 from fipm import solver as solver_module
 from fipm.cli import main
 from fipm.config import (
@@ -27,7 +29,14 @@ from fipm.config import (
 )
 from fipm.errors import ConfigError
 from fipm.euler import EulerEntropy, reference_statistics
-from fipm.experiment import ROWS_PER_WRITE, _write_table, run_experiment, scan_figure1, sweep
+from fipm.experiment import (
+    ROWS_PER_WRITE,
+    _column_blocks,
+    _write_tables,
+    run_experiment,
+    scan_figure1,
+    sweep,
+)
 from fipm.filters import FilterKind, FilterSpec
 from fipm.realizability import filter_image_scan
 from fipm.solver import Closure, GridConfig, MomentSolver
@@ -398,28 +407,14 @@ def tiny_config(**overrides):
     return cfg
 
 
-def reference_write_table(path, columns):
-    """Per-cell conversion by dtype, then ``csv.writer``: the writer's byte contract."""
-    cells = []
-    for values in columns.values():
-        values = np.asarray(values)
-        if values.dtype.kind == "f":
-            cells.append([repr(v) for v in values.tolist()])
-        elif values.dtype.kind in "biu":
-            cells.append([str(int(v)) for v in values.tolist()])
-        else:
-            cells.append(values.tolist())
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        writer.writerows(zip(*cells, strict=True))
-
-
 # cell text that csv quotes, alone or in company, and the empty string
 CSV_TEXT = st.text(alphabet=st.sampled_from([",", '"', "\r", "\n", " ", "a", "0"]), max_size=4)
 FLOATS = st.sampled_from(
     [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 0.1, 1e300]
 ) | st.floats()
+#: two columns that several tables of one ``_write_tables`` call hold
+SHARED_X = np.array([0.5, -0.0, 0.5, 1e-300])
+SHARED_S = ["a,b", "", "a,b", 'say "hi"']
 COLUMN_KINDS = {
     "f": (FLOATS, np.float64),
     "i": (st.integers(-(2**63), 2**63 - 1), np.int64),
@@ -430,30 +425,63 @@ COLUMN_KINDS = {
 
 
 @st.composite
+def column(draw, n_rows):
+    """A column of ``n_rows`` cells of one kind, drawn from a few values so that they repeat."""
+    values, dtype = COLUMN_KINDS[draw(st.sampled_from(sorted(COLUMN_KINDS)))]
+    pool = draw(st.lists(values, min_size=1, max_size=3))
+    cells = draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows))
+    return cells if dtype is None else np.array(cells, dtype=dtype)
+
+
+@st.composite
 def tables(draw):
-    """1 to 4 named columns of 0 to 12 rows, each drawn from a few values so that they repeat."""
+    """1 to 4 named columns of 0 to 12 rows."""
     names = draw(st.lists(CSV_TEXT, min_size=1, max_size=4, unique=True))
     n_rows = draw(st.integers(0, 12))
-    table = {}
-    for name in names:
-        values, dtype = COLUMN_KINDS[draw(st.sampled_from(sorted(COLUMN_KINDS)))]
-        pool = draw(st.lists(values, min_size=1, max_size=3))
-        column = draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows))
-        table[name] = column if dtype is None else np.array(column, dtype=dtype)
-    return table
+    return {name: draw(column(n_rows)) for name in names}
+
+
+@st.composite
+def shared_tables(draw):
+    """1 to 3 tables of one row count whose 1 to 4 columns each are drawn from
+    one pool of 1 to 3 column objects, so tables share columns and repeat them."""
+    n_rows = draw(st.integers(0, 12))
+    pool = draw(st.lists(column(n_rows), min_size=1, max_size=3))
+    picks = st.integers(0, len(pool) - 1)
+    tables = {}
+    for k in range(draw(st.integers(1, 3))):
+        names = draw(st.lists(CSV_TEXT, min_size=1, max_size=4, unique=True))
+        tables[f"t{k}.csv"] = {name: pool[draw(picks)] for name in names}
+    return tables
+
+
+def write_both(directory, tables):
+    """Write ``{name: columns}`` in one ``_write_tables`` call and through the oracle;
+    return each name's two byte strings."""
+    _write_tables({directory / f"got-{name}": columns for name, columns in tables.items()})
+    for name, columns in tables.items():
+        reference_write_table(directory / f"want-{name}", columns)
+    return {
+        name: ((directory / f"got-{name}").read_bytes(), (directory / f"want-{name}").read_bytes())
+        for name in tables
+    }
+
+
+FIGURE1 = parse_scan_config(read_config_text("figure1-scan")[0])
 
 
 class TestWriteTable:
     def test_exact_text(self, tmp_path):
         path = tmp_path / "table.csv"
-        _write_table(
-            path,
+        _write_tables(
             {
-                "f": np.array([0.1, -0.0, 1e-300, np.nan, np.inf]),
-                "i": np.arange(-2, 3),
-                "b": np.array([True, False, True, False, True]),
-                "s": ["a", "b c", "x,y", "0.10", "-"],
-            },
+                path: {
+                    "f": np.array([0.1, -0.0, 1e-300, np.nan, np.inf]),
+                    "i": np.arange(-2, 3),
+                    "b": np.array([True, False, True, False, True]),
+                    "s": ["a", "b c", "x,y", "0.10", "-"],
+                }
+            }
         )
         assert path.read_bytes() == (
             b"f,i,b,s\r\n"
@@ -466,14 +494,41 @@ class TestWriteTable:
 
     def test_zero_rows_write_only_the_header(self, tmp_path):
         path = tmp_path / "empty.csv"
-        _write_table(path, {"step": [], "t": np.array([]), "value": []})
+        _write_tables({path: {"step": [], "t": np.array([]), "value": []}})
         assert path.read_bytes() == b"step,t,value\r\n"
 
     def test_mismatched_columns_leave_no_file(self, tmp_path):
         path = tmp_path / "table.csv"
         with pytest.raises(ValueError, match="'a' has 3 rows, 'b' has 2 rows"):
-            _write_table(path, {"a": [1.0, 2.0, 3.0], "b": [1, 2]})
+            _write_tables({path: {"a": [1.0, 2.0, 3.0], "b": [1, 2]}})
         assert not path.exists()
+
+    def test_tables_of_unequal_length_leave_no_file(self, tmp_path):
+        paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
+        shared = np.arange(3.0)
+        with pytest.raises(ValueError, match="a.csv has 3 rows, b.csv has 2 rows, c.csv has 3"):
+            _write_tables(
+                {
+                    paths[0]: {"x": shared},
+                    paths[1]: {"x": shared[:2], "y": [1, 2]},
+                    paths[2]: {"x": shared, "y": [1, 2, 3]},
+                }
+            )
+        assert not any(path.exists() for path in paths)
+
+    def test_a_failed_open_closes_the_files_already_open(self, tmp_path, monkeypatch):
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            handle = open(*args, **kwargs)
+            opened.append(handle)
+            return handle
+
+        monkeypatch.setattr(experiment, "open", recording_open, raising=False)
+        first, missing = tmp_path / "first.csv", tmp_path / "no-such-dir" / "second.csv"
+        with pytest.raises(FileNotFoundError):
+            _write_tables({first: {"x": [1.0]}, missing: {"x": [2.0]}})
+        assert len(opened) == 1 and opened[0].closed
 
     @given(table=tables())
     # zeros of both signs in one column, and uint64 neighbours that a float key would merge
@@ -498,10 +553,24 @@ class TestWriteTable:
     @settings(max_examples=300, deadline=None)
     def test_bytes_match_the_csv_module(self, table):
         with tempfile.TemporaryDirectory() as tmp:
-            got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
-            _write_table(got, table)
-            reference_write_table(want, table)
-            assert got.read_bytes() == want.read_bytes()
+            got, want = write_both(Path(tmp), {"table.csv": table})["table.csv"]
+            assert got == want
+
+    @given(tables=shared_tables())
+    # x last in one table and not in another, and held twice by one table; s alone in
+    # one table, so its empty cell is quoted there only
+    @example(
+        tables={
+            "a.csv": {"x": SHARED_X, "s": SHARED_S},
+            "b.csv": {"s": SHARED_S, "x": SHARED_X, "again": SHARED_X},
+            "c.csv": {"s": SHARED_S},
+        }
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_tables_sharing_columns_match_the_csv_module(self, tables):
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, (got, want) in write_both(Path(tmp), tables).items():
+                assert got == want, name
 
     @pytest.mark.parametrize(
         "n_rows",
@@ -520,22 +589,35 @@ class TestWriteTable:
         empty = (rows % 4 == 0) | (rows == ROWS_PER_WRITE - 1) | (rows == ROWS_PER_WRITE)
         alone = {"s": np.where(empty, "", "x").tolist()}
         for name, table in (("mixed", mixed), ("alone", alone)):
-            got, want = tmp_path / f"got-{name}.csv", tmp_path / f"want-{name}.csv"
-            _write_table(got, table)
-            reference_write_table(want, table)
-            assert got.read_bytes() == want.read_bytes(), name
+            got, want = write_both(tmp_path, {name: table})[name]
+            assert got == want, name
+
+    @pytest.mark.parametrize("n_rows", [ROWS_PER_WRITE + 1, 2 * ROWS_PER_WRITE + 3])
+    def test_a_shared_column_is_quoted_only_where_it_is_alone_across_row_blocks(
+        self, tmp_path, n_rows
+    ):
+        rows = np.arange(n_rows)
+        empty = (rows % 4 == 0) | (rows == ROWS_PER_WRITE - 1) | (rows == ROWS_PER_WRITE)
+        cells = np.where(empty, "", "x").tolist()
+        tables = {
+            "alone": {"s": cells},
+            "paired": {"s": cells, "n": rows},
+            "last": {"n": rows, "s": cells},
+        }
+        written = write_both(tmp_path, tables)
+        for name, (got, want) in written.items():
+            assert got == want, name
+        assert b'\r\n""\r\n' in written["alone"][0]
+        assert b'""' not in written["paired"][0] + written["last"][0]
 
     def test_bytes_match_the_csv_module_on_a_figure1_raster(self, tmp_path):
-        cfg = parse_scan_config(read_config_text("figure1-scan")[0])
-        tag, spec = cfg.filter_specs()[0]
+        tag, spec = FIGURE1.filter_specs()[0]
         assert (tag, spec.strength) == ("exp", 0.05)
-        scan = filter_image_scan(spec, resolution=cfg.resolution)
+        scan = filter_image_scan(spec, resolution=FIGURE1.resolution)
         table = dataclasses.asdict(scan)
         assert len(scan.u1) == 160_000
-        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        _write_table(got, table)
-        reference_write_table(want, table)
-        assert got.read_bytes() == want.read_bytes()
+        got, want = write_both(tmp_path, {"raster.csv": table})["raster.csv"]
+        assert got == want
 
     def test_peak_memory_of_a_raster_stays_below_twice_the_file(self, tmp_path):
         # 160 000 rows: two axes of 400 distinct floats each and two flag columns
@@ -545,11 +627,38 @@ class TestWriteTable:
         path = tmp_path / "raster.csv"
         tracemalloc.start()
         try:
-            _write_table(path, table)
+            _write_tables({path: table})
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2 * path.stat().st_size
+
+    def test_a_column_holds_only_its_distinct_values_between_blocks(self):
+        u1 = np.repeat(np.linspace(-1.2, 1.2, 400), 400)
+        tracemalloc.start()
+        try:
+            blocks = _column_blocks(u1, False, ",")
+            next(blocks)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the sorted copy of the column alone would be u1.nbytes
+        assert held < u1.nbytes / 10
+
+    def test_peak_memory_of_the_figure1_rasters_stays_below_twice_one_file(self, tmp_path):
+        rasters = {}
+        for tag, spec in FIGURE1.filter_specs():
+            scan = filter_image_scan(spec, resolution=FIGURE1.resolution)
+            rasters[tmp_path / f"{tag}-{spec.strength!r}.csv"] = vars(scan)
+        assert len(rasters) == 8
+        tracemalloc.start()
+        try:
+            _write_tables(rasters)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        sizes = {path.stat().st_size for path in rasters}
+        assert peak < 2 * min(sizes)
 
 
 class TestRunExperiment:

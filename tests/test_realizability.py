@@ -5,12 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from csv_reference import reference_write_table
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from realizable_samples import monomial_to_gpc, sample_realizable
 
 from fipm.basis import gauss_rule, vandermonde
-from fipm.config import parse_scan_config, read_config_text
+from fipm.config import ScanConfig, parse_scan_config, read_config_text
+from fipm.experiment import scan_figure1
 from fipm.filters import FilterKind, FilterSpec, gains
 from fipm.realizability import (
     AFTER_SLACK,
@@ -207,3 +209,39 @@ class TestScanOnAxes:
             rows.append([spec.kind.value, repr(spec.strength), *counts])
         assert rows == FIGURE1_SUMMARY
         assert {row[2] for row in rows} == {"133738"}
+
+
+class TestSharedRaster:
+    """The raster and its unfiltered membership are built once per resolution."""
+
+    SPECS = [FIGURE1.filter_specs()[0][1], FIGURE1.filter_specs()[-1][1]]
+
+    def test_specs_at_one_resolution_share_the_raster(self):
+        exp, fp = (filter_image_scan(spec, resolution=31) for spec in self.SPECS)
+        for name in ("u1", "u2", "inside_before"):
+            assert getattr(exp, name) is getattr(fp, name), name
+        assert not np.array_equal(exp.inside_after, fp.inside_after)
+
+    @pytest.mark.parametrize("name", ["u1", "u2", "inside_before"])
+    def test_shared_arrays_are_read_only(self, name):
+        array = getattr(filter_image_scan(self.SPECS[0], resolution=31), name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[1]
+
+    def test_another_resolution_gets_its_own_raster(self):
+        small, large, again = (filter_image_scan(self.SPECS[0], resolution=n) for n in (31, 32, 31))
+        assert (small.u1.size, large.u1.size) == (31**2, 32**2)
+        for scan, resolution in ((small, 31), (large, 32), (again, 31)):
+            pts = raster_points(resolution)
+            assert np.array_equal(scan.u1, pts[:, 1])
+            assert np.array_equal(scan.u2, pts[:, 2])
+            assert np.array_equal(scan.inside_before, is_realizable_n2(pts))
+
+    def test_scan_rasters_are_the_csv_module_text_of_their_scans(self, tmp_path):
+        # 91 * 91 rows span two row blocks of the writer
+        cfg = ScanConfig(resolution=91, exp_exponents=(0.2,), fp_strengths=(0.05,), output_dir="s")
+        out_dir = scan_figure1(cfg, tmp_path).out_dir
+        for tag, spec in cfg.filter_specs():
+            want = tmp_path / f"want-{tag}.csv"
+            reference_write_table(want, vars(filter_image_scan(spec, resolution=cfg.resolution)))
+            assert (out_dir / f"{tag}-{spec.strength!r}.csv").read_bytes() == want.read_bytes()
