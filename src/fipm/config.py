@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .euler import GAMMA_DEFAULT, EulerEntropy
-from .filters import ORDERED_KINDS, FilterKind, FilterSpec
+from .filters import FilterKind, FilterSpec
 from .solver import Closure, GridConfig, MomentSolver, UncertainShockIC
 
 
@@ -105,7 +105,7 @@ class ExperimentConfig:
         # a filter key the chosen filter never reads would be ignored silently
         if self.filter == "none":
             _keep_default(self, "filter_strength", f"by filter '{self.filter}'")
-        if self.filter not in [k.value for k in ORDERED_KINDS]:
+        if self.filter != FilterKind.EXPONENTIAL.value:
             _keep_default(self, "filter_order", f"by filter '{self.filter}'")
         if not self.a <= self.delta_lo < self.delta_hi <= self.b:
             raise ConfigError(

@@ -1,14 +1,11 @@
 """Diagonal spectral filters acting on moment vectors.
 
-Each filter multiplies the degree-i moment row by a gain g_i in (0, 1].  Gains
-are nonincreasing in i, and g_0 = 1 for every kind except ERFC: the erfc gain
-at i = 0 is 1/2 * erfc(-2*sqrt(alpha)/2) < 1, so the erfc filter damps the mean
-slightly.  That is a property of the filter, not a defect; it is asserted in
-the tests rather than patched.
-
-The exponential and erfc filters are solution operators raised to the power
-lambda * dt and therefore need the time step; L2 and Fokker-Planck gains are
-dt-free.  The Fokker-Planck gain exp(mu_i * lambda) uses the Sturm-Liouville
+Each filter multiplies the degree-i moment row by a gain g_i in (0, 1], with
+g_0 = 1 and gains nonincreasing in i.  The Fokker-Planck filter preserves
+realizability for the exact dual; the exponential filter is the standard
+filter of the regularized dual.  The exponential filter is a solution operator
+raised to the power lambda * dt and therefore needs the time step.  The
+dt-free Fokker-Planck gain exp(mu_i * lambda) uses the Sturm-Liouville
 eigenvalues mu_i = -i(i+1) of the Legendre basis and inherits an exact
 semigroup property: applying lambda_1 then lambda_2 equals applying
 lambda_1 + lambda_2.
@@ -24,7 +21,6 @@ lambda_FP * N <= ln 1.05.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,19 +33,13 @@ LOG_MACHINE_EPS = float(np.log(np.finfo(float).eps))
 
 
 class FilterKind(enum.Enum):
-    L2 = "l2"
     EXPONENTIAL = "exponential"
-    ERFC = "erfc"
     FOKKER_PLANCK = "fokker-planck"
-
-
-#: kinds whose gain exponent is lambda * dt; only these read an order
-ORDERED_KINDS = (FilterKind.EXPONENTIAL, FilterKind.ERFC)
 
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """A filter kind with its strength lambda and (for EXP/ERFC) order alpha."""
+    """A filter kind with its strength lambda and (exponential only) order alpha."""
 
     kind: FilterKind
     strength: float
@@ -61,7 +51,7 @@ class FilterSpec:
         require_finite(**{"filter strength": self.strength, "filter order": self.order})
         if self.strength < 0:
             raise ValueError(f"filter strength must be nonnegative, got {self.strength}")
-        if self.kind in ORDERED_KINDS and self.order < 1:
+        if self.kind is FilterKind.EXPONENTIAL and self.order < 1:
             raise ValueError(f"filter order must be >= 1, got {self.order}")
 
 
@@ -70,19 +60,13 @@ def gains(spec: FilterSpec, degree: int, dt: float | None = None) -> np.ndarray:
     if degree < 0:
         raise ValueError(f"degree must be nonnegative, got {degree}")
     i = np.arange(degree + 1, dtype=float)
-    if spec.kind is FilterKind.L2:
-        return 1.0 / (1.0 + spec.strength * i**2 * (i + 1) ** 2)
     if spec.kind is FilterKind.FOKKER_PLANCK:
         return np.exp(-i * (i + 1) * spec.strength)
     if dt is None or dt <= 0:
         raise ValueError("this filter couples to the time step; pass dt > 0")
-    # the EXP/ERFC solution operator at unit exponent, raised to lambda * dt
+    # the exponential solution operator at unit exponent, raised to lambda * dt
     zeta = i / degree if degree > 0 else i
-    if spec.kind is FilterKind.EXPONENTIAL:
-        base = np.exp(LOG_MACHINE_EPS * zeta**spec.order)
-    else:
-        base = 0.5 * np.array([math.erfc(2 * math.sqrt(spec.order) * (z - 0.5)) for z in zeta])
-    return base ** (spec.strength * dt)
+    return np.exp(LOG_MACHINE_EPS * zeta**spec.order) ** (spec.strength * dt)
 
 
 def apply_filter(

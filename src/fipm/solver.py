@@ -51,7 +51,7 @@ def check_combination(closure: Closure, filter_spec: FilterSpec | None, eta: flo
 
     The Galerkin closure takes any filter or none, and no regularization.  The
     exact dual (eta = 0) takes no filter or the realizability-preserving
-    Fokker-Planck filter; every other filter needs the regularized dual, eta > 0.
+    Fokker-Planck filter; the exponential filter needs the regularized dual.
     """
     if closure is Closure.SG:
         if eta != 0.0:

@@ -139,7 +139,7 @@ class TestParseConfig:
 
     def test_echo_round_trips(self):
         cfg = parse_config(
-            MINIMAL, overrides=["closure=sg", "filter=l2", "filter_strength=0.25"]
+            MINIMAL, overrides=["closure=sg", "filter=fokker-planck", "filter_strength=0.25"]
         )
         assert parse_config(cfg.to_text()) == cfg
 
@@ -154,9 +154,10 @@ ACCEPTED = {
     ("ipm", "fokker-planck", 0.0),
     *(("ipm", filt, 1e-7) for filt in COMBINATION_FILTERS),
 }
-assert len(ACCEPTED) == 12
-#: closure names of earlier versions; each fails as any unknown choice
+assert len(ACCEPTED) == 8
+#: closure and filter names of earlier versions; each fails as any unknown choice
 REMOVED_CLOSURES = ["fsg", "fipm-realizable", "fipm-regularized"]
+REMOVED_FILTERS = ["l2", "erfc"]
 
 
 class TestCompatibility:
@@ -176,7 +177,7 @@ class TestCompatibility:
             parse_config(text)
 
     @pytest.mark.parametrize("eta", [0.0, 1e-7])
-    @pytest.mark.parametrize("filt", COMBINATION_FILTERS)
+    @pytest.mark.parametrize("filt", COMBINATION_FILTERS + REMOVED_FILTERS)
     @pytest.mark.parametrize(
         "closure", [member.value for member in Closure] + REMOVED_CLOSURES
     )
@@ -190,8 +191,8 @@ class TestCompatibility:
             config_accepts = True
         except ConfigError:
             config_accepts = False
-        spec = None if filt == "none" else FilterSpec(FilterKind(filt), 0.1, order=2)
         try:
+            spec = None if filt == "none" else FilterSpec(FilterKind(filt), 0.1, order=2)
             MomentSolver(
                 GridConfig(0.0, 1.0, 60, 0.01), 2, 6, EulerEntropy(),
                 closure=Closure(closure),
@@ -320,6 +321,17 @@ class TestPresets:
         assert cfg.order == 7
         assert cfg.exp_exponents == (0.05, 0.1, 0.2, 0.3)
         assert cfg.fp_strengths == (0.05, 0.1, 0.2, 0.3)
+
+    def test_every_filter_kind_runs_in_a_preset(self):
+        # a kind that no preset runs is generality that nothing uses
+        kinds = set()
+        for name in list_presets():
+            if name == "figure1-scan":
+                specs = parse_scan_config(read_config_text(name)[0]).filter_specs()
+                kinds |= {spec.kind for _, spec in specs}
+            elif (spec := load_config(name).filter_spec()) is not None:
+                kinds.add(spec.kind)
+        assert kinds == set(FilterKind)
 
     def test_file_paths_also_resolve(self, tmp_path):
         path = tmp_path / "mine.cfg"
@@ -911,13 +923,15 @@ class TestCli:
         assert "holds no interior cell center" in capsys.readouterr().err
         assert main(["run", "sod-ipm-desk", "--set", "closure=fsg", "--dry-run"]) == 2
         assert "closure must be one of sg, ipm" in capsys.readouterr().err
+        assert main(["run", "sod-ipm-desk", "--set", "filter=erfc", "--dry-run"]) == 2
+        assert "filter must be one of none, exponential, fokker-planck" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "preset,overrides,key",
         [
             ("sod-ipm-desk", ["filter_strength=5", "filter_order=0"], "filter_strength"),
             ("sod-ipm-desk", ["filter_order=0"], "filter_order"),
-            ("sod-fipm-exp-desk", ["filter=l2", "filter_order=0"], "filter_order"),
+            ("sod-fipm-exp-desk", ["filter=fokker-planck", "filter_order=0"], "filter_order"),
             ("sod-fipm-fp-desk", ["filter_order=3"], "filter_order"),
         ],
     )

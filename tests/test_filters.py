@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,13 +15,6 @@ def make_spec(kind, strength, order=2):
 
 
 class TestFrozenValues:
-    def test_l2(self):
-        # 1 / (1 + lambda i^2 (i+1)^2)
-        assert gains(make_spec(FilterKind.L2, 1.0), 10)[1] == pytest.approx(0.2, abs=1e-15)
-        assert gains(make_spec(FilterKind.L2, 0.05), 5)[3] == pytest.approx(
-            0.12195121951219513, abs=1e-15
-        )
-
     def test_fokker_planck(self):
         spec = make_spec(FilterKind.FOKKER_PLANCK, 0.1)
         assert gains(spec, 4)[2] == pytest.approx(0.5488116360940264, abs=1e-15)
@@ -37,26 +29,6 @@ class TestFrozenValues:
         assert gains(spec, 10, dt=0.5)[5] == pytest.approx(0.9654133954938136, rel=1e-13)
         spec2 = make_spec(FilterKind.EXPONENTIAL, 0.5, order=2)
         assert gains(spec2, 2, dt=1.0)[1] == pytest.approx(0.01104854345603981, rel=1e-13)
-
-    def test_erfc(self):
-        spec = make_spec(FilterKind.ERFC, 1.0, order=10)
-        g = gains(spec, 10, dt=1.0)
-        assert g[5] == pytest.approx(0.5, abs=1e-15)
-        assert g[10] == pytest.approx(3.872108215522035e-06, rel=1e-12)
-        # the erfc filter does NOT preserve the mean
-        assert g[0] == pytest.approx(0.9999961278917845, rel=1e-14)
-        assert g[0] < 1.0
-
-
-def test_erfc_matches_scipy_oracle():
-    for order in range(1, 13):
-        for degree in range(1, 16):
-            zeta = np.arange(degree + 1) / degree
-            expected = 0.5 * scipy.special.erfc(2 * np.sqrt(order) * (zeta - 0.5))
-            g = gains(make_spec(FilterKind.ERFC, 1.0, order=order), degree, dt=1.0)
-            np.testing.assert_allclose(
-                g, expected, rtol=1e-14, atol=0, err_msg=f"order {order}, degree {degree}"
-            )
 
 
 class TestStructure:
@@ -86,9 +58,7 @@ class TestStructure:
         assert g[0] == 1.0
         assert g[1] == 0.0
 
-    @pytest.mark.parametrize(
-        "kind", [FilterKind.L2, FilterKind.EXPONENTIAL, FilterKind.FOKKER_PLANCK]
-    )
+    @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_mean_preserved(self, kind):
         assert gains(make_spec(kind, 3.0, order=4), 6, dt=0.2)[0] == 1.0
 
@@ -108,7 +78,7 @@ class TestStructure:
         assert g == pytest.approx(gains(spec, 8, dt=dt1 + dt2), rel=1e-12)
 
     def test_degree_zero_gain_is_one(self):
-        for kind in (FilterKind.L2, FilterKind.EXPONENTIAL, FilterKind.FOKKER_PLANCK):
+        for kind in ALL_KINDS:
             assert gains(make_spec(kind, 2.0), 0, dt=0.1) == pytest.approx([1.0])
 
     def test_unit_dt_uses_strength_as_exponent(self):
@@ -137,7 +107,7 @@ class TestApplyFilter:
     def test_batched(self):
         rng = np.random.default_rng(1)
         u = rng.normal(size=(5, 4, 3))
-        spec = make_spec(FilterKind.L2, 0.7)
+        spec = make_spec(FilterKind.FOKKER_PLANCK, 0.7)
         out = apply_filter(spec, u)
         for b in range(5):
             assert out[b] == pytest.approx(apply_filter(spec, u[b]), abs=1e-15)
@@ -146,7 +116,7 @@ class TestApplyFilter:
 class TestValidation:
     def test_negative_strength_rejected(self):
         with pytest.raises(ValueError):
-            FilterSpec(kind=FilterKind.L2, strength=-1.0)
+            FilterSpec(kind=FilterKind.FOKKER_PLANCK, strength=-1.0)
 
     def test_bad_order_rejected(self):
         with pytest.raises(ValueError):
@@ -157,12 +127,12 @@ class TestValidation:
             FilterSpec(kind="boxcar", strength=1.0)
 
     def test_missing_dt_rejected(self):
-        spec = FilterSpec(kind=FilterKind.ERFC, strength=1.0, order=2)
+        spec = FilterSpec(kind=FilterKind.EXPONENTIAL, strength=1.0, order=2)
         with pytest.raises(ValueError):
             gains(spec, 4)
 
     def test_bad_index_rejected(self):
         # the gain vector covers basis indices 0..degree; no degree is negative
-        spec = FilterSpec(kind=FilterKind.L2, strength=1.0)
+        spec = FilterSpec(kind=FilterKind.FOKKER_PLANCK, strength=1.0)
         with pytest.raises(ValueError):
             gains(spec, -1)

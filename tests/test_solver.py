@@ -251,7 +251,7 @@ class TestGalerkinAdvection:
         np.testing.assert_allclose(result.moments, expected, atol=1e-12)
 
     def test_filtered_sg_step_factors_into_filter_then_sg_step(self):
-        spec = FilterSpec(FilterKind.L2, strength=0.3)
+        spec = FilterSpec(FilterKind.FOKKER_PLANCK, strength=0.3)
         solver_fsg, u0, ghosts = advection_setup(filter_spec=spec)
         solver_sg, _, _ = advection_setup()
         state = solver_fsg.prepare(u0, ghosts)
@@ -386,9 +386,8 @@ class TestConservationAndRealizability:
     @pytest.mark.parametrize(
         "spec",
         [
-            FilterSpec(FilterKind.L2, 0.3),
             FilterSpec(FilterKind.EXPONENTIAL, 2.0, order=10),
-            FilterSpec(FilterKind.ERFC, 2.0, order=4),
+            FilterSpec(FilterKind.FOKKER_PLANCK, 0.3),
         ],
         ids=lambda spec: spec.kind.value,
     )
