@@ -81,6 +81,17 @@ class TestStructure:
         for kind in ALL_KINDS:
             assert gains(make_spec(kind, 2.0), 0, dt=0.1) == pytest.approx([1.0])
 
+    @given(order=st.integers(1, 12), degree=st.integers(1, 15))
+    @settings(max_examples=100, deadline=None)
+    def test_exponential_damps_the_top_mode_to_eps_at_unit_exponent(self, order, degree):
+        g = gains(make_spec(FilterKind.EXPONENTIAL, 1.0, order), degree, dt=1.0)
+        assert g[-1] == pytest.approx(np.finfo(float).eps, rel=1e-12)
+
+    def test_fokker_planck_gains_read_neither_dt_nor_order(self):
+        g = gains(make_spec(FilterKind.FOKKER_PLANCK, 0.4, order=2), 6)
+        assert np.array_equal(gains(make_spec(FilterKind.FOKKER_PLANCK, 0.4, order=9), 6), g)
+        assert np.array_equal(gains(make_spec(FilterKind.FOKKER_PLANCK, 0.4), 6, dt=0.3), g)
+
     def test_unit_dt_uses_strength_as_exponent(self):
         # the realizability scan prescribes the exponent through dt = 1
         spec = make_spec(FilterKind.EXPONENTIAL, 0.2, order=7)
@@ -113,14 +124,31 @@ class TestApplyFilter:
             assert out[b] == pytest.approx(apply_filter(spec, u[b]), abs=1e-15)
 
 
+    def test_exponential_filter_takes_the_time_step(self):
+        u = np.random.default_rng(2).normal(size=(5, 3))
+        spec = make_spec(FilterKind.EXPONENTIAL, 0.8, order=4)
+        assert np.array_equal(apply_filter(spec, u, dt=0.05), u * gains(spec, 4, dt=0.05)[:, None])
+        with pytest.raises(ValueError, match="pass dt > 0"):
+            apply_filter(spec, u)
+
+
 class TestValidation:
     def test_negative_strength_rejected(self):
         with pytest.raises(ValueError):
             FilterSpec(kind=FilterKind.FOKKER_PLANCK, strength=-1.0)
 
+    @pytest.mark.parametrize("strength", [float("nan"), float("inf")])
+    def test_non_finite_strength_rejected(self, strength):
+        with pytest.raises(ValueError, match="^filter strength must be finite"):
+            FilterSpec(kind=FilterKind.FOKKER_PLANCK, strength=strength)
+
     def test_bad_order_rejected(self):
         with pytest.raises(ValueError):
             FilterSpec(kind=FilterKind.EXPONENTIAL, strength=1.0, order=0)
+
+    def test_order_is_checked_only_for_the_exponential_filter(self):
+        # the Fokker-Planck gain reads no order, so none is refused
+        assert FilterSpec(kind=FilterKind.FOKKER_PLANCK, strength=1.0, order=0).order == 0
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -130,6 +158,12 @@ class TestValidation:
         spec = FilterSpec(kind=FilterKind.EXPONENTIAL, strength=1.0, order=2)
         with pytest.raises(ValueError):
             gains(spec, 4)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1])
+    def test_nonpositive_dt_rejected(self, dt):
+        spec = FilterSpec(kind=FilterKind.EXPONENTIAL, strength=1.0, order=2)
+        with pytest.raises(ValueError, match="pass dt > 0"):
+            gains(spec, 4, dt=dt)
 
     def test_bad_index_rejected(self):
         # the gain vector covers basis indices 0..degree; no degree is negative
