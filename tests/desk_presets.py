@@ -3,9 +3,9 @@
     PYTHONPATH=src python tests/desk_presets.py
 
 rewrites ``desk_expected/``: ``expected.json`` holds each preset's Newton
-cell-iterations and its summary.csv row, ``<preset>-stats.csv`` the mean and
-variance columns of its stats.csv, both written with STORED_DIGITS significant
-digits.  Regenerate them only in a change that is meant to move these outputs,
+cell-iterations and its summary.csv row, ``<preset>-stats.csv`` and
+``<preset>-reference.csv`` the mean and variance columns of its stats.csv and
+reference.csv, all written with STORED_DIGITS significant digits.  Regenerate them only in a change that is meant to move these outputs,
 and say so where the change is described.
 """
 
@@ -25,6 +25,8 @@ from fipm.stats import StatField
 
 PRESETS = ("sod-ipm-desk", "sod-fipm-fp-desk", "sod-fipm-exp-desk", "sod-highdensity-desk")
 EXPECTED = Path(__file__).resolve().parent / "desk_expected"
+#: the per-cell tables pinned by their mean and variance columns, each a DeskRun field
+TABLES = ("stats", "reference")
 #: a stored value is off by at most 5e-13 of its own size, far inside the check's 1e-9
 STORED_DIGITS = 12
 
@@ -35,8 +37,9 @@ class DeskRun:
 
     newton_cell_iterations: int
     summary: dict[str, float]
-    #: stats.csv by column name, x first
+    #: stats.csv and reference.csv by column name, x first
     stats: dict[str, np.ndarray]
+    reference: dict[str, np.ndarray]
 
     def stat_field(self) -> StatField:
         mean = np.stack([self.stats[f"mean_{c}"] for c in COMPONENTS], axis=-1)
@@ -59,14 +62,15 @@ def run_preset(name, root) -> DeskRun:
     log = (artifacts.out_dir / "run.log").read_text().splitlines()
     (newton,) = [int(line.split(":")[1]) for line in log if line.startswith("newton_cell_iterations:")]
     summary = {k: float(v[0]) for k, v in read_columns(artifacts.out_dir / "summary.csv").items()}
-    return DeskRun(newton, summary, read_columns(artifacts.out_dir / "stats.csv"))
+    tables = (read_columns(artifacts.out_dir / f"{table}.csv") for table in TABLES)
+    return DeskRun(newton, summary, *tables)
 
 
 def stored(name) -> DeskRun:
-    """The stored outputs of one preset; its stats hold the mean and variance columns only."""
+    """The stored outputs of one preset; its tables hold the mean and variance columns only."""
     entry = json.loads((EXPECTED / "expected.json").read_text())[name]
-    stats = read_columns(EXPECTED / f"{name}-stats.csv")
-    return DeskRun(entry["newton_cell_iterations"], entry["summary"], stats)
+    tables = (read_columns(EXPECTED / f"{name}-{table}.csv") for table in TABLES)
+    return DeskRun(entry["newton_cell_iterations"], entry["summary"], *tables)
 
 
 def _text(value) -> str:
@@ -83,11 +87,12 @@ def main():
                 "newton_cell_iterations": run.newton_cell_iterations,
                 "summary": {k: float(_text(v)) for k, v in run.summary.items()},
             }
-            columns = {k: v for k, v in run.stats.items() if k != "x"}
-            with open(EXPECTED / f"{name}-stats.csv", "w", newline="") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(columns)
-                writer.writerows([_text(v) for v in row] for row in zip(*columns.values()))
+            for table in TABLES:
+                columns = {k: v for k, v in getattr(run, table).items() if k != "x"}
+                with open(EXPECTED / f"{name}-{table}.csv", "w", newline="") as handle:
+                    writer = csv.writer(handle)
+                    writer.writerow(columns)
+                    writer.writerows([_text(v) for v in row] for row in zip(*columns.values()))
             print(f"{name}: {run.newton_cell_iterations} Newton cell-iterations")
     (EXPECTED / "expected.json").write_text(json.dumps(expected, indent=2) + "\n")
 

@@ -1,13 +1,13 @@
 """The four desk presets, run end to end, against their stored outputs.
 
 Newton cell-iterations must match exactly; every summary.csv value and every
-stats.csv mean and variance column must match to RTOL of that column's largest
-stored magnitude.  ``desk_presets.py`` regenerates the stored values.
+stats.csv and reference.csv mean and variance column must match to RTOL of that
+column's largest stored magnitude.  ``desk_presets.py`` regenerates the stored values.
 """
 
 import numpy as np
 import pytest
-from desk_presets import PRESETS, stored
+from desk_presets import PRESETS, TABLES, stored
 
 RTOL = 1e-9
 
@@ -25,5 +25,7 @@ def test_preset_reproduces_its_stored_outputs(desk_run, preset):
     assert run.newton_cell_iterations == want.newton_cell_iterations
     assert list(run.summary) == list(want.summary)
     assert_columns_match(run.summary, want.summary)
-    assert list(run.stats) == ["x", *want.stats]
-    assert_columns_match(run.stats, want.stats)
+    for table in TABLES:
+        got_columns, want_columns = getattr(run, table), getattr(want, table)
+        assert list(got_columns) == ["x", *want_columns], table
+        assert_columns_match(got_columns, want_columns)

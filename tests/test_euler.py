@@ -2,16 +2,27 @@
 
 The star-pressure oracle is an independent bisection on the standard pressure
 function; the wave-structure oracle is an integral conservation balance of the
-sampled solution.
+sampled solution.  The reference statistics' row blocks are checked bitwise
+against the one-shot sample they replace.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fipm.basis import gauss_rule
 from fipm.errors import VacuumError
-from fipm.euler import EulerEntropy, conserved_from_primitive, exact_riemann, reference_statistics
+from fipm.euler import (
+    REFERENCE_BLOCK,
+    REFERENCE_NODES,
+    EulerEntropy,
+    conserved_from_primitive,
+    exact_riemann,
+    reference_statistics,
+)
 from fipm.solver import rusanov
 
 GAMMA = 1.4
@@ -291,6 +302,22 @@ class TestExactRiemann:
             exact_riemann(np.array([-1.0, 0.0, 1.0]), SOD_R)
 
 
+def one_shot_reference(xs, t, x0, sigma, prim_l, prim_r, gamma=GAMMA):
+    """reference_statistics as one (len(xs), REFERENCE_NODES, 3) sample: the oracle of its blocks."""
+    sol = exact_riemann(prim_l, prim_r, gamma)
+    rule = gauss_rule(REFERENCE_NODES)
+    shifts = x0 + sigma * rule.nodes
+    if t > 0:
+        states = sol.sample_conserved((xs[:, None] - shifts[None, :]) / t)
+    else:
+        left = conserved_from_primitive(prim_l, gamma)
+        right = conserved_from_primitive(prim_r, gamma)
+        states = np.where((xs[:, None] < shifts[None, :])[..., None], left, right)
+    mean = np.einsum("r,xrk->xk", rule.weights, states)
+    second = np.einsum("r,xrk->xk", rule.weights, states**2)
+    return mean, np.maximum(second - mean**2, 0.0)
+
+
 class TestReferenceStatistics:
     def test_deterministic_interface_has_no_variance(self):
         xs = np.linspace(0.0, 1.0, 101)
@@ -327,3 +354,32 @@ class TestReferenceStatistics:
         outside = (xs < lo) | (xs > hi)
         assert np.max(var[outside]) == pytest.approx(0.0, abs=1e-12)
         assert np.max(var) > 1e-3
+
+    @pytest.mark.parametrize("t", [0.0, 0.14])
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    @pytest.mark.parametrize(
+        "n_x", [0, 1, REFERENCE_BLOCK - 1, REFERENCE_BLOCK, REFERENCE_BLOCK + 1, 401]
+    )
+    def test_blocks_match_the_one_shot_sample_bitwise(self, n_x, sigma, t):
+        xs = (np.arange(n_x) + 0.5) / max(n_x, 1)
+        mean, var = reference_statistics(xs, t, 0.5, sigma, SOD_L, SOD_R)
+        want_mean, want_var = one_shot_reference(xs, t, 0.5, sigma, SOD_L, SOD_R)
+        assert mean.shape == var.shape == (n_x, 3)
+        assert np.array_equal(mean, want_mean)
+        assert np.array_equal(var, want_var)
+
+    @pytest.mark.parametrize("t", [0.0, 0.14])
+    def test_traced_peak_does_not_grow_with_the_grid(self, t):
+        """The bound is half of one (n_x, REFERENCE_NODES, 3) float sample, 2.29 MiB at
+        2000 cells: the one-shot sample and its temporaries peaked at 13.7 (t > 0) and
+        9.4 MiB (t = 0), the blocks at about 0.4 MiB (the outputs and one block's sample)."""
+        n_x = 2000
+        xs = (np.arange(n_x) + 0.5) / n_x
+        reference_statistics(xs[:1], t, 0.5, 0.05, SOD_L, SOD_R)  # keep one-time setup out of the trace
+        tracemalloc.start()
+        try:
+            reference_statistics(xs, t, 0.5, 0.05, SOD_L, SOD_R)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * n_x * REFERENCE_NODES * 3 * 8
