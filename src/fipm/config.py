@@ -89,7 +89,7 @@ class ExperimentConfig:
     gamma: float = GAMMA_DEFAULT
     filter: str = "none"
     filter_strength: float = 0.0
-    filter_order: int = 2
+    filter_order: int = FilterSpec.order
     eta: float = 0.0
     tau: float = 1e-7
     delta_lo: float = 0.7

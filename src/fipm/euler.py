@@ -2,8 +2,9 @@
 
 Conserved variables are u = (rho, m, E_t) with momentum m = rho*v and total
 energy E_t = p/(gamma-1) + rho*v^2/2.  A state is admissible when density and
-pressure are strictly positive.  Flux, wave speed and admissibility are methods
-of the model at its gamma; all maps broadcast over leading axes, component last.
+pressure are strictly positive.  The conserved map, flux, wave speed and
+admissibility are methods of the model at its gamma, which the exact Riemann
+solution and its statistics take; all maps broadcast over leading axes, component last.
 The reference statistics average the exact Riemann solution over the uniform
 input, sampling REFERENCE_BLOCK rows of x at a time, so their memory is one
 block's sample whatever the grid.
@@ -29,13 +30,6 @@ REFERENCE_NODES = 100
 REFERENCE_BLOCK = 32
 
 
-def conserved_from_primitive(w, gamma=GAMMA_DEFAULT):
-    """(rho, v, p) -> (rho, rho v, p/(gamma-1) + rho v^2/2)."""
-    w = np.asarray(w, dtype=float)
-    rho, v, p = w[..., 0], w[..., 1], w[..., 2]
-    return np.stack([rho, rho * v, p / (gamma - 1.0) + 0.5 * rho * v**2], axis=-1)
-
-
 #: density and internal energy floor of a cold-start state
 STATE_FLOOR = 1e-8
 
@@ -55,6 +49,12 @@ class EulerEntropy:
         if not gamma > 1.0:
             raise ValueError(f"gamma must exceed 1, got {gamma}")
         self.gamma = float(gamma)
+
+    def conserved(self, w):
+        """(rho, v, p) -> (rho, rho v, p/(gamma-1) + rho v^2/2)."""
+        w = np.asarray(w, dtype=float)
+        rho, v, p = w[..., 0], w[..., 1], w[..., 2]
+        return np.stack([rho, rho * v, p / (self.gamma - 1.0) + 0.5 * rho * v**2], axis=-1)
 
     def _split(self, u):
         u = np.asarray(u, dtype=float)
@@ -147,8 +147,9 @@ class EulerEntropy:
 # ---------------------------------------------------------------------------
 
 
-def _pressure_function(p, rho_k, p_k, c_k, gamma):
+def _pressure_function(p, rho_k, p_k, c_k, model):
     """f_K(p) and its derivative for one side of the Riemann problem."""
+    gamma = model.gamma
     a_k = 2.0 / ((gamma + 1.0) * rho_k)
     b_k = (gamma - 1.0) / (gamma + 1.0) * p_k
     if p > p_k:  # shock
@@ -168,7 +169,7 @@ class RiemannSolution:
 
     prim_l: np.ndarray
     prim_r: np.ndarray
-    gamma: float
+    model: EulerEntropy
     p_star: float
     v_star: float
 
@@ -179,7 +180,7 @@ class RiemannSolution:
         s = np.atleast_1d(s_in)
         out = np.full(s.shape + (3,), np.nan)
         rho, v, p = np.moveaxis(out, -1, 0)
-        gamma = self.gamma
+        gamma = self.model.gamma
         beta = (gamma - 1.0) / (gamma + 1.0)
         sides = ((self.prim_l, 1.0, s <= self.v_star), (self.prim_r, -1.0, s > self.v_star))
         for prim, sign, region in sides:
@@ -208,11 +209,11 @@ class RiemannSolution:
         return out.reshape(s_in.shape + (3,))
 
     def sample_conserved(self, s):
-        return conserved_from_primitive(self.sample(s), self.gamma)
+        return self.model.conserved(self.sample(s))
 
 
-def exact_riemann(prim_l, prim_r, gamma=GAMMA_DEFAULT):
-    """Solve the Riemann problem exactly for primitive left/right states.
+def exact_riemann(prim_l, prim_r, model: EulerEntropy):
+    """Solve the Riemann problem exactly for primitive left/right states at the model's gamma.
 
     Newton iteration on the star pressure, started from the two-rarefaction
     approximation; raises VacuumError when the data generate vacuum.
@@ -221,6 +222,7 @@ def exact_riemann(prim_l, prim_r, gamma=GAMMA_DEFAULT):
     prim_r = np.asarray(prim_r, dtype=float)
     rho_l, v_l, p_l = prim_l
     rho_r, v_r, p_r = prim_r
+    gamma = model.gamma
     require_finite(rho_l=rho_l, v_l=v_l, p_l=p_l, rho_r=rho_r, v_r=v_r, p_r=p_r)
     if min(rho_l, p_l, rho_r, p_r) <= 0:
         raise ValueError("Riemann data must have positive density and pressure")
@@ -237,8 +239,8 @@ def exact_riemann(prim_l, prim_r, gamma=GAMMA_DEFAULT):
     p = max(p_two_raref, 1e-14)
 
     for _ in range(RIEMANN_MAX_ITER):
-        f_l, df_l = _pressure_function(p, rho_l, p_l, c_l, gamma)
-        f_r, df_r = _pressure_function(p, rho_r, p_r, c_r, gamma)
+        f_l, df_l = _pressure_function(p, rho_l, p_l, c_l, model)
+        f_r, df_r = _pressure_function(p, rho_r, p_r, c_r, model)
         f = f_l + f_r + (v_r - v_l)
         p_new = max(p - f / (df_l + df_r), 1e-14)
         if abs(p_new - p) <= RIEMANN_TOL * max(p, 1e-14):
@@ -246,20 +248,21 @@ def exact_riemann(prim_l, prim_r, gamma=GAMMA_DEFAULT):
             break
         p = p_new
 
-    f_l, _ = _pressure_function(p, rho_l, p_l, c_l, gamma)
-    f_r, _ = _pressure_function(p, rho_r, p_r, c_r, gamma)
+    f_l, _ = _pressure_function(p, rho_l, p_l, c_l, model)
+    f_r, _ = _pressure_function(p, rho_r, p_r, c_r, model)
     v_star = 0.5 * (v_l + v_r) + 0.5 * (f_r - f_l)
     return RiemannSolution(
-        prim_l=prim_l, prim_r=prim_r, gamma=gamma, p_star=float(p), v_star=float(v_star)
+        prim_l=prim_l, prim_r=prim_r, model=model, p_star=float(p), v_star=float(v_star)
     )
 
 
-def reference_statistics(xs, t, x0, sigma, prim_l, prim_r, gamma=GAMMA_DEFAULT):
-    """Mean and variance of the exact conserved solution over the uniform input.
+def reference_statistics(xs, t, ic, model: EulerEntropy):
+    """Mean and variance of the model's exact conserved solution over the uniform input.
 
-    The discontinuity sits at x0 + sigma*xi with xi uniform on [-1, 1]; the
-    left/right states are deterministic, so a single Riemann solution is
-    sampled at shifted similarity coordinates and averaged with a
+    Of the initial data ``ic`` (an ``UncertainShockIC``) only x0, sigma and
+    primitive_states() are read.  The discontinuity sits at x0 + sigma*xi with xi
+    uniform on [-1, 1]; the left/right states are deterministic, so a single
+    Riemann solution is sampled at shifted similarity coordinates and averaged with a
     REFERENCE_NODES-point Gauss rule.  At t = 0 the (shifted) initial data
     are averaged instead.  The sample is taken REFERENCE_BLOCK rows of xs at a
     time, so beyond the outputs its memory is one (REFERENCE_BLOCK,
@@ -268,11 +271,11 @@ def reference_statistics(xs, t, x0, sigma, prim_l, prim_r, gamma=GAMMA_DEFAULT):
     each of shape (len(xs), 3).
     """
     xs = np.asarray(xs, dtype=float)
-    sol = exact_riemann(prim_l, prim_r, gamma)
+    prim_l, prim_r = ic.primitive_states()
+    sol = exact_riemann(prim_l, prim_r, model)
     rule = gauss_rule(REFERENCE_NODES)
-    shifts = x0 + sigma * rule.nodes  # interface location per node
-    left = conserved_from_primitive(np.asarray(prim_l, float), gamma)
-    right = conserved_from_primitive(np.asarray(prim_r, float), gamma)
+    shifts = ic.x0 + ic.sigma * rule.nodes  # interface location per node
+    left, right = model.conserved(prim_l), model.conserved(prim_r)
     mean = np.empty((len(xs), 3))
     second = np.empty_like(mean)
     for start in range(0, len(xs), REFERENCE_BLOCK):

@@ -266,8 +266,8 @@ def run_experiment(cfg: ExperimentConfig, output_root=None) -> RunArtifacts:
     ic = cfg.ic()
     try:
         solver = cfg.build_solver()
-        u0 = project_ic(grid.centers(), cfg.degree, ic, cfg.gamma)
-        ghosts = project_ic(grid.ghost_centers(), cfg.degree, ic, cfg.gamma)
+        u0 = project_ic(grid.centers(), cfg.degree, ic, solver.physics)
+        ghosts = project_ic(grid.ghost_centers(), cfg.degree, ic, solver.physics)
         result: RunResult = solver.run(u0, ghosts)
     except FipmError as err:
         runtime = time.perf_counter() - start
@@ -297,9 +297,7 @@ def run_experiment(cfg: ExperimentConfig, output_root=None) -> RunArtifacts:
     _write_tables({out_dir / "telemetry.csv": steps})
 
     numeric = stats_from_moments(x, result.moments, COMPONENTS)
-    ref_mean, ref_var = euler.reference_statistics(
-        x, result.t_final, cfg.x0, cfg.sigma, *ic.primitive_states(), gamma=cfg.gamma
-    )
+    ref_mean, ref_var = euler.reference_statistics(x, result.t_final, ic, solver.physics)
     reference = StatField(x=x, mean=ref_mean, var=ref_var, components=COMPONENTS)
     _write_tables({out_dir / "stats.csv": _stat_columns(numeric)})
     _write_tables({out_dir / "reference.csv": _stat_columns(reference)})

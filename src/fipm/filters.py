@@ -43,7 +43,7 @@ class FilterSpec:
 
     kind: FilterKind
     strength: float
-    order: int = 1
+    order: int = 2  # the one default of the order; ExperimentConfig reads it
 
     def __post_init__(self):
         if not isinstance(self.kind, FilterKind):

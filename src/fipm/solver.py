@@ -13,13 +13,14 @@ respect to the quadrature measure; with eta > 0 the filtered moments
 themselves.  Under either closure a nodal state outside the admissible set
 aborts the run.
 
-Boundary conditions are Dirichlet: one ghost cell per side frozen at the
-projected initial moments, never filtered; ghosts are closed once.
+The initial and ghost moments are ``project_ic``'s, at the marched model's
+gamma.  Boundary conditions are Dirichlet: one ghost cell per side frozen at
+those moments, never filtered; ghosts are closed once.
 
 The time step dt_n = min(cfl dx / S_{n-1}, t_end - t_n) uses the fastest
-signal speed S_{n-1} over the *previous* step's nodal states (the initial
-closure for step 0), so dt is known before any filter gain that couples to
-it; the conservative update shares the same dt.
+signal speed S_{n-1} over the *previous* step's nodal states and the ghosts'
+(the initial closure for step 0), so dt is known before any filter gain that
+couples to it; the conservative update shares the same dt.
 """
 
 from __future__ import annotations
@@ -123,27 +124,20 @@ class UncertainShockIC:
             np.array([self.rho_r, 0.0, self.p_r]),
         )
 
-    def conserved_states(self, gamma=euler.GAMMA_DEFAULT):
-        w_l, w_r = self.primitive_states()
-        return (
-            euler.conserved_from_primitive(w_l, gamma),
-            euler.conserved_from_primitive(w_r, gamma),
-        )
-
     def validate_inside(self, grid: GridConfig):
         if not (grid.a < self.x0 - self.sigma and self.x0 + self.sigma < grid.b):
             raise ValueError("uncertain interface band must lie strictly inside the domain")
 
 
-def project_ic(centers, degree, ic: UncertainShockIC, gamma=euler.GAMMA_DEFAULT):
+def project_ic(centers, degree, ic: UncertainShockIC, model: euler.EulerEntropy):
     """Exact basis projection of the uncertain Riemann data at cell centers.
 
-    The state at (x, xi) is u_L for xi > xi*(x) and u_R below, with
-    xi*(x) = clamp((x - x0)/sigma); the moments follow from the antiderivative
-    of the Legendre polynomials.  Returns (len(centers), degree+1, 3).
+    The state at (x, xi) is the model's conserved u_L for xi > xi*(x) and u_R
+    below, with xi*(x) = clamp((x - x0)/sigma); the moments follow from the
+    antiderivative of the Legendre polynomials.  Returns (len(centers), degree+1, 3).
     """
     centers = np.asarray(centers, dtype=float)
-    u_l, u_r = ic.conserved_states(gamma)
+    u_l, u_r = (model.conserved(w) for w in ic.primitive_states())
     if ic.sigma > 0:
         xi_star = np.clip((centers - ic.x0) / ic.sigma, -1.0, 1.0)
     else:
@@ -273,9 +267,8 @@ class MomentSolver:
         #: the IPM closure advances its reconstructed moments exactly when eta = 0
         self._reconstructs = self.solver is not None and eta == 0.0
         #: closed states of the ghosts and the cells, (n_cells + 2, n_q, m), kept
-        #: from step to step: prepare writes the ghost rows, step the interior
+        #: from step to step: prepare writes every row, step the interior
         self._closed = None
-        self._ghost_speed = None
 
     def _close(self, u, start, step, centers):
         """Close the moments ``u`` of the cells at ``centers`` into
@@ -325,14 +318,15 @@ class MomentSolver:
         if ghost_moments.shape != (2, *rows):
             raise ValueError(f"ghost moments have wrong shape {ghost_moments.shape}")
         ghost_states, _, _ = self._close(ghost_moments, None, 0, self.grid.ghost_centers())
-        self._ghost_speed = float(np.max(self.physics.max_speed(ghost_states)))
         self._closed = np.empty((self.grid.n_cells + 2, *ghost_states.shape[1:]))
         self._closed[[0, -1]] = ghost_states
         states, duals, _ = self._close(u0, None, 0, self._centers)
-        return SolverState(t=0.0, step=0, moments=u0, duals=duals, s_prev=self._max_speed(states))
+        self._closed[1:-1] = states
+        return SolverState(t=0.0, step=0, moments=u0, duals=duals, s_prev=self._max_speed())
 
-    def _max_speed(self, states) -> float:
-        s = max(float(np.max(self.physics.max_speed(states))), self._ghost_speed)
+    def _max_speed(self) -> float:
+        """Fastest signal speed over the kept closed states, ghosts included."""
+        s = float(np.max(self.physics.max_speed(self._closed)))
         if not np.isfinite(s) or s <= 0:
             raise InadmissibleStateError(f"nonpositive or non-finite signal speed {s}")
         return s
@@ -373,7 +367,7 @@ class MomentSolver:
             step=state.step + 1,
             moments=u_new,
             duals=duals,
-            s_prev=self._max_speed(states),
+            s_prev=self._max_speed(),
         )
         return new_state, diag
 

@@ -96,8 +96,8 @@ def desk_config(closure, **overrides):
 def run_stats(cfg: ExperimentConfig) -> StatField:
     solver = cfg.build_solver()
     grid, ic = cfg.grid(), cfg.ic()
-    u0 = project_ic(grid.centers(), cfg.degree, ic, cfg.gamma)
-    ghosts = project_ic(grid.ghost_centers(), cfg.degree, ic, cfg.gamma)
+    u0 = project_ic(grid.centers(), cfg.degree, ic, solver.physics)
+    ghosts = project_ic(grid.ghost_centers(), cfg.degree, ic, solver.physics)
     result = solver.run(u0, ghosts)
     return stats_from_moments(grid.centers(), result.moments, COMPONENTS)
 
@@ -111,11 +111,9 @@ def preset_stats(desk_run, preset, cfg: ExperimentConfig) -> StatField:
 
 @pytest.fixture(scope="module")
 def desk_reference() -> StatField:
-    grid = desk_config("ipm").grid()
-    x = grid.centers()
-    mean, var = euler.reference_statistics(
-        x, 0.14, 0.5, 0.05, np.array([1.0, 0.0, 1.0]), np.array([0.125, 0.0, 0.1])
-    )
+    cfg = desk_config("ipm")
+    x = cfg.grid().centers()
+    mean, var = euler.reference_statistics(x, 0.14, cfg.ic(), euler.EulerEntropy())
     return StatField(x=x, mean=mean, var=var, components=COMPONENTS)
 
 
@@ -229,7 +227,7 @@ def test_criterion_5_deterministic_convergence_and_star_state():
     with criterion(5, "deterministic run converges to the exact solution under refinement"):
         prim_l = np.array([1.0, 0.0, 1.0])
         prim_r = np.array([0.125, 0.0, 0.1])
-        solution = euler.exact_riemann(prim_l, prim_r)
+        solution = euler.exact_riemann(prim_l, prim_r, euler.EulerEntropy())
         oracle = star_pressure_bisect(prim_l, prim_r, gamma=1.4)
         assert abs(solution.p_star - oracle) < 1e-6
         assert abs(solution.p_star - 0.30313) < 1e-5
@@ -268,8 +266,8 @@ def test_criterion_7_galerkin_breakdown_is_detected():
         cfg = load_config("sod-ipm", overrides=["closure=sg"])
         solver = cfg.build_solver()
         grid, ic = cfg.grid(), cfg.ic()
-        u0 = project_ic(grid.centers(), cfg.degree, ic, cfg.gamma)
-        ghosts = project_ic(grid.ghost_centers(), cfg.degree, ic, cfg.gamma)
+        u0 = project_ic(grid.centers(), cfg.degree, ic, solver.physics)
+        ghosts = project_ic(grid.ghost_centers(), cfg.degree, ic, solver.physics)
         with pytest.raises(BreakdownError) as err:
             solver.run(u0, ghosts)
         assert err.value.step == 0
@@ -281,8 +279,8 @@ def test_criterion_8_conservation_and_realizability_witness():
         cfg = desk_config("ipm", filter="fokker-planck", filter_strength=5e-5)
         solver = cfg.build_solver()
         grid, ic = cfg.grid(), cfg.ic()
-        u0 = project_ic(grid.centers(), cfg.degree, ic, cfg.gamma)
-        ghosts = project_ic(grid.ghost_centers(), cfg.degree, ic, cfg.gamma)
+        u0 = project_ic(grid.centers(), cfg.degree, ic, solver.physics)
+        ghosts = project_ic(grid.ghost_centers(), cfg.degree, ic, solver.physics)
         state = solver.prepare(u0, ghosts)
         for _ in range(50):
             state, diag = solver.step(state, t_end=grid.t_end)

@@ -19,7 +19,7 @@ from fipm.closures import (
     NEWTON_MAX_ITER,
     ClosureSolver,
 )
-from fipm.euler import EulerEntropy, conserved_from_primitive
+from fipm.euler import EulerEntropy
 
 RNG = np.random.default_rng(12345)
 #: gradient-norm tolerance of the dual solves below, the march's default tau
@@ -50,7 +50,7 @@ def random_euler_states(n, rng=RNG):
     rho = rng.uniform(0.1, 5.0, n)
     v = rng.uniform(-2.0, 2.0, n)
     p = rng.uniform(0.05, 5.0, n)
-    return conserved_from_primitive(np.stack([rho, v, p], axis=-1))
+    return EulerEntropy().conserved(np.stack([rho, v, p], axis=-1))
 
 
 ALL_MODELS = [ScalarLogEntropy(), EulerEntropy(1.4)]

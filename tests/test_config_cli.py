@@ -78,6 +78,11 @@ class TestParseConfig:
         assert cfg.tau == 1e-7
         assert cfg.delta_region() == (0.7, 0.8)
 
+    def test_exponential_filter_order_defaults_to_the_filter_spec_default(self):
+        cfg = parse_config(MINIMAL + "filter = exponential\nfilter_strength = 2.0\neta = 1e-7\n")
+        assert cfg.filter_spec() == FilterSpec(FilterKind.EXPONENTIAL, 2.0)
+        assert "filter_order = 2\n" in cfg.to_text()
+
     def test_unknown_key_names_key_and_line(self):
         with pytest.raises(ConfigError, match=r"my\.cfg:3: unknown key 'sigmaa'"):
             parse_config("a = 0\nb = 1\nsigmaa = 0.1\n", source="my.cfg")
@@ -306,9 +311,7 @@ class TestPresets:
         # deltaE and deltaVar over a region without reference variance measure nothing
         cfg = load_config(name)
         x = cfg.grid().centers()
-        _, var = reference_statistics(
-            x, cfg.t_end, cfg.x0, cfg.sigma, *cfg.ic().primitive_states(), gamma=cfg.gamma
-        )
+        _, var = reference_statistics(x, cfg.t_end, cfg.ic(), EulerEntropy(cfg.gamma))
         var_rho = var[:, 0]
         interior = np.arange(1, len(x) - 1)
         in_region = interior[(x[interior] >= cfg.delta_lo) & (x[interior] <= cfg.delta_hi)]
@@ -679,6 +682,26 @@ class TestRunExperiment:
         assert artifacts.exit_code == 0
         for name in ARTIFACTS:
             assert (artifacts.out_dir / name).is_file(), name
+
+    def test_gamma_reaches_the_projection_and_the_reference(self, tmp_path):
+        gamma = 5 / 3
+        cfg = tiny_config(gamma=gamma, t_end=0.005, output_dir="case")
+        artifacts = run_experiment(cfg, tmp_path)
+        assert artifacts.exit_code == 0
+
+        def read(name):
+            with open(artifacts.out_dir / name, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            return {key: np.array([float(row[key]) for row in rows]) for key in rows[0]}
+
+        reference, snapshot = read("reference.csv"), read("snapshot.csv")
+        t_final = read("telemetry.csv")["t"][-1]
+        mean, var = reference_statistics(snapshot["x"], t_final, cfg.ic(), EulerEntropy(gamma))
+        for k, name in enumerate(("rho", "m", "E")):
+            assert np.array_equal(reference[f"mean_{name}"], mean[:, k])
+            assert np.array_equal(reference[f"var_{name}"], var[:, k])
+        # the far-left cell is still at the left data, whose energy is p_l / (gamma - 1)
+        assert snapshot["u2_mom0"][0] == pytest.approx(cfg.p_l / (gamma - 1.0), rel=1e-12)
 
     def test_snapshot_and_stats_schemas(self, tmp_path):
         artifacts = run_experiment(tiny_config(output_dir="case"), tmp_path)

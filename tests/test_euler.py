@@ -19,11 +19,10 @@ from fipm.euler import (
     REFERENCE_BLOCK,
     REFERENCE_NODES,
     EulerEntropy,
-    conserved_from_primitive,
     exact_riemann,
     reference_statistics,
 )
-from fipm.solver import rusanov
+from fipm.solver import UncertainShockIC, rusanov
 
 GAMMA = 1.4
 SOD_L = np.array([1.0, 0.0, 1.0])  # primitive (rho, v, p)
@@ -31,8 +30,13 @@ SOD_R = np.array([0.125, 0.0, 0.1])
 MODEL = EulerEntropy(GAMMA)
 
 
+def sod_ic(x0, sigma):
+    """The Sod data SOD_L | SOD_R with the interface at x0 + sigma * xi."""
+    return UncertainShockIC(SOD_L[0], SOD_L[2], SOD_R[0], SOD_R[2], x0, sigma)
+
+
 def primitive_from_conserved(u, gamma=GAMMA):
-    """(rho, m, E_t) -> (rho, v, p), the inverse of conserved_from_primitive."""
+    """(rho, m, E_t) -> (rho, v, p), the inverse of EulerEntropy.conserved."""
     u = np.asarray(u, dtype=float)
     p = (gamma - 1.0) * (u[..., 2] - 0.5 * u[..., 1] ** 2 / u[..., 0])
     return np.stack([u[..., 0], u[..., 1] / u[..., 0], p], axis=-1)
@@ -76,8 +80,8 @@ class TestStateMaps:
         assert MODEL.flux(np.array([1.0, 0.0, 2.5]))[1] == pytest.approx(1.0, abs=1e-15)
 
     def test_sod_conserved_states(self):
-        assert conserved_from_primitive(SOD_L) == pytest.approx([1.0, 0.0, 2.5], abs=1e-15)
-        assert conserved_from_primitive(SOD_R) == pytest.approx([0.125, 0.0, 0.25], abs=1e-15)
+        assert MODEL.conserved(SOD_L) == pytest.approx([1.0, 0.0, 2.5], abs=1e-15)
+        assert MODEL.conserved(SOD_R) == pytest.approx([0.125, 0.0, 0.25], abs=1e-15)
 
     @given(
         rho=st.floats(1e-3, 1e3),
@@ -87,7 +91,7 @@ class TestStateMaps:
     @settings(max_examples=200, deadline=None)
     def test_primitive_round_trip(self, rho, v, p):
         w = np.array([rho, v, p])
-        u = conserved_from_primitive(w)
+        u = MODEL.conserved(w)
         assert MODEL.admissible(u)
         # recovery of p from E_t - m^2/(2 rho) cancels digits at high Mach
         assert primitive_from_conserved(u) == pytest.approx(w, rel=1e-7, abs=1e-9)
@@ -99,10 +103,10 @@ class TestStateMaps:
         )
 
     def test_wavespeeds_of_sod_states(self):
-        assert MODEL.max_speed(conserved_from_primitive(SOD_L)) == pytest.approx(
+        assert MODEL.max_speed(MODEL.conserved(SOD_L)) == pytest.approx(
             1.1832159566199232, abs=1e-14
         )
-        assert MODEL.max_speed(conserved_from_primitive(SOD_R)) == pytest.approx(
+        assert MODEL.max_speed(MODEL.conserved(SOD_R)) == pytest.approx(
             1.0583005244258363, abs=1e-14
         )
 
@@ -144,12 +148,12 @@ class TestNumericalFlux:
     """The Rusanov flux of the moment solver on Euler states."""
 
     def test_consistency(self):
-        u = conserved_from_primitive(np.array([0.7, 0.3, 1.2]))
+        u = MODEL.conserved(np.array([0.7, 0.3, 1.2]))
         assert rusanov(u, u, MODEL) == pytest.approx(MODEL.flux(u), abs=1e-14)
 
     def test_hand_value_sod_interface(self):
-        u_l = conserved_from_primitive(SOD_L)
-        u_r = conserved_from_primitive(SOD_R)
+        u_l = MODEL.conserved(SOD_L)
+        u_r = MODEL.conserved(SOD_R)
         s = 1.1832159566199232  # the larger of the two sound speeds
         expected = 0.5 * (MODEL.flux(u_l) + MODEL.flux(u_r)) - 0.5 * s * (u_r - u_l)
         assert rusanov(u_l, u_r, EulerEntropy()) == pytest.approx(expected, abs=1e-14)
@@ -157,7 +161,7 @@ class TestNumericalFlux:
     def test_batched(self):
         rng = np.random.default_rng(2)
         w = np.abs(rng.normal(size=(6, 3))) + 0.1
-        u = conserved_from_primitive(w)
+        u = MODEL.conserved(w)
         out = rusanov(u[:-1], u[1:], EulerEntropy())
         for j in range(5):
             assert out[j] == pytest.approx(rusanov(u[j], u[j + 1], EulerEntropy()), abs=1e-14)
@@ -191,7 +195,7 @@ class TestExactRiemann:
     @pytest.mark.parametrize("case", WAVE_CASES)
     def test_shock_edge_star_state_at_the_speed_data_one_ulp_ahead(self, case):
         prim_l, prim_r = WAVE_CASES[case]
-        sol = exact_riemann(prim_l, prim_r)
+        sol = exact_riemann(prim_l, prim_r, MODEL)
         shocks = 0
         for prim, sign in ((prim_l, 1.0), (prim_r, -1.0)):
             is_shock, speed, _ = side_wave(sol, prim, sign)
@@ -211,7 +215,7 @@ class TestExactRiemann:
         """Inside a fan p / rho^gamma and v + sign 2c/(gamma-1) keep their data
         values (sign +1 left, -1 right); the fan meets the data at its head."""
         prim_l, prim_r = WAVE_CASES[case]
-        sol = exact_riemann(prim_l, prim_r)
+        sol = exact_riemann(prim_l, prim_r, MODEL)
         fans = 0
         for prim, sign in ((prim_l, 1.0), (prim_r, -1.0)):
             is_shock, head, tail = side_wave(sol, prim, sign)
@@ -231,12 +235,12 @@ class TestExactRiemann:
     def test_nan_coordinate_gives_a_nan_row(self):
         s = np.full((50, 4), np.nan)
         s[:, 1] = np.linspace(-2.0, 2.0, 50)
-        w = exact_riemann(SOD_L, SOD_R).sample(s)
+        w = exact_riemann(SOD_L, SOD_R, MODEL).sample(s)
         assert np.all(np.isnan(np.delete(w, 1, axis=1)))
         assert np.all(np.isfinite(w[:, 1]))
 
     def test_sod_star_state_frozen(self):
-        sol = exact_riemann(SOD_L, SOD_R)
+        sol = exact_riemann(SOD_L, SOD_R, MODEL)
         # classical published values for the Sod tube
         assert sol.p_star == pytest.approx(0.30313, rel=1e-4)
         assert sol.v_star == pytest.approx(0.92745, rel=1e-4)
@@ -250,13 +254,20 @@ class TestExactRiemann:
             (np.array([5.99924, 19.5975, 460.894]), np.array([5.99242, -6.19633, 46.0950])),
         ]
         for prim_l, prim_r in cases:
-            sol = exact_riemann(prim_l, prim_r)
+            sol = exact_riemann(prim_l, prim_r, MODEL)
             assert sol.p_star == pytest.approx(
                 star_pressure_bisect(prim_l, prim_r, GAMMA), rel=1e-10
             )
 
+    @pytest.mark.parametrize("case", WAVE_CASES)
+    def test_star_pressure_at_five_thirds_against_bisection_oracle(self, case):
+        prim_l, prim_r = WAVE_CASES[case]
+        sol = exact_riemann(prim_l, prim_r, EulerEntropy(5 / 3))
+        oracle = star_pressure_bisect(prim_l, prim_r, 5 / 3)
+        assert sol.p_star == pytest.approx(oracle, rel=1e-10)
+
     def test_sod_star_densities(self):
-        sol = exact_riemann(SOD_L, SOD_R)
+        sol = exact_riemann(SOD_L, SOD_R, MODEL)
         eps = 1e-9
         left_of_contact = sol.sample(np.array([sol.v_star - eps]))[0]
         right_of_contact = sol.sample(np.array([sol.v_star + eps]))[0]
@@ -267,7 +278,7 @@ class TestExactRiemann:
         assert right_of_contact[2] == pytest.approx(sol.p_star, abs=1e-7)
 
     def test_far_field_states(self):
-        sol = exact_riemann(SOD_L, SOD_R)
+        sol = exact_riemann(SOD_L, SOD_R, MODEL)
         assert sol.sample(np.array([-10.0]))[0] == pytest.approx(SOD_L, abs=1e-14)
         assert sol.sample(np.array([10.0]))[0] == pytest.approx(SOD_R, abs=1e-14)
 
@@ -275,18 +286,18 @@ class TestExactRiemann:
         # d/dt int u dx = f(u_L) - f(u_R) over a domain containing all waves
         t = 0.2
         xs = np.linspace(-1.0, 1.0, 400_001)
-        sol = exact_riemann(SOD_L, SOD_R)
+        sol = exact_riemann(SOD_L, SOD_R, MODEL)
         states = sol.sample_conserved(xs / t)
         integral = np.trapezoid(states, xs, axis=0)
-        u_l = conserved_from_primitive(SOD_L)
-        u_r = conserved_from_primitive(SOD_R)
+        u_l = MODEL.conserved(SOD_L)
+        u_r = MODEL.conserved(SOD_R)
         expected = u_l + u_r + t * (MODEL.flux(u_l) - MODEL.flux(u_r))
         assert integral == pytest.approx(expected, abs=5e-4)
 
     def test_symmetric_problem_is_mirror_symmetric(self):
         prim_l = np.array([1.0, 0.5, 1.0])
         prim_r = np.array([1.0, -0.5, 1.0])
-        sol = exact_riemann(prim_l, prim_r)
+        sol = exact_riemann(prim_l, prim_r, MODEL)
         assert sol.v_star == pytest.approx(0.0, abs=1e-12)
         s = np.linspace(-2, 2, 101)
         w = sol.sample(s)
@@ -295,23 +306,23 @@ class TestExactRiemann:
 
     def test_vacuum_detection(self):
         with pytest.raises(VacuumError):
-            exact_riemann(np.array([1.0, -10.0, 1.0]), np.array([1.0, 10.0, 1.0]))
+            exact_riemann(np.array([1.0, -10.0, 1.0]), np.array([1.0, 10.0, 1.0]), MODEL)
 
     def test_rejects_nonpositive_data(self):
         with pytest.raises(ValueError):
-            exact_riemann(np.array([-1.0, 0.0, 1.0]), SOD_R)
+            exact_riemann(np.array([-1.0, 0.0, 1.0]), SOD_R, MODEL)
 
 
-def one_shot_reference(xs, t, x0, sigma, prim_l, prim_r, gamma=GAMMA):
+def one_shot_reference(xs, t, x0, sigma, prim_l, prim_r, model=MODEL):
     """reference_statistics as one (len(xs), REFERENCE_NODES, 3) sample: the oracle of its blocks."""
-    sol = exact_riemann(prim_l, prim_r, gamma)
+    sol = exact_riemann(prim_l, prim_r, model)
     rule = gauss_rule(REFERENCE_NODES)
     shifts = x0 + sigma * rule.nodes
     if t > 0:
         states = sol.sample_conserved((xs[:, None] - shifts[None, :]) / t)
     else:
-        left = conserved_from_primitive(prim_l, gamma)
-        right = conserved_from_primitive(prim_r, gamma)
+        left = model.conserved(prim_l)
+        right = model.conserved(prim_r)
         states = np.where((xs[:, None] < shifts[None, :])[..., None], left, right)
     mean = np.einsum("r,xrk->xk", rule.weights, states)
     second = np.einsum("r,xrk->xk", rule.weights, states**2)
@@ -321,18 +332,18 @@ def one_shot_reference(xs, t, x0, sigma, prim_l, prim_r, gamma=GAMMA):
 class TestReferenceStatistics:
     def test_deterministic_interface_has_no_variance(self):
         xs = np.linspace(0.0, 1.0, 101)
-        mean, var = reference_statistics(xs, 0.14, 0.5, 0.0, SOD_L, SOD_R)
+        mean, var = reference_statistics(xs, 0.14, sod_ic(0.5, 0.0), MODEL)
         assert np.max(var) == pytest.approx(0.0, abs=1e-12)
-        sol = exact_riemann(SOD_L, SOD_R)
+        sol = exact_riemann(SOD_L, SOD_R, MODEL)
         expected = sol.sample_conserved((xs - 0.5) / 0.14)
         assert mean == pytest.approx(expected, abs=1e-12)
 
     def test_initial_time_matches_bernoulli_mixture(self):
         xs = np.linspace(0.0, 1.0, 201)
         x0, sigma = 0.5, 0.05
-        mean, var = reference_statistics(xs, 0.0, x0, sigma, SOD_L, SOD_R)
-        u_l = conserved_from_primitive(SOD_L)
-        u_r = conserved_from_primitive(SOD_R)
+        mean, var = reference_statistics(xs, 0.0, sod_ic(x0, sigma), MODEL)
+        u_l = MODEL.conserved(SOD_L)
+        u_r = MODEL.conserved(SOD_R)
         xi_star = np.clip((xs - x0) / sigma, -1.0, 1.0)
         p_left = (1.0 - xi_star) / 2.0
         mean_exact = p_left[:, None] * u_l + (1 - p_left)[:, None] * u_r
@@ -345,8 +356,8 @@ class TestReferenceStatistics:
 
     def test_variance_confined_to_uncertainty_cone(self):
         xs = np.linspace(0.0, 1.0, 401)
-        mean, var = reference_statistics(xs, 0.14, 0.5, 0.05, SOD_L, SOD_R)
-        sol = exact_riemann(SOD_L, SOD_R)
+        mean, var = reference_statistics(xs, 0.14, sod_ic(0.5, 0.05), MODEL)
+        sol = exact_riemann(SOD_L, SOD_R, MODEL)
         # fastest waves: rarefaction head (left), shock (right)
         c_l = np.sqrt(GAMMA * SOD_L[2] / SOD_L[0])
         lo = 0.5 - 0.05 - c_l * 0.14 - 1e-9
@@ -356,13 +367,26 @@ class TestReferenceStatistics:
         assert np.max(var) > 1e-3
 
     @pytest.mark.parametrize("t", [0.0, 0.14])
+    def test_far_field_rows_are_the_data_at_five_thirds(self, t):
+        """Beyond the fastest waves (left head speed sqrt(5/3) < 1.3, shock speed < 2)
+        every node samples one data state, conserved at the model's gamma."""
+        model = EulerEntropy(5 / 3)
+        xs = np.array([0.05, 0.2, 0.85, 1.0])
+        mean, var = reference_statistics(xs, t, sod_ic(0.5, 0.05), model)
+        data = model.conserved(np.array([SOD_L, SOD_L, SOD_R, SOD_R]))
+        assert data[0, 2] == 1.0 / (5 / 3 - 1.0)
+        assert mean == pytest.approx(data, rel=1e-15, abs=0)
+        # the 100 Gauss weights sum to 1 - 4e-16, so the variance keeps a rounding residue
+        assert var == pytest.approx(np.zeros_like(var), abs=1e-12)
+
+    @pytest.mark.parametrize("t", [0.0, 0.14])
     @pytest.mark.parametrize("sigma", [0.0, 0.05])
     @pytest.mark.parametrize(
         "n_x", [0, 1, REFERENCE_BLOCK - 1, REFERENCE_BLOCK, REFERENCE_BLOCK + 1, 401]
     )
     def test_blocks_match_the_one_shot_sample_bitwise(self, n_x, sigma, t):
         xs = (np.arange(n_x) + 0.5) / max(n_x, 1)
-        mean, var = reference_statistics(xs, t, 0.5, sigma, SOD_L, SOD_R)
+        mean, var = reference_statistics(xs, t, sod_ic(0.5, sigma), MODEL)
         want_mean, want_var = one_shot_reference(xs, t, 0.5, sigma, SOD_L, SOD_R)
         assert mean.shape == var.shape == (n_x, 3)
         assert np.array_equal(mean, want_mean)
@@ -375,10 +399,10 @@ class TestReferenceStatistics:
         9.4 MiB (t = 0), the blocks at about 0.4 MiB (the outputs and one block's sample)."""
         n_x = 2000
         xs = (np.arange(n_x) + 0.5) / n_x
-        reference_statistics(xs[:1], t, 0.5, 0.05, SOD_L, SOD_R)  # keep one-time setup out of the trace
+        reference_statistics(xs[:1], t, sod_ic(0.5, 0.05), MODEL)  # keep one-time setup out of the trace
         tracemalloc.start()
         try:
-            reference_statistics(xs, t, 0.5, 0.05, SOD_L, SOD_R)
+            reference_statistics(xs, t, sod_ic(0.5, 0.05), MODEL)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -1,12 +1,14 @@
 """The package's public names resolve, so an export left behind by a deletion fails here,
-and the package runs on numpy alone."""
+the package runs on numpy alone, and gamma is read from the Euler model alone."""
 
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import fipm
+from fipm import euler, experiment, solver
 
 NUMPY_ONLY_SCRIPT = """
 import sys
@@ -42,3 +44,29 @@ def test_import_and_run_load_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def public_signatures(module):
+    """(name, signature) of each public function and class defined in ``module``, and of
+    each public method and ``__init__`` of those classes."""
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, inspect.signature(obj)
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if inspect.isfunction(member) and (attr == "__init__" or not attr.startswith("_")):
+                    yield f"{name}.{attr}", inspect.signature(member)
+
+
+def test_gamma_is_a_parameter_of_the_euler_model_alone():
+    """Every other callable takes the model, which checks gamma; a dataclass
+    ``__init__`` counts, so a field named gamma fails too."""
+    names = [
+        f"{module.__name__}.{name}"
+        for module in (euler, solver, experiment)
+        for name, signature in public_signatures(module)
+        if "gamma" in signature.parameters
+    ]
+    assert names == ["fipm.euler.EulerEntropy.__init__"]

@@ -10,31 +10,27 @@ from fipm.filters import LOG_MACHINE_EPS, FilterKind, FilterSpec, apply_filter, 
 ALL_KINDS = list(FilterKind)
 
 
-def make_spec(kind, strength, order=2):
-    return FilterSpec(kind=kind, strength=strength, order=order)
-
-
 class TestFrozenValues:
     def test_fokker_planck(self):
-        spec = make_spec(FilterKind.FOKKER_PLANCK, 0.1)
+        spec = FilterSpec(FilterKind.FOKKER_PLANCK, 0.1)
         assert gains(spec, 4)[2] == pytest.approx(0.5488116360940264, abs=1e-15)
         lam = 0.3
-        g = gains(make_spec(FilterKind.FOKKER_PLANCK, lam), 2)
+        g = gains(FilterSpec(FilterKind.FOKKER_PLANCK, lam), 2)
         assert g == pytest.approx([1.0, np.exp(-2 * lam), np.exp(-6 * lam)], rel=1e-14)
 
     def test_exponential(self):
         # top mode is damped to machine epsilon when lambda * dt = 1
-        spec = make_spec(FilterKind.EXPONENTIAL, 2.0, order=10)
+        spec = FilterSpec(FilterKind.EXPONENTIAL, 2.0, order=10)
         assert gains(spec, 10, dt=0.5)[10] == pytest.approx(2.220446049250313e-16, rel=1e-12)
         assert gains(spec, 10, dt=0.5)[5] == pytest.approx(0.9654133954938136, rel=1e-13)
-        spec2 = make_spec(FilterKind.EXPONENTIAL, 0.5, order=2)
+        spec2 = FilterSpec(FilterKind.EXPONENTIAL, 0.5, order=2)
         assert gains(spec2, 2, dt=1.0)[1] == pytest.approx(0.01104854345603981, rel=1e-13)
 
 
 class TestStructure:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_zero_strength_is_identity(self, kind):
-        g = gains(make_spec(kind, 0.0), 7, dt=0.1)
+        g = gains(FilterSpec(kind, 0.0), 7, dt=0.1)
         assert g == pytest.approx(np.ones(8), abs=1e-15)
 
     @given(
@@ -46,7 +42,7 @@ class TestStructure:
     )
     @settings(max_examples=200, deadline=None)
     def test_gains_in_unit_interval_and_nonincreasing(self, kind, strength, order, degree, dt):
-        g = gains(make_spec(kind, strength, order), degree, dt=dt)
+        g = gains(FilterSpec(kind, strength, order), degree, dt=dt)
         assert np.all(g > 0)
         assert np.all(g <= 1.0 + 1e-15)
         assert np.all(np.diff(g) <= 1e-15)
@@ -54,47 +50,47 @@ class TestStructure:
     def test_extreme_damping_underflows_to_zero(self):
         # eps^(lambda*dt) leaves the subnormal range for very large exponents;
         # the gain flushes to 0.0, which is still a valid (total) damping
-        g = gains(make_spec(FilterKind.EXPONENTIAL, 50.0, order=1), 1, dt=10.0)
+        g = gains(FilterSpec(FilterKind.EXPONENTIAL, 50.0, order=1), 1, dt=10.0)
         assert g[0] == 1.0
         assert g[1] == 0.0
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_mean_preserved(self, kind):
-        assert gains(make_spec(kind, 3.0, order=4), 6, dt=0.2)[0] == 1.0
+        assert gains(FilterSpec(kind, 3.0, order=4), 6, dt=0.2)[0] == 1.0
 
     @given(lam1=st.floats(1e-6, 5.0), lam2=st.floats(1e-6, 5.0), degree=st.integers(0, 12))
     @settings(max_examples=150, deadline=None)
     def test_fokker_planck_semigroup(self, lam1, lam2, degree):
-        g1 = gains(make_spec(FilterKind.FOKKER_PLANCK, lam1), degree)
-        g2 = gains(make_spec(FilterKind.FOKKER_PLANCK, lam2), degree)
-        g12 = gains(make_spec(FilterKind.FOKKER_PLANCK, lam1 + lam2), degree)
+        g1 = gains(FilterSpec(FilterKind.FOKKER_PLANCK, lam1), degree)
+        g2 = gains(FilterSpec(FilterKind.FOKKER_PLANCK, lam2), degree)
+        g12 = gains(FilterSpec(FilterKind.FOKKER_PLANCK, lam1 + lam2), degree)
         assert g1 * g2 == pytest.approx(g12, rel=1e-13)
 
     @given(dt1=st.floats(1e-4, 2.0), dt2=st.floats(1e-4, 2.0))
     @settings(max_examples=100, deadline=None)
     def test_exponential_time_semigroup(self, dt1, dt2):
-        spec = make_spec(FilterKind.EXPONENTIAL, 1.3, order=4)
+        spec = FilterSpec(FilterKind.EXPONENTIAL, 1.3, order=4)
         g = gains(spec, 8, dt=dt1) * gains(spec, 8, dt=dt2)
         assert g == pytest.approx(gains(spec, 8, dt=dt1 + dt2), rel=1e-12)
 
     def test_degree_zero_gain_is_one(self):
         for kind in ALL_KINDS:
-            assert gains(make_spec(kind, 2.0), 0, dt=0.1) == pytest.approx([1.0])
+            assert gains(FilterSpec(kind, 2.0), 0, dt=0.1) == pytest.approx([1.0])
 
     @given(order=st.integers(1, 12), degree=st.integers(1, 15))
     @settings(max_examples=100, deadline=None)
     def test_exponential_damps_the_top_mode_to_eps_at_unit_exponent(self, order, degree):
-        g = gains(make_spec(FilterKind.EXPONENTIAL, 1.0, order), degree, dt=1.0)
+        g = gains(FilterSpec(FilterKind.EXPONENTIAL, 1.0, order), degree, dt=1.0)
         assert g[-1] == pytest.approx(np.finfo(float).eps, rel=1e-12)
 
     def test_fokker_planck_gains_read_neither_dt_nor_order(self):
-        g = gains(make_spec(FilterKind.FOKKER_PLANCK, 0.4, order=2), 6)
-        assert np.array_equal(gains(make_spec(FilterKind.FOKKER_PLANCK, 0.4, order=9), 6), g)
-        assert np.array_equal(gains(make_spec(FilterKind.FOKKER_PLANCK, 0.4), 6, dt=0.3), g)
+        g = gains(FilterSpec(FilterKind.FOKKER_PLANCK, 0.4, order=2), 6)
+        assert np.array_equal(gains(FilterSpec(FilterKind.FOKKER_PLANCK, 0.4, order=9), 6), g)
+        assert np.array_equal(gains(FilterSpec(FilterKind.FOKKER_PLANCK, 0.4), 6, dt=0.3), g)
 
     def test_unit_dt_uses_strength_as_exponent(self):
         # the realizability scan prescribes the exponent through dt = 1
-        spec = make_spec(FilterKind.EXPONENTIAL, 0.2, order=7)
+        spec = FilterSpec(FilterKind.EXPONENTIAL, 0.2, order=7)
         zeta = np.arange(3) / 2
         exact = np.exp(LOG_MACHINE_EPS * zeta**7) ** 0.2
         assert np.array_equal(gains(spec, 2, dt=1.0), exact)
@@ -104,7 +100,7 @@ class TestApplyFilter:
     def test_scales_rows(self):
         rng = np.random.default_rng(0)
         u = rng.normal(size=(4, 3))
-        spec = make_spec(FilterKind.FOKKER_PLANCK, 0.2)
+        spec = FilterSpec(FilterKind.FOKKER_PLANCK, 0.2)
         out = apply_filter(spec, u)
         g = gains(spec, 3)
         assert out == pytest.approx(u * g[:, None], abs=1e-15)
@@ -118,7 +114,7 @@ class TestApplyFilter:
     def test_batched(self):
         rng = np.random.default_rng(1)
         u = rng.normal(size=(5, 4, 3))
-        spec = make_spec(FilterKind.FOKKER_PLANCK, 0.7)
+        spec = FilterSpec(FilterKind.FOKKER_PLANCK, 0.7)
         out = apply_filter(spec, u)
         for b in range(5):
             assert out[b] == pytest.approx(apply_filter(spec, u[b]), abs=1e-15)
@@ -126,7 +122,7 @@ class TestApplyFilter:
 
     def test_exponential_filter_takes_the_time_step(self):
         u = np.random.default_rng(2).normal(size=(5, 3))
-        spec = make_spec(FilterKind.EXPONENTIAL, 0.8, order=4)
+        spec = FilterSpec(FilterKind.EXPONENTIAL, 0.8, order=4)
         assert np.array_equal(apply_filter(spec, u, dt=0.05), u * gains(spec, 4, dt=0.05)[:, None])
         with pytest.raises(ValueError, match="pass dt > 0"):
             apply_filter(spec, u)

@@ -34,6 +34,12 @@ from fipm.solver import (
 )
 
 SOD = UncertainShockIC(rho_l=1.0, p_l=1.0, rho_r=0.125, p_r=0.1, x0=0.5, sigma=0.05)
+EULER = euler.EulerEntropy()
+
+
+def conserved_states(ic):
+    """The conserved left and right states of the initial data."""
+    return tuple(EULER.conserved(w) for w in ic.primitive_states())
 
 
 class AdvectionPhysics:
@@ -58,8 +64,8 @@ class AdvectionPhysics:
 def sod_solver(closure, n_cells=60, degree=3, n_quad=10, t_end=0.02, **kwargs):
     grid = GridConfig(a=0.0, b=1.0, n_cells=n_cells, t_end=t_end)
     solver = MomentSolver(grid, degree, n_quad, euler.EulerEntropy(), closure=closure, **kwargs)
-    u0 = project_ic(grid.centers(), degree, SOD)
-    ghosts = project_ic(grid.ghost_centers(), degree, SOD)
+    u0 = project_ic(grid.centers(), degree, SOD, EULER)
+    ghosts = project_ic(grid.ghost_centers(), degree, SOD, EULER)
     return solver, u0, ghosts
 
 
@@ -91,7 +97,7 @@ class TestGridConfig:
 
 class TestUncertainShockIC:
     def test_conserved_states(self):
-        u_l, u_r = SOD.conserved_states()
+        u_l, u_r = conserved_states(SOD)
         np.testing.assert_allclose(u_l, [1.0, 0.0, 2.5])
         np.testing.assert_allclose(u_r, [0.125, 0.0, 0.25])
 
@@ -120,7 +126,7 @@ class TestUncertainShockIC:
 
 def projection_oracle(x, degree, ic, n_sub=40):
     """Moments of the step integrand by Gauss quadrature on each smooth piece."""
-    u_l, u_r = ic.conserved_states()
+    u_l, u_r = conserved_states(ic)
     xi_star = np.clip((x - ic.x0) / ic.sigma, -1.0, 1.0)
     nodes, weights = np.polynomial.legendre.leggauss(n_sub)
     out = np.zeros((degree + 1, 3))
@@ -137,21 +143,21 @@ def projection_oracle(x, degree, ic, n_sub=40):
 class TestProjectIC:
     def test_pure_sides_outside_band(self):
         centers = np.array([0.1, 0.9])
-        u = project_ic(centers, 4, SOD)
-        u_l, u_r = SOD.conserved_states()
+        u = project_ic(centers, 4, SOD, EULER)
+        u_l, u_r = conserved_states(SOD)
         np.testing.assert_allclose(u[0, 0], u_l)
         np.testing.assert_allclose(u[1, 0], u_r)
         np.testing.assert_allclose(u[:, 1:], 0.0)
 
     def test_midpoint_is_half_mass_mixture(self):
-        u = project_ic(np.array([SOD.x0]), 3, SOD)
-        u_l, u_r = SOD.conserved_states()
+        u = project_ic(np.array([SOD.x0]), 3, SOD, EULER)
+        u_l, u_r = conserved_states(SOD)
         np.testing.assert_allclose(u[0, 0], 0.5 * (u_l + u_r), rtol=1e-14)
 
     def test_mean_follows_uniform_cdf(self):
         centers = np.linspace(0.46, 0.54, 9)
-        u = project_ic(centers, 2, SOD)
-        u_l, u_r = SOD.conserved_states()
+        u = project_ic(centers, 2, SOD, EULER)
+        u_l, u_r = conserved_states(SOD)
         xi_star = np.clip((centers - SOD.x0) / SOD.sigma, -1.0, 1.0)
         expected = u_r + np.outer((1.0 - xi_star) / 2.0, u_l - u_r)
         np.testing.assert_allclose(u[:, 0], expected, rtol=1e-13)
@@ -159,7 +165,7 @@ class TestProjectIC:
     def test_matches_quadrature_oracle(self):
         centers = np.array([0.452, 0.5, 0.513, 0.549])
         degree = 6
-        u = project_ic(centers, degree, SOD)
+        u = project_ic(centers, degree, SOD, EULER)
         for j, x in enumerate(centers):
             np.testing.assert_allclose(
                 u[j], projection_oracle(x, degree, SOD), atol=1e-13
@@ -168,15 +174,15 @@ class TestProjectIC:
     def test_sigma_zero_is_pointwise_step(self):
         ic = UncertainShockIC(1.0, 1.0, 0.125, 0.1, x0=0.5, sigma=0.0)
         centers = np.array([0.25, 0.75])
-        u = project_ic(centers, 3, ic)
-        u_l, u_r = ic.conserved_states()
+        u = project_ic(centers, 3, ic, EULER)
+        u_l, u_r = conserved_states(ic)
         np.testing.assert_allclose(u[0, 0], u_l)
         np.testing.assert_allclose(u[1, 0], u_r)
         np.testing.assert_allclose(u[:, 1:], 0.0)
 
     def test_density_moments_realizable_at_degree_two(self):
         grid = GridConfig(a=0.0, b=1.0, n_cells=101, t_end=1.0)
-        u = project_ic(grid.centers(), 2, SOD)
+        u = project_ic(grid.centers(), 2, SOD, EULER)
         assert np.all(is_realizable_n2(u[:, :, 0]))
 
 
@@ -326,9 +332,9 @@ NON_FINITE_INPUTS = {
     "exp-order-nan": (lambda: FilterSpec(FilterKind.EXPONENTIAL, 1.0, order=np.nan), "filter order"),
     "gamma-inf": (lambda: euler.EulerEntropy(np.inf), "gamma"),
     "gamma-nan": (lambda: euler.EulerEntropy(np.nan), "gamma"),
-    "riemann-rho_l-nan": (lambda: euler.exact_riemann([np.nan, 0, 1], [0.125, 0, 0.1]), "rho_l"),
-    "riemann-p_l-inf": (lambda: euler.exact_riemann([1, 0, np.inf], [0.125, 0, 0.1]), "p_l"),
-    "riemann-v_r-nan": (lambda: euler.exact_riemann([1, 0, 1], [0.125, np.nan, 0.1]), "v_r"),
+    "riemann-rho_l-nan": (lambda: euler.exact_riemann([np.nan, 0, 1], [0.125, 0, 0.1], EULER), "rho_l"),
+    "riemann-p_l-inf": (lambda: euler.exact_riemann([1, 0, np.inf], [0.125, 0, 0.1], EULER), "p_l"),
+    "riemann-v_r-nan": (lambda: euler.exact_riemann([1, 0, 1], [0.125, np.nan, 0.1], EULER), "v_r"),
 }
 
 
@@ -418,7 +424,7 @@ class TestConservationAndRealizability:
         grid = GridConfig(a=0.0, b=1.0, n_cells=8, t_end=0.1)
         solver = MomentSolver(grid, 2, 6, euler.EulerEntropy(), closure=closure, **kwargs)
         u0 = np.zeros((8, 3, 3))
-        u0[:, 0] = euler.conserved_from_primitive(np.array([1.0, 0.2, 1.5]))
+        u0[:, 0] = EULER.conserved(np.array([1.0, 0.2, 1.5]))
         ghosts = u0[:2].copy()
         state = solver.prepare(u0, ghosts)
         stepped, _ = solver.step(state, t_end=grid.t_end)
@@ -441,21 +447,21 @@ class TestDeterministicRuns:
         ic = UncertainShockIC(1.0, 1.0, 0.125, 0.1, x0=0.5, sigma=0.0)
         grid = GridConfig(a=0.0, b=1.0, n_cells=50, t_end=0.05)
         solver = MomentSolver(grid, 2, 6, euler.EulerEntropy(), closure=Closure.IPM)
-        u0 = project_ic(grid.centers(), 2, ic)
-        ghosts = project_ic(grid.ghost_centers(), 2, ic)
+        u0 = project_ic(grid.centers(), 2, ic, EULER)
+        ghosts = project_ic(grid.ghost_centers(), 2, ic, EULER)
         result = solver.run(u0, ghosts)
         assert np.abs(result.moments[:, 1:]).max() < 1e-10
 
     def test_density_error_decreases_under_refinement(self):
         ic = UncertainShockIC(1.0, 1.0, 0.125, 0.1, x0=0.5, sigma=0.0)
         t_end = 0.1
-        riemann = euler.exact_riemann(*ic.primitive_states())
+        riemann = euler.exact_riemann(*ic.primitive_states(), EULER)
         errors = []
         for n_cells in (40, 80, 160):
             grid = GridConfig(a=0.0, b=1.0, n_cells=n_cells, t_end=t_end)
             solver = MomentSolver(grid, 0, 2, euler.EulerEntropy(), closure=Closure.IPM)
-            u0 = project_ic(grid.centers(), 0, ic)
-            ghosts = project_ic(grid.ghost_centers(), 0, ic)
+            u0 = project_ic(grid.centers(), 0, ic, EULER)
+            ghosts = project_ic(grid.ghost_centers(), 0, ic, EULER)
             result = solver.run(u0, ghosts)
             x = grid.centers()
             exact = riemann.sample_conserved((x - ic.x0) / t_end)[:, 0]
@@ -495,8 +501,8 @@ class TestRunControl:
         other = UncertainShockIC(rho_l=2.0, p_l=3.0, rho_r=0.5, p_r=0.2, x0=0.5, sigma=0.05)
         solver, u0, ghosts = sod_solver(Closure.IPM, n_cells=30, t_end=0.01)
         grid = solver.grid
-        u0_b = project_ic(grid.centers(), solver.degree, other)
-        ghosts_b = project_ic(grid.ghost_centers(), solver.degree, other)
+        u0_b = project_ic(grid.centers(), solver.degree, other, EULER)
+        ghosts_b = project_ic(grid.ghost_centers(), solver.degree, other, EULER)
         assert not np.array_equal(ghosts, ghosts_b)
         solver.run(u0, ghosts)
         again = solver.run(u0_b, ghosts_b)
@@ -552,8 +558,8 @@ class TestBreakdown:
         grid = GridConfig(0.0, 1.0, 60, 0.01)
         sod = UncertainShockIC(1.0, 1.0, 0.125, 0.1, x0=0.5, sigma=0.0)
         solver = MomentSolver(grid, 2, 6, euler.EulerEntropy(), closure=Closure.SG)
-        u0 = project_ic(grid.centers(), 2, sod)
-        ghosts = project_ic(grid.ghost_centers(), 2, sod)
+        u0 = project_ic(grid.centers(), 2, sod, EULER)
+        ghosts = project_ic(grid.ghost_centers(), 2, sod, EULER)
         ghosts[1, 0, 2] = -1.0  # negative energy: no state at any node
         where = r"\(cell 1, node 0, step 0\) at x = 1.00833$"
         with pytest.raises(BreakdownError, match=where) as err:
