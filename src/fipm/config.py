@@ -195,9 +195,10 @@ def _parse(cls, text: str, source: str, overrides=()):
     """Parse flat ``key = value`` text into the config dataclass ``cls``.
 
     Field annotations decide the conversion.  Raises ConfigError naming the
-    offending key and line for malformed lines, unknown keys, duplicates,
-    type mismatches, non-finite floats, missing required keys, and anything
-    the dataclass itself rejects.
+    offending key and line for malformed lines, unknown keys, a key set twice
+    in the text or in the overrides, type mismatches, non-finite floats,
+    missing required keys, and anything the dataclass itself rejects.  An
+    override may replace a key of the text.
     """
     types = {field.name: field.type for field in dataclasses.fields(cls)}
     values: dict[str, object] = {}
@@ -215,6 +216,7 @@ def _parse(cls, text: str, source: str, overrides=()):
         if key in values:
             raise ConfigError(f"{where}: duplicate key '{key}'")
         values[key] = _convert(types[key], key, raw.strip(), where)
+    overridden = set()
     for item in overrides:
         key, sep, raw = item.partition("=")
         key = key.strip()
@@ -222,6 +224,9 @@ def _parse(cls, text: str, source: str, overrides=()):
             raise ConfigError(f"override '{item}' must have the form key=value")
         if key not in types:
             raise ConfigError(f"override: unknown key '{key}'")
+        if key in overridden:
+            raise ConfigError(f"override: duplicate key '{key}'")
+        overridden.add(key)
         values[key] = _convert(types[key], key, raw.strip(), "override")
     missing = [
         field.name

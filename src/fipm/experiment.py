@@ -52,7 +52,7 @@ from . import euler
 from .config import _TYPES, ExperimentConfig, ScanConfig, _check_distinct, _convert
 from .errors import ConfigError, FipmError
 from .realizability import filter_image_scan
-from .solver import RunResult, project_ic
+from .solver import project_ic
 from .stats import StatField, delta_metrics, error_norms, stats_from_moments
 
 COMPONENTS = ("rho", "m", "E")
@@ -169,9 +169,9 @@ def _write_tables(tables: dict):
 
 
 def _stat_columns(field: StatField, prefix="") -> dict:
-    """``x`` then interleaved mean/variance columns, one pair per component."""
+    """``x`` then interleaved mean/variance columns, one pair per name in ``COMPONENTS``."""
     columns = {"x": field.x}
-    for k, name in enumerate(field.components):
+    for k, name in enumerate(COMPONENTS):
         columns[f"{prefix}mean_{name}"] = field.mean[:, k]
         columns[f"{prefix}var_{name}"] = field.var[:, k]
     return columns
@@ -268,7 +268,7 @@ def run_experiment(cfg: ExperimentConfig, output_root=None) -> RunArtifacts:
         solver = cfg.build_solver()
         u0 = project_ic(grid.centers(), cfg.degree, ic, solver.physics)
         ghosts = project_ic(grid.ghost_centers(), cfg.degree, ic, solver.physics)
-        result: RunResult = solver.run(u0, ghosts)
+        state, telemetry = solver.run(u0, ghosts)
     except FipmError as err:
         runtime = time.perf_counter() - start
         message = f"{type(err).__name__}: {err}"
@@ -279,13 +279,12 @@ def run_experiment(cfg: ExperimentConfig, output_root=None) -> RunArtifacts:
     runtime = time.perf_counter() - start
 
     x = grid.centers()
-    moments = result.moments
+    moments = state.moments
     snapshot = {"x": x}
     for k in range(moments.shape[2]):
         for i in range(moments.shape[1]):
             snapshot[f"u{k}_mom{i}"] = moments[:, i, k]
     _write_tables({out_dir / "snapshot.csv": snapshot})
-    telemetry = result.telemetry
     steps = {
         "step": [d.step for d in telemetry],
         "t": [d.t for d in telemetry],
@@ -296,18 +295,15 @@ def run_experiment(cfg: ExperimentConfig, output_root=None) -> RunArtifacts:
     }
     _write_tables({out_dir / "telemetry.csv": steps})
 
-    numeric = stats_from_moments(x, result.moments, COMPONENTS)
-    ref_mean, ref_var = euler.reference_statistics(x, result.t_final, ic, solver.physics)
-    reference = StatField(x=x, mean=ref_mean, var=ref_var, components=COMPONENTS)
+    numeric = stats_from_moments(x, moments)
+    ref_mean, ref_var = euler.reference_statistics(x, state.t, ic, solver.physics)
     _write_tables({out_dir / "stats.csv": _stat_columns(numeric)})
-    _write_tables({out_dir / "reference.csv": _stat_columns(reference)})
-    errors = StatField(
-        x=x, mean=numeric.mean - ref_mean, var=numeric.var - ref_var, components=COMPONENTS
-    )
+    _write_tables({out_dir / "reference.csv": _stat_columns(StatField(x, ref_mean, ref_var))})
+    errors = StatField(x, numeric.mean - ref_mean, numeric.var - ref_var)
     _write_tables({out_dir / "errors.csv": _stat_columns(errors, prefix="err_")})
 
-    d_mean, d_var = delta_metrics(numeric, reference, cfg.delta_region())
-    summary = {"deltaE": d_mean, "deltaVar": d_var, **error_norms(numeric, reference)}
+    d_mean, d_var = delta_metrics(errors, cfg.delta_region())
+    summary = {"deltaE": d_mean, "deltaVar": d_var, **error_norms(errors)}
     _write_tables({out_dir / "summary.csv": {name: [summary[name]] for name in SUMMARY_FIELDS}})
     (out_dir / "plot.py").write_text(PLOT_SCRIPT)
     write_seconds = time.perf_counter() - start - runtime
@@ -318,17 +314,17 @@ def run_experiment(cfg: ExperimentConfig, output_root=None) -> RunArtifacts:
             cfg,
             runtime,
             [
-                f"steps: {result.n_steps}",
+                f"steps: {state.step}",
                 f"newton_cell_iterations: {newton}",
                 f"newton_cell_iters_per_s: {newton / runtime:.1f}",
-                f"t_final: {float(result.t_final)!r}",
+                f"t_final: {float(state.t)!r}",
                 f"deltaE: {summary['deltaE']!r}",
                 f"deltaVar: {summary['deltaVar']!r}",
                 f"write_seconds: {write_seconds:.3f}",
             ],
         )
     )
-    return RunArtifacts(out_dir, 0, summary, None, runtime, result.n_steps)
+    return RunArtifacts(out_dir, 0, summary, None, runtime, state.step)
 
 
 # -- parameter sweeps ---------------------------------------------------------------

@@ -20,13 +20,15 @@ those moments, never filtered; ghosts are closed once.
 The time step dt_n = min(cfl dx / S_{n-1}, t_end - t_n) uses the fastest
 signal speed S_{n-1} over the *previous* step's nodal states and the ghosts'
 (the initial closure for step 0), so dt is known before any filter gain that
-couples to it; the conservative update shares the same dt.
+couples to it; the conservative update shares the same dt.  A run returns its
+final SolverState, whose ``step`` counts the updates taken, and the
+StepDiagnostics of every step.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -212,18 +214,6 @@ class SolverState:
     s_prev: float
 
 
-@dataclass
-class RunResult:
-    t_final: float
-    moments: np.ndarray
-    duals: np.ndarray | None
-    telemetry: list[StepDiagnostics] = field(default_factory=list)
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.telemetry)
-
-
 class MomentSolver:
     """Explicit kinetic-flux marching of one closure on one grid."""
 
@@ -373,8 +363,8 @@ class MomentSolver:
 
     # -- full march -------------------------------------------------------------
 
-    def run(self, u0, ghost_moments) -> RunResult:
-        """March from the initial moments to grid.t_end, in at most MAX_STEPS steps."""
+    def run(self, u0, ghost_moments) -> tuple[SolverState, list[StepDiagnostics]]:
+        """March to grid.t_end in at most MAX_STEPS steps; return the end state and telemetry."""
         t_end = self.grid.t_end
         state = self.prepare(u0, ghost_moments)
         telemetry = []
@@ -384,9 +374,4 @@ class MomentSolver:
             telemetry.append(diag)
             if state.step >= MAX_STEPS:
                 raise FipmError(f"step cap reached at step {state.step}, t = {state.t!r}")
-        return RunResult(
-            t_final=state.t,
-            moments=state.moments,
-            duals=state.duals,
-            telemetry=telemetry,
-        )
+        return state, telemetry

@@ -8,7 +8,9 @@ differences of an error field over a report region,
     delta = sqrt( sum_j dx * ((e_{j-1} - 2 e_j + e_{j+1}) / dx^2)^2 ),
 
 summed over cells whose centers lie in the region; the first and last grid
-cells have no two-sided stencil and never contribute.
+cells have no two-sided stencil and never contribute.  It and the grid L1/L2
+norms score one error field, the numeric-minus-reference StatField that a run
+writes to errors.csv, from its density (component 0) columns.
 """
 
 from __future__ import annotations
@@ -25,32 +27,21 @@ class StatField:
     x: np.ndarray
     mean: np.ndarray
     var: np.ndarray
-    components: tuple[str, ...]
 
     def __post_init__(self):
-        n = self.x.size
-        if self.mean.shape != self.var.shape or self.mean.shape[0] != n:
+        if self.mean.shape != self.var.shape or self.mean.shape[0] != self.x.size:
             raise ValueError("mean/var shapes do not match the grid")
-        if self.mean.shape[1] != len(self.components):
-            raise ValueError("component names do not match the field width")
 
 
-def stats_from_moments(x, u_hat, components=None) -> StatField:
+def stats_from_moments(x, u_hat) -> StatField:
     """StatField of a moment array u_hat with shape (n_cells, N+1, m)."""
     u_hat = np.asarray(u_hat, dtype=float)
     x = np.asarray(x, dtype=float)
     if u_hat.ndim != 3 or u_hat.shape[0] != x.size:
         raise ValueError(f"expected (n_cells, N+1, m) moments on the grid, got {u_hat.shape}")
-    if components is None:
-        components = tuple(f"u{k}" for k in range(u_hat.shape[2]))
     mean = u_hat[:, 0, :].copy()
     var = np.sum(u_hat[:, 1:, :] ** 2, axis=1)
-    return StatField(x=x, mean=mean, var=var, components=tuple(components))
-
-
-def check_same_grid(a: StatField, b: StatField):
-    if a.x.shape != b.x.shape or not np.allclose(a.x, b.x, rtol=1e-12, atol=1e-12):
-        raise ValueError("statistics fields live on different grids")
+    return StatField(x=x, mean=mean, var=var)
 
 
 def second_difference(values, dx):
@@ -72,20 +63,17 @@ def oscillation_metric(error, x, region):
     return float(np.sqrt(np.sum(dx * d2[mask] ** 2)))
 
 
-def delta_metrics(numeric: StatField, reference: StatField, region):
+def delta_metrics(errors: StatField, region):
     """Oscillation metrics (delta_mean, delta_var) of the density (component 0) errors."""
-    check_same_grid(numeric, reference)
-    d_mean = oscillation_metric(numeric.mean[:, 0] - reference.mean[:, 0], numeric.x, region)
-    d_var = oscillation_metric(numeric.var[:, 0] - reference.var[:, 0], numeric.x, region)
+    d_mean = oscillation_metric(errors.mean[:, 0], errors.x, region)
+    d_var = oscillation_metric(errors.var[:, 0], errors.x, region)
     return d_mean, d_var
 
 
-def error_norms(numeric: StatField, reference: StatField):
+def error_norms(errors: StatField):
     """Grid L1 and L2 norms of the density (component 0) mean and variance errors."""
-    check_same_grid(numeric, reference)
-    dx = numeric.x[1] - numeric.x[0]
-    e_mean = numeric.mean[:, 0] - reference.mean[:, 0]
-    e_var = numeric.var[:, 0] - reference.var[:, 0]
+    dx = errors.x[1] - errors.x[0]
+    e_mean, e_var = errors.mean[:, 0], errors.var[:, 0]
     return {
         "l1_mean": float(np.sum(dx * np.abs(e_mean))),
         "l2_mean": float(np.sqrt(np.sum(dx * e_mean**2))),

@@ -44,7 +44,7 @@ class DeskRun:
     def stat_field(self) -> StatField:
         mean = np.stack([self.stats[f"mean_{c}"] for c in COMPONENTS], axis=-1)
         var = np.stack([self.stats[f"var_{c}"] for c in COMPONENTS], axis=-1)
-        return StatField(x=self.stats["x"], mean=mean, var=var, components=COMPONENTS)
+        return StatField(x=self.stats["x"], mean=mean, var=var)
 
 
 def read_columns(path) -> dict[str, np.ndarray]:

@@ -135,6 +135,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="form key=value"):
             parse_config(MINIMAL, overrides=["n_cells"])
 
+    def test_repeated_override_key_rejected(self):
+        """A key overridden twice is an error, as a key repeated in the text is; an
+        override may still replace a key of the text."""
+        with pytest.raises(ConfigError, match="override: duplicate key 'n_cells'"):
+            parse_config(MINIMAL, overrides=["n_cells=10", "n_cells=20"])
+        with pytest.raises(ConfigError, match="override: duplicate key 'cfl'"):
+            parse_config(MINIMAL, overrides=["cfl=0.4", "n_cells=99", " cfl = 0.4"])
+        assert parse_config(MINIMAL, overrides=["n_cells=99"]).n_cells == 99
+
     def test_report_region_needs_an_interior_cell_center(self):
         """On 4 cells the interior centers 0.375 and 0.625 both miss [0.7, 0.8]."""
         with pytest.raises(ConfigError, match=r"\[0.7, 0.8\] holds no interior cell center"):
@@ -948,6 +957,11 @@ class TestCli:
         assert "closure must be one of sg, ipm" in capsys.readouterr().err
         assert main(["run", "sod-ipm-desk", "--set", "filter=erfc", "--dry-run"]) == 2
         assert "filter must be one of none, exponential, fokker-planck" in capsys.readouterr().err
+
+    def test_repeated_set_key_exits_2(self, capsys):
+        argv = ["run", "sod-ipm-desk", "--set", "n_cells=10", "--set", "n_cells=20", "--dry-run"]
+        assert main(argv) == 2
+        assert "duplicate key 'n_cells'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "preset,overrides,key",

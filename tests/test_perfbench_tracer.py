@@ -70,3 +70,8 @@ def test_traced_run_counts_match_its_telemetry(tmp_path):
     n_quad = load_config("sod-ipm-desk").n_quad  # one node pair per node and interface
     assert all(c["node_pairs"] == (n_cells + 1) * n_quad for c in fluxes)
     assert all(c["bytes_computed"] > 0 for c in fluxes)
+
+    # the run scores itself once, through each traced layer of stats.busy_s and the reference
+    scoring = ("stats.stats_from_moments", "stats.delta_metrics", "stats.error_norms",
+               "euler.reference_statistics")
+    assert {name: sum(s[0] == name for s in spans) for name in scoring} == dict.fromkeys(scoring, 1)

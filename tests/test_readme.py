@@ -19,7 +19,7 @@ def library_example() -> str:
 def test_library_example_runs_verbatim():
     namespace = {}
     exec(compile(library_example(), str(README), "exec"), namespace)
-    result, stats = namespace["result"], namespace["stats"]
-    assert result.n_steps > 0
-    assert result.t_final == pytest.approx(namespace["grid"].t_end, rel=1e-12)
+    state, telemetry, stats = namespace["state"], namespace["telemetry"], namespace["stats"]
+    assert state.step == len(telemetry) > 0
+    assert state.t == pytest.approx(namespace["grid"].t_end, rel=1e-12)
     assert np.all(np.isfinite(stats.mean)) and np.all(stats.var >= 0)

@@ -1,5 +1,6 @@
 """Membership, basis-change, and filter-image contracts for order-2 triples."""
 
+import csv
 import json
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from realizable_samples import monomial_to_gpc, sample_realizable
 
 from fipm.basis import gauss_rule, vandermonde
 from fipm.config import ScanConfig, parse_scan_config, read_config_text
-from fipm.experiment import scan_figure1
+from fipm.experiment import SCAN_RASTER, scan_figure1
 from fipm.filters import FilterKind, FilterSpec, gains
 from fipm.realizability import (
     AFTER_SLACK,
@@ -175,10 +176,10 @@ class TestScan:
 
 
 FIGURE1 = parse_scan_config(*read_config_text("figure1-scan"))
-#: the figure-1 scan-summary rows that the benchmark stores
-FIGURE1_SUMMARY = json.loads(
+#: the figure-1 scan-summary rows and raster size that the benchmark stores
+FIGURE1_EXPECTED = json.loads(
     (Path(__file__).resolve().parent.parent / "perfbench" / "expected.json").read_text()
-)["figure1-scan"]["summary"]
+)["figure1-scan"]
 
 
 def raster_points(resolution):
@@ -207,8 +208,19 @@ class TestScanOnAxes:
             scan = filter_image_scan(spec, resolution=FIGURE1.resolution)
             counts = [str(scan.n_inside), str(scan.n_escaped)]
             rows.append([spec.kind.value, repr(spec.strength), *counts])
-        assert rows == FIGURE1_SUMMARY
+        assert rows == FIGURE1_EXPECTED["summary"]
         assert {row[2] for row in rows} == {"133738"}
+
+    def test_preset_scan_writes_the_stored_summary_and_full_rasters(self, tmp_path):
+        out_dir = scan_figure1(FIGURE1, tmp_path).out_dir
+        with open(out_dir / "scan-summary.csv", newline="") as handle:
+            _, *rows = csv.reader(handle)
+        assert rows == FIGURE1_EXPECTED["summary"]
+        rasters = [path for path in out_dir.iterdir() if SCAN_RASTER.fullmatch(path.name)]
+        assert len(rasters) == len(rows)
+        for path in rasters:
+            with open(path, "rb") as handle:
+                assert sum(1 for _ in handle) - 1 == FIGURE1_EXPECTED["points_per_raster"]
 
 
 class TestSharedRaster:

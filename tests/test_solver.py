@@ -246,15 +246,15 @@ class TestGalerkinAdvection:
     def test_moment_rows_decouple_into_scalar_upwind(self):
         """Each moment row must evolve as an independent upwind-transported profile."""
         solver, u0, ghosts = advection_setup()
-        result = solver.run(u0, ghosts)
-        assert result.n_steps > 5
+        state, telemetry = solver.run(u0, ghosts)
+        assert state.step > 5
 
         expected = u0.copy()
-        for diag in result.telemetry:
+        for diag in telemetry:
             nu = diag.dt / solver.grid.dx
             shifted = np.concatenate([ghosts[:1], expected[:-1]], axis=0)
             expected = expected - nu * (expected - shifted)
-        np.testing.assert_allclose(result.moments, expected, atol=1e-12)
+        np.testing.assert_allclose(state.moments, expected, atol=1e-12)
 
     def test_filtered_sg_step_factors_into_filter_then_sg_step(self):
         spec = FilterSpec(FilterKind.FOKKER_PLANCK, strength=0.3)
@@ -362,11 +362,11 @@ class TestConservationAndRealizability:
     @pytest.mark.parametrize("closure,kwargs", DUAL_CLOSURES)
     def test_interior_sums_telescope_to_boundary_fluxes(self, closure, kwargs):
         solver, u0, ghosts = sod_solver(closure, **kwargs)
-        result = solver.run(u0, ghosts)
-        assert result.n_steps > 3
+        state, telemetry = solver.run(u0, ghosts)
+        assert state.step > 3
         worst = max(
             diag.conservation_residual(diag.dt / solver.grid.dx)
-            for diag in result.telemetry
+            for diag in telemetry
         )
         assert worst < 1e-11
 
@@ -374,10 +374,10 @@ class TestConservationAndRealizability:
         """Every post-run cell admits a converged exact dual (realizability witness)."""
         spec = FilterSpec(FilterKind.FOKKER_PLANCK, 5e-5)
         solver, u0, ghosts = sod_solver(Closure.IPM, filter_spec=spec)
-        result = solver.run(u0, ghosts)
-        _, info = solver.solver.solve_batch(result.moments, result.duals, 1e-7, 0.0)
+        state, _ = solver.run(u0, ghosts)
+        _, info = solver.solver.solve_batch(state.moments, state.duals, 1e-7, 0.0)
         assert info.all_converged
-        states = solver.solver.node_states(result.duals)
+        states = solver.solver.node_states(state.duals)
         assert np.all(euler.EulerEntropy().admissible(states))
 
     @pytest.mark.parametrize("closure,kwargs", DUAL_CLOSURES[:2])
@@ -434,9 +434,9 @@ class TestConservationAndRealizability:
 
     def test_boundary_cells_stay_frozen_at_dirichlet_states(self):
         solver, u0, ghosts = sod_solver(Closure.IPM, t_end=0.02)
-        result = solver.run(u0, ghosts)
-        np.testing.assert_allclose(result.moments[0], u0[0], atol=1e-12)
-        np.testing.assert_allclose(result.moments[-1], u0[-1], atol=1e-12)
+        state, _ = solver.run(u0, ghosts)
+        np.testing.assert_allclose(state.moments[0], u0[0], atol=1e-12)
+        np.testing.assert_allclose(state.moments[-1], u0[-1], atol=1e-12)
 
 
 # -- deterministic limit ----------------------------------------------------------
@@ -449,8 +449,8 @@ class TestDeterministicRuns:
         solver = MomentSolver(grid, 2, 6, euler.EulerEntropy(), closure=Closure.IPM)
         u0 = project_ic(grid.centers(), 2, ic, EULER)
         ghosts = project_ic(grid.ghost_centers(), 2, ic, EULER)
-        result = solver.run(u0, ghosts)
-        assert np.abs(result.moments[:, 1:]).max() < 1e-10
+        state, _ = solver.run(u0, ghosts)
+        assert np.abs(state.moments[:, 1:]).max() < 1e-10
 
     def test_density_error_decreases_under_refinement(self):
         ic = UncertainShockIC(1.0, 1.0, 0.125, 0.1, x0=0.5, sigma=0.0)
@@ -462,10 +462,10 @@ class TestDeterministicRuns:
             solver = MomentSolver(grid, 0, 2, euler.EulerEntropy(), closure=Closure.IPM)
             u0 = project_ic(grid.centers(), 0, ic, EULER)
             ghosts = project_ic(grid.ghost_centers(), 0, ic, EULER)
-            result = solver.run(u0, ghosts)
+            state, _ = solver.run(u0, ghosts)
             x = grid.centers()
             exact = riemann.sample_conserved((x - ic.x0) / t_end)[:, 0]
-            errors.append(grid.dx * np.abs(result.moments[:, 0, 0] - exact).sum())
+            errors.append(grid.dx * np.abs(state.moments[:, 0, 0] - exact).sum())
         assert errors[0] > errors[1] > errors[2]
 
 
@@ -475,9 +475,9 @@ class TestDeterministicRuns:
 class TestRunControl:
     def test_zero_horizon_returns_ic(self):
         solver, u0, ghosts = sod_solver(Closure.IPM, t_end=0.0)
-        result = solver.run(u0, ghosts)
-        assert result.n_steps == 0
-        np.testing.assert_array_equal(result.moments, u0)
+        state, telemetry = solver.run(u0, ghosts)
+        assert state.step == len(telemetry) == 0
+        np.testing.assert_array_equal(state.moments, u0)
 
     def test_zero_horizon_checks_the_initial_moments(self):
         solver, u0, ghosts = sod_solver(Closure.IPM, n_cells=20, degree=2, n_quad=6, t_end=0.0)
@@ -486,14 +486,14 @@ class TestRunControl:
 
     def test_final_step_lands_exactly_on_t_end(self):
         solver, u0, ghosts = advection_setup(t_end=0.0377)
-        result = solver.run(u0, ghosts)
-        assert result.t_final == pytest.approx(0.0377, rel=1e-12)
-        assert result.telemetry[-1].dt <= result.telemetry[0].dt
+        state, telemetry = solver.run(u0, ghosts)
+        assert state.t == pytest.approx(0.0377, rel=1e-12)
+        assert telemetry[-1].dt <= telemetry[0].dt
 
     def test_telemetry_reports_newton_work(self):
         solver, u0, ghosts = sod_solver(Closure.IPM, n_cells=30, t_end=0.01)
-        result = solver.run(u0, ghosts)
-        for diag in result.telemetry:
+        _, telemetry = solver.run(u0, ghosts)
+        for diag in telemetry:
             assert diag.newton_total >= 0
             assert diag.grad_max < solver.tau
 
@@ -505,9 +505,9 @@ class TestRunControl:
         ghosts_b = project_ic(grid.ghost_centers(), solver.degree, other, EULER)
         assert not np.array_equal(ghosts, ghosts_b)
         solver.run(u0, ghosts)
-        again = solver.run(u0_b, ghosts_b)
-        fresh = sod_solver(Closure.IPM, n_cells=30, t_end=0.01)[0].run(u0_b, ghosts_b)
-        assert again.n_steps == fresh.n_steps
+        again, _ = solver.run(u0_b, ghosts_b)
+        fresh, _ = sod_solver(Closure.IPM, n_cells=30, t_end=0.01)[0].run(u0_b, ghosts_b)
+        assert again.step == fresh.step
         assert np.array_equal(again.moments, fresh.moments)
 
     def test_collapsed_time_step_is_a_located_failure(self):

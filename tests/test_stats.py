@@ -1,11 +1,15 @@
 """Statistics and metric contracts, with quadrature and closed-form oracles."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fipm.basis import gauss_rule, vandermonde
+from fipm.config import load_config
+from fipm.experiment import COMPONENTS, run_experiment
 from fipm.stats import (
     StatField,
     delta_metrics,
@@ -13,11 +17,6 @@ from fipm.stats import (
     oscillation_metric,
     stats_from_moments,
 )
-
-
-def make_field(x, mean, var, names=None):
-    names = names or tuple(f"u{k}" for k in range(mean.shape[1]))
-    return StatField(x=x, mean=mean, var=var, components=names)
 
 
 class TestStatsFromMoments:
@@ -109,25 +108,22 @@ class TestOscillationMetric:
 
 
 class TestFieldMetrics:
-    def grid_pair(self):
-        x = np.linspace(0, 1, 101)
-        ref = make_field(x, np.zeros((101, 2)), np.zeros((101, 2)))
-        return x, ref
+    """Both metrics read the density columns of one numeric-minus-reference error field."""
 
     def test_delta_metrics_of_quadratic_error(self):
-        x, ref = self.grid_pair()
-        num = make_field(x, np.stack([x**2, x], axis=1), np.zeros((101, 2)))
-        d_mean, d_var = delta_metrics(num, ref, (0.0, 1.0))
+        x = np.linspace(0, 1, 101)
+        errors = StatField(x=x, mean=np.stack([x**2, x], axis=1), var=np.zeros((101, 2)))
+        d_mean, d_var = delta_metrics(errors, (0.0, 1.0))
         dx = x[1] - x[0]
         length = dx * (x.size - 2)
         assert d_mean == pytest.approx(2 * np.sqrt(length), rel=1e-8)
         assert d_var == 0.0
 
     def test_error_norms_constant_offset(self):
-        x, ref = self.grid_pair()
+        x = np.linspace(0, 1, 101)
         mean = np.stack([np.full(101, 0.5), np.zeros(101)], axis=1)
         var = np.stack([np.full(101, 0.25), np.zeros(101)], axis=1)
-        norms = error_norms(make_field(x, mean, var), ref)
+        norms = error_norms(StatField(x=x, mean=mean, var=var))
         dx = x[1] - x[0]
         total = dx * x.size
         assert norms["l1_mean"] == pytest.approx(0.5 * total, rel=1e-12)
@@ -135,19 +131,30 @@ class TestFieldMetrics:
         assert norms["l1_var"] == pytest.approx(0.25 * total, rel=1e-12)
         assert norms["l2_var"] == pytest.approx(0.25 * np.sqrt(total), rel=1e-12)
 
-    def test_mismatched_grids_rejected(self):
-        x, ref = self.grid_pair()
-        other = make_field(x + 0.5, np.zeros((101, 2)), np.zeros((101, 2)))
-        with pytest.raises(ValueError):
-            delta_metrics(other, ref, (0.0, 1.0))
-        with pytest.raises(ValueError):
-            error_norms(other, ref)
 
-    def test_component_name_validation(self):
-        with pytest.raises(ValueError):
-            StatField(
-                x=np.arange(3.0),
-                mean=np.zeros((3, 2)),
-                var=np.zeros((3, 2)),
-                components=("rho",),
-            )
+def read_table(path):
+    """A CSV's header and its rows of cell texts."""
+    with open(path, newline="") as handle:
+        header, *rows = csv.reader(handle)
+    return header, rows
+
+
+class TestSummaryFromErrors:
+    def test_summary_csv_is_the_score_of_errors_csv(self, tmp_path):
+        cfg = load_config("sod-ipm-desk", overrides=["n_cells=60", "t_end=0.02"])
+        artifacts = run_experiment(cfg, tmp_path)
+        assert artifacts.exit_code == 0
+        header, rows = read_table(artifacts.out_dir / "errors.csv")
+        texts = {name: [row[k] for row in rows] for k, name in enumerate(header)}
+        values = {name: np.array([float(t) for t in column]) for name, column in texts.items()}
+        # every cell is the shortest repr of its float, so the field read back is the one written
+        assert {name: [repr(v) for v in column.tolist()] for name, column in values.items()} == texts
+        errors = StatField(
+            x=values["x"],
+            mean=np.stack([values[f"err_mean_{c}"] for c in COMPONENTS], axis=1),
+            var=np.stack([values[f"err_var_{c}"] for c in COMPONENTS], axis=1),
+        )
+        d_mean, d_var = delta_metrics(errors, cfg.delta_region())
+        scored = {"deltaE": d_mean, "deltaVar": d_var, **error_norms(errors)}
+        header, (row,) = read_table(artifacts.out_dir / "summary.csv")
+        assert dict(zip(header, row)) == {name: repr(value) for name, value in scored.items()}
