@@ -25,65 +25,62 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fipm",
         description="Filtered intrusive moment methods for 1D uncertain conservation laws.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", help="run one experiment configuration")
-    run_p.add_argument("config", help="bundled preset name or path to a config file")
-    run_p.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
+    # each option is declared once, on a parent parser; subcommands list them in usage order
+    config, overrides, dry_run, output_root, swept = (
+        argparse.ArgumentParser(add_help=False) for _ in range(5)
+    )
+    config.add_argument("config", help="bundled preset name or path to a config file")
+    overrides.add_argument(
+        "--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE",
         help="override one configuration key (repeatable)",
     )
-    run_p.add_argument(
+    dry_run.add_argument(
         "--dry-run", action="store_true", help="echo the resolved configuration and exit"
     )
-    run_p.add_argument("--output-root", default=None, help="root for artifact directories")
-
-    sweep_p = sub.add_parser("sweep", help="run one configuration over several values of a key")
-    sweep_p.add_argument("config", help="bundled preset name or path to a config file")
-    sweep_p.add_argument("--key", required=True, help="numeric configuration key to vary")
-    sweep_p.add_argument(
-        "--values", required=True, help="comma-separated list of values for the key"
-    )
-    sweep_p.add_argument(
-        "--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE"
-    )
-    sweep_p.add_argument("--output-root", default=None)
-
-    scan_p = sub.add_parser(
-        "scan-figure1", help="raster-scan filter images over the realizable moment set"
-    )
-    scan_p.add_argument("config", help="bundled preset name or path to a scan config file")
-    scan_p.add_argument("--dry-run", action="store_true")
-    scan_p.add_argument("--output-root", default=None)
-
-    sub.add_parser("presets", help="list bundled configuration presets")
+    output_root.add_argument("--output-root", default=None, help="root for artifact directories")
+    swept.add_argument("--key", required=True, help="numeric configuration key to vary")
+    swept.add_argument("--values", required=True, help="comma-separated list of values for the key")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, parents, handler in [
+        ("run", "run one experiment configuration",
+         [config, overrides, dry_run, output_root], _cmd_run),
+        ("sweep", "run one configuration over several values of a key",
+         [config, swept, overrides, output_root], _cmd_sweep),
+        ("scan-figure1", "raster-scan filter images over the realizable moment set",
+         [config, dry_run, output_root], _cmd_scan),
+        ("presets", "list bundled configuration presets", [], _cmd_presets),
+    ]:
+        sub.add_parser(name, help=help_text, parents=parents).set_defaults(handler=handler)
     return parser
+
+
+def _echoed(args, cfg) -> bool:
+    """Under --dry-run, echo the resolved configuration, itself a valid config file."""
+    if args.dry_run:
+        sys.stdout.write(cfg.to_text())
+    return args.dry_run
 
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config, overrides=args.overrides)
-    if args.dry_run:
-        sys.stdout.write(cfg.to_text())
+    if _echoed(args, cfg):
         return 0
     artifacts = run_experiment(cfg, args.output_root)
     if artifacts.exit_code != 0:
         print(f"run failed: {artifacts.error}", file=sys.stderr)
         print(f"log: {artifacts.out_dir / 'run.log'}", file=sys.stderr)
         return artifacts.exit_code
-    summary = artifacts.summary
     print(
         f"wrote {artifacts.out_dir} ({artifacts.n_steps} steps, "
-        f"deltaE={summary['deltaE']:.6g}, deltaVar={summary['deltaVar']:.6g})"
+        f"deltaE={artifacts.summary['deltaE']:.6g}, deltaVar={artifacts.summary['deltaVar']:.6g})"
     )
     return 0
 
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config, overrides=args.overrides)
+    if args.key in (item.partition("=")[0].strip() for item in args.overrides):
+        raise ConfigError(f"the swept key '{args.key}' takes its values from --values, not --set")
     values = [tok.strip() for tok in args.values.split(",") if tok.strip()]
     result = sweep(cfg, args.key, values, args.output_root)
     print("value,deltaE,deltaVar,runtime")
@@ -96,10 +93,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    text, source = read_config_text(args.config)
-    cfg = parse_scan_config(text, source=source)
-    if args.dry_run:
-        sys.stdout.write(cfg.to_text())
+    cfg = parse_scan_config(*read_config_text(args.config))
+    if _echoed(args, cfg):
         return 0
     artifacts = scan_figure1(cfg, args.output_root)
     for name, strength, inside, escaped in artifacts.rows:
@@ -108,27 +103,21 @@ def _cmd_scan(args) -> int:
     return 0
 
 
+def _cmd_presets(args) -> int:
+    print(*list_presets(), sep="\n")
+    return 0
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "scan-figure1":
-            return _cmd_scan(args)
-        if args.command == "presets":
-            for name in list_presets():
-                print(name)
-            return 0
+        return args.handler(args)
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
     except FipmError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

@@ -341,13 +341,8 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
-    out_dir: Path
-    key: str
+    table_path: Path
     rows: list[SweepRow]
-
-    @property
-    def table_path(self) -> Path:
-        return self.out_dir / "sweep.csv"
 
 
 def sweep(cfg: ExperimentConfig, key: str, values, output_root=None) -> SweepResult:
@@ -383,7 +378,7 @@ def sweep(cfg: ExperimentConfig, key: str, values, output_root=None) -> SweepRes
             SweepRow(raw, summary["deltaE"], summary["deltaVar"], artifacts.runtime, artifacts.error)
         )
 
-    result = SweepResult(out_dir=base_dir, key=key, rows=rows)
+    result = SweepResult(table_path=base_dir / "sweep.csv", rows=rows)
     columns = {
         "value": [r.value for r in rows],
         "deltaE": [r.deltaE for r in rows],

@@ -3,8 +3,9 @@
     PYTHONPATH=src python tests/desk_presets.py
 
 rewrites ``desk_expected/``: ``expected.json`` holds each preset's Newton
-cell-iterations and its summary.csv row, ``<preset>-stats.csv`` and
-``<preset>-reference.csv`` the mean and variance columns of its stats.csv and
+cell-iterations and its summary.csv row, and under ``"sweep"`` the columns of
+the sweep.csv that SWEEP writes; ``<preset>-stats.csv`` and
+``<preset>-reference.csv`` hold the mean and variance columns of its stats.csv and
 reference.csv, all written with STORED_DIGITS significant digits.  Regenerate them only in a change that is meant to move these outputs,
 and say so where the change is described.
 """
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from fipm.config import load_config
-from fipm.experiment import COMPONENTS, run_experiment
+from fipm.experiment import COMPONENTS, run_experiment, sweep
 from fipm.stats import StatField
 
 PRESETS = ("sod-ipm-desk", "sod-fipm-fp-desk", "sod-fipm-exp-desk", "sod-highdensity-desk")
@@ -29,6 +30,8 @@ EXPECTED = Path(__file__).resolve().parent / "desk_expected"
 TABLES = ("stats", "reference")
 #: a stored value is off by at most 5e-13 of its own size, far inside the check's 1e-9
 STORED_DIGITS = 12
+#: the filter-strength study at two strengths: preset, swept key and values
+SWEEP = ("sod-fipm-exp-desk", "filter_strength", ("1", "5"))
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,16 @@ def run_preset(name, root) -> DeskRun:
     return DeskRun(newton, summary, *tables)
 
 
+def run_sweep(root) -> dict[str, np.ndarray]:
+    """Run SWEEP under ``root`` with experiment.sweep and read back its sweep.csv columns."""
+    preset, key, values = SWEEP
+    return read_columns(sweep(load_config(preset), key, values, root).table_path)
+
+
+def stored_sweep() -> dict[str, list[float]]:
+    return json.loads((EXPECTED / "expected.json").read_text())["sweep"]
+
+
 def stored(name) -> DeskRun:
     """The stored outputs of one preset; its tables hold the mean and variance columns only."""
     entry = json.loads((EXPECTED / "expected.json").read_text())[name]
@@ -94,6 +107,8 @@ def main():
                     writer.writerow(columns)
                     writer.writerows([_text(v) for v in row] for row in zip(*columns.values()))
             print(f"{name}: {run.newton_cell_iterations} Newton cell-iterations")
+        columns = run_sweep(root)
+        expected["sweep"] = {k: [float(_text(v)) for v in col] for k, col in columns.items()}
     (EXPECTED / "expected.json").write_text(json.dumps(expected, indent=2) + "\n")
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import fipm
 from fipm import experiment
 from fipm import solver as solver_module
-from fipm.cli import main
+from fipm.cli import build_parser, main
 from fipm.config import (
     ScanConfig,
     list_presets,
@@ -797,10 +797,20 @@ class TestRunExperiment:
         assert artifacts.error.endswith("(cell 50, node 0, step 0) at x = 0.505")
 
     def test_sg_desk_breakdown_log_names_the_cell_centre(self, tmp_path):
-        artifacts = run_experiment(load_config("sod-sg-desk"), tmp_path)
+        cfg = load_config("sod-sg-desk")
+        artifacts = run_experiment(cfg, tmp_path)
         assert artifacts.exit_code == 3
         log = (artifacts.out_dir / "run.log").read_text()
         assert "(cell 182, node 0, step 0) at x = 0.45625\n" in log
+        assert sorted(path.name for path in artifacts.out_dir.iterdir()) == ["config.cfg", "run.log"]
+        assert (artifacts.out_dir / "config.cfg").read_text() == cfg.to_text()
+        assert [line for line in log.splitlines() if not line.startswith("wall_seconds:")] == [
+            "status: failed",
+            "closure: sg",
+            "filter: none",
+            "error: BreakdownError: ansatz left the admissible set"
+            " (cell 182, node 0, step 0) at x = 0.45625",
+        ]
 
     def test_collapsed_time_step_exits_3(self, tmp_path, monkeypatch):
         step = MomentSolver.step
@@ -1016,6 +1026,12 @@ class TestCli:
         assert out.startswith("value,deltaE,deltaVar,runtime")
         assert "0," in out and "1e-3," in out
 
+    def test_sweep_set_of_the_swept_key_exits_2(self, tmp_path, capsys):
+        argv = ["sweep", "sod-sg-desk", "--key", "cfl", "--set", " cfl =0.3", "--values", "0.4"]
+        assert main([*argv, "--output-root", str(tmp_path)]) == 2
+        assert "'cfl'" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_sweep_repeated_values_exit_2(self, tmp_path, capsys):
         code = main(
             ["sweep", "sod-ipm-desk", "--key", "eta", "--values", "0,0",
@@ -1069,3 +1085,64 @@ class TestCli:
     def test_presets_subcommand_lists_bundle(self, capsys):
         assert main(["presets"]) == 0
         assert "sod-ipm" in capsys.readouterr().out.split()
+
+
+class TestCliSurface:
+    """The options, defaults and required flags of each subcommand, as the parser declares them."""
+
+    @pytest.mark.parametrize(
+        "argv,parsed",
+        [
+            (
+                ["run", "c"],
+                {"command": "run", "config": "c", "overrides": [], "dry_run": False,
+                 "output_root": None},
+            ),
+            (
+                ["sweep", "c", "--key", "k", "--values", "v"],
+                {"command": "sweep", "config": "c", "key": "k", "values": "v", "overrides": [],
+                 "output_root": None},
+            ),
+            (
+                ["scan-figure1", "c"],
+                {"command": "scan-figure1", "config": "c", "dry_run": False, "output_root": None},
+            ),
+            (["presets"], {"command": "presets"}),
+            (
+                ["run", "c", "--set", "a=1", "--set=b=2", "--dry-run", "--output-root", "r"],
+                {"command": "run", "config": "c", "overrides": ["a=1", "b=2"], "dry_run": True,
+                 "output_root": "r"},
+            ),
+        ],
+    )
+    def test_minimal_argv_parses_to_the_declared_defaults(self, argv, parsed):
+        got = vars(build_parser().parse_args(argv))
+        got.pop("handler", None)
+        assert got == parsed
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["run"],
+            ["sweep", "sod-ipm-desk", "--values", "0"],
+            ["sweep", "sod-ipm-desk", "--key", "eta"],
+            ["sweep", "sod-ipm-desk", "--key", "eta", "--values", "0", "--dry-run"],
+            ["scan-figure1", "figure1-scan", "--set", "a=b"],
+            ["presets", "--output-root", "x"],
+            ["presets", "extra"],
+            ["no-such-command"],
+        ],
+    )
+    def test_missing_and_foreign_options_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: fipm")
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "scan-figure1", "presets"])
+    def test_help_exits_0(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command, "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: fipm {command}")

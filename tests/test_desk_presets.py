@@ -1,13 +1,14 @@
-"""The four desk presets, run end to end, against their stored outputs.
+"""The four desk presets and a filter-strength sweep, run end to end, against stored outputs.
 
-Newton cell-iterations must match exactly; every summary.csv value and every
-stats.csv and reference.csv mean and variance column must match to RTOL of that
-column's largest stored magnitude.  ``desk_presets.py`` regenerates the stored values.
+Newton cell-iterations must match exactly; every summary.csv value, every
+stats.csv and reference.csv mean and variance column and every sweep.csv column
+must match to RTOL of that column's largest stored magnitude.  ``desk_presets.py``
+regenerates the stored values.
 """
 
 import numpy as np
 import pytest
-from desk_presets import PRESETS, TABLES, stored
+from desk_presets import PRESETS, TABLES, run_sweep, stored, stored_sweep
 
 RTOL = 1e-9
 
@@ -29,3 +30,9 @@ def test_preset_reproduces_its_stored_outputs(desk_run, preset):
         got_columns, want_columns = getattr(run, table), getattr(want, table)
         assert list(got_columns) == ["x", *want_columns], table
         assert_columns_match(got_columns, want_columns)
+
+
+def test_sweep_reproduces_its_stored_table(tmp_path):
+    got, want = run_sweep(tmp_path), stored_sweep()
+    assert list(got) == list(want)
+    assert_columns_match(got, want)
