@@ -11,11 +11,11 @@ from .errors import (
     InadmissibleStateError,
     VacuumError,
 )
-from .euler import EulerEntropy
+from .euler import EulerEntropy, UncertainShockIC, project_ic
 from .experiment import run_experiment, scan_figure1, sweep
 from .filters import FilterKind, FilterSpec, gains
 from .realizability import filter_image_scan, is_realizable_n2
-from .solver import Closure, GridConfig, MomentSolver, UncertainShockIC, project_ic
+from .solver import Closure, GridConfig, MomentSolver
 from .stats import StatField, delta_metrics, error_norms, stats_from_moments
 
 __all__ = [

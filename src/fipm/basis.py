@@ -35,7 +35,7 @@ def gauss_rule(n_q: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights / 2.0)
 
 
-def _legendre_rows(degree: int, xi: np.ndarray) -> np.ndarray:
+def legendre_rows(degree: int, xi: np.ndarray) -> np.ndarray:
     """P_0..P_degree at xi via the three-term recurrence; shape (*xi.shape, degree+1)."""
     out = np.empty(xi.shape + (degree + 1,))
     out[..., 0] = 1.0
@@ -52,4 +52,4 @@ def vandermonde(degree: int, nodes) -> np.ndarray:
     if np.any(np.abs(nodes) > 1.0):
         raise ValueError("evaluation point outside [-1, 1]")
     scale = np.sqrt(2 * np.arange(degree + 1) + 1)
-    return _legendre_rows(degree, nodes) * scale
+    return legendre_rows(degree, nodes) * scale

@@ -1,11 +1,12 @@
 """Flat ``key = value`` experiment configuration.
 
 The on-disk format is one pair per line, ``#`` starts a comment line, and
-unknown keys are rejected so a typo cannot silently fall back to a default.
-A run configuration is checked up front by building its grid, initial data
-and solver, whose constructors are the one home of each input rule (the
-closure/filter/regularization pairing included); their ``ValueError`` becomes
-a ``ConfigError``.  A run built from a valid configuration can only abort for
+unknown keys are rejected so a typo cannot silently fall back to a default.  A
+run configuration is checked up front: the report region and the uncertain band
+against the domain here, every other rule by building its grid, initial data
+and solver, whose constructors are the one home of each (the
+closure/filter/regularization pairing included); their ``ValueError`` becomes a
+``ConfigError``.  A run built from a valid configuration can only abort for
 genuinely numerical reasons.  ``to_text`` emits a canonical echo with every
 default resolved, and parsing that echo reproduces the configuration exactly,
 which is what makes reruns byte-reproducible.
@@ -20,9 +21,9 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError
-from .euler import GAMMA_DEFAULT, EulerEntropy
+from .euler import GAMMA_DEFAULT, EulerEntropy, UncertainShockIC
 from .filters import FilterKind, FilterSpec
-from .solver import Closure, GridConfig, MomentSolver, UncertainShockIC
+from .solver import Closure, GridConfig, MomentSolver
 
 
 def _check_choice(name: str, value: str, choices: list[str]):
@@ -85,7 +86,7 @@ class ExperimentConfig:
     degree: int
     n_quad: int
     closure: str
-    cfl: float = 0.5
+    cfl: float = GridConfig.cfl
     gamma: float = GAMMA_DEFAULT
     filter: str = "none"
     filter_strength: float = 0.0
@@ -112,9 +113,12 @@ class ExperimentConfig:
                 f"oscillation region [{self.delta_lo}, {self.delta_hi}] must be an "
                 f"interval inside the domain [{self.a}, {self.b}]"
             )
-        # every other input is checked by the object that uses it
+        # every other input but the band is checked by the object that uses it
         try:
-            self.ic().validate_inside(self.grid())
+            self.ic()
+            self.grid()
+            if not (self.a < self.x0 - self.sigma and self.x0 + self.sigma < self.b):
+                raise ConfigError("uncertain interface band must lie strictly inside the domain")
             self.build_solver()
         except ValueError as err:
             raise ConfigError(str(err)) from None

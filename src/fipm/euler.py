@@ -1,10 +1,11 @@
-"""1D Euler equations: the Euler model, the exact Riemann solution and its statistics.
+"""1D Euler equations and the uncertain Riemann problem: its data ``UncertainShockIC``,
+their exact projection ``project_ic``, the exact Riemann solution and its statistics.
 
 Conserved variables are u = (rho, m, E_t) with momentum m = rho*v and total
 energy E_t = p/(gamma-1) + rho*v^2/2.  A state is admissible when density and
 pressure are strictly positive.  The conserved map, flux, wave speed and
-admissibility are methods of the model at its gamma, which the exact Riemann
-solution and its statistics take; all maps broadcast over leading axes, component last.
+admissibility are methods of the model at its gamma, which everything below
+takes; all maps broadcast over leading axes, component last.
 The reference statistics average the exact Riemann solution over the uniform
 input, sampling REFERENCE_BLOCK rows of x at a time, so their memory is one
 block's sample whatever the grid.
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import gauss_rule
+from .basis import gauss_rule, legendre_rows
 from .errors import VacuumError, require_finite
 
 GAMMA_DEFAULT = 1.4
@@ -143,8 +144,61 @@ class EulerEntropy:
 
 
 # ---------------------------------------------------------------------------
-# exact Riemann solution
+# the uncertain Riemann problem: data, exact projection, exact solution, statistics
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class UncertainShockIC:
+    """Riemann data with an uncertain interface at x0 + sigma * xi, xi ~ U(-1,1).
+
+    Both sides are at rest; ``ExperimentConfig`` keeps the uncertain band strictly
+    inside the domain, so the boundary cells see deterministic states.
+    """
+
+    rho_l: float
+    p_l: float
+    rho_r: float
+    p_r: float
+    x0: float
+    sigma: float
+
+    def __post_init__(self):
+        require_finite(**vars(self))
+        if min(self.rho_l, self.p_l, self.rho_r, self.p_r) <= 0:
+            raise ValueError("initial densities and pressures must be positive")
+        if self.sigma < 0:
+            raise ValueError(f"need sigma >= 0, got {self.sigma}")
+
+    def primitive_states(self):
+        return (
+            np.array([self.rho_l, 0.0, self.p_l]),
+            np.array([self.rho_r, 0.0, self.p_r]),
+        )
+
+
+def project_ic(centers, degree, ic: UncertainShockIC, model: EulerEntropy):
+    """Exact basis projection of the uncertain Riemann data at cell centers.
+
+    The state at (x, xi) is the model's conserved u_L for xi > xi*(x) and u_R
+    below, with xi*(x) = clamp((x - x0)/sigma); the moments follow from the
+    antiderivative of the Legendre polynomials.  Returns (len(centers), degree+1, 3).
+    """
+    centers = np.asarray(centers, dtype=float)
+    u_l, u_r = (model.conserved(w) for w in ic.primitive_states())
+    if ic.sigma > 0:
+        xi_star = np.clip((centers - ic.x0) / ic.sigma, -1.0, 1.0)
+    else:
+        xi_star = np.where(centers < ic.x0, -1.0, 1.0)
+    jump = u_l - u_r  # (3,)
+    rows = legendre_rows(degree + 1, xi_star)  # (n, degree+2)
+    out = np.zeros((centers.size, degree + 1, u_l.size))
+    weight_l = (1.0 - xi_star) / 2.0
+    out[:, 0, :] = weight_l[:, None] * u_l + (1.0 - weight_l)[:, None] * u_r
+    for i in range(1, degree + 1):
+        coef = (rows[:, i - 1] - rows[:, i + 1]) / (2.0 * np.sqrt(2.0 * i + 1.0))
+        out[:, i, :] = coef[:, None] * jump
+    return out
 
 
 def _pressure_function(p, rho_k, p_k, c_k, model):
@@ -256,18 +310,16 @@ def exact_riemann(prim_l, prim_r, model: EulerEntropy):
     )
 
 
-def reference_statistics(xs, t, ic, model: EulerEntropy):
+def reference_statistics(xs, t, ic: UncertainShockIC, model: EulerEntropy):
     """Mean and variance of the model's exact conserved solution over the uniform input.
 
-    Of the initial data ``ic`` (an ``UncertainShockIC``) only x0, sigma and
-    primitive_states() are read.  The discontinuity sits at x0 + sigma*xi with xi
-    uniform on [-1, 1]; the left/right states are deterministic, so a single
-    Riemann solution is sampled at shifted similarity coordinates and averaged with a
-    REFERENCE_NODES-point Gauss rule.  At t = 0 the (shifted) initial data
-    are averaged instead.  The sample is taken REFERENCE_BLOCK rows of xs at a
-    time, so beyond the outputs its memory is one (REFERENCE_BLOCK,
-    REFERENCE_NODES, 3) block and its temporaries; each row's sums are bitwise
-    those of one (len(xs), REFERENCE_NODES, 3) sample.  Returns (mean, var),
+    The discontinuity sits at x0 + sigma*xi with xi uniform on [-1, 1]; the left/right
+    states are deterministic, so a single Riemann solution is sampled at shifted
+    similarity coordinates and averaged with a REFERENCE_NODES-point Gauss rule.  At
+    t = 0 the (shifted) initial data are averaged instead.  The sample is taken
+    REFERENCE_BLOCK rows of xs at a time, so beyond the outputs its memory is one
+    (REFERENCE_BLOCK, REFERENCE_NODES, 3) block and its temporaries; each row's sums are
+    bitwise those of one (len(xs), REFERENCE_NODES, 3) sample.  Returns (mean, var),
     each of shape (len(xs), 3).
     """
     xs = np.asarray(xs, dtype=float)

@@ -15,9 +15,9 @@ Every run writes, inside ``<output root>/<output_dir>``:
                  (wall_seconds) and of the statistics and artifacts after it
                  (write_seconds); the only file with wall time
 
-A sweep adds sweep.csv (value, deltaE, deltaVar per value) to the base
-directory; a realizability scan writes its config.cfg, one exp-<strength>.csv
-or fp-<strength>.csv raster per strength, and scan-summary.csv.
+A sweep writes sweep.csv (value, deltaE, deltaVar per value) and config.cfg
+into ``<output_dir>/sweep-<key>``; a realizability scan writes its config.cfg,
+one exp-<strength>.csv or fp-<strength>.csv raster per strength, and scan-summary.csv.
 
 Every CSV goes through ``_write_tables``, whose one format rule is: floats as
 their shortest round-trip ``repr``, ints and bools as integers, strings as
@@ -52,7 +52,6 @@ from . import euler
 from .config import _TYPES, ExperimentConfig, ScanConfig, _check_distinct, _convert
 from .errors import ConfigError, FipmError
 from .realizability import filter_image_scan
-from .solver import project_ic
 from .stats import StatField, delta_metrics, error_norms, stats_from_moments
 
 COMPONENTS = ("rho", "m", "E")
@@ -266,8 +265,8 @@ def run_experiment(cfg: ExperimentConfig, output_root=None) -> RunArtifacts:
     ic = cfg.ic()
     try:
         solver = cfg.build_solver()
-        u0 = project_ic(grid.centers(), cfg.degree, ic, solver.physics)
-        ghosts = project_ic(grid.ghost_centers(), cfg.degree, ic, solver.physics)
+        u0 = euler.project_ic(grid.centers(), cfg.degree, ic, solver.physics)
+        ghosts = euler.project_ic(grid.ghost_centers(), cfg.degree, ic, solver.physics)
         state, telemetry = solver.run(u0, ghosts)
     except FipmError as err:
         runtime = time.perf_counter() - start
@@ -348,17 +347,21 @@ class SweepResult:
 def sweep(cfg: ExperimentConfig, key: str, values, output_root=None) -> SweepResult:
     """Run the configuration once per value of one numeric key.
 
-    Each run lands in its own subdirectory of the base output_dir; failures
-    (bad value, solver abort) are recorded as NaN rows and the sweep
-    continues.  An empty value list yields an empty table.  A value listed
-    twice would share one directory, so repeats are rejected before any run.
+    The sweep's own directory, ``<output_dir>/sweep-<key>``, holds sweep.csv, a
+    config.cfg echo of the base configuration and one ``<key>-<value>`` run per
+    value; a rerun rewrites the first two and leaves an earlier sweep's other
+    runs in place.  Failures (bad value, solver abort) are NaN rows and the
+    sweep continues.  A value listed twice would share one directory, so
+    repeats are rejected before any run.
     """
     if _TYPES.get(key) not in ("float", "int"):
         raise ConfigError(f"'{key}' is not a sweepable numeric configuration key")
     values = [str(raw).strip() for raw in values]
     _check_distinct("sweep", values)
-    base_dir = resolve_output_root(output_root) / cfg.output_dir
-    base_dir.mkdir(parents=True, exist_ok=True)
+    sweep_dir = f"{cfg.output_dir}/sweep-{key}"
+    out_dir = resolve_output_root(output_root) / sweep_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "config.cfg").write_text(cfg.to_text())
 
     nan = float("nan")
     rows: list[SweepRow] = []
@@ -367,7 +370,7 @@ def sweep(cfg: ExperimentConfig, key: str, values, output_root=None) -> SweepRes
         try:
             value = _convert(_TYPES[key], key, raw, "sweep")
             sub_cfg = replace(
-                cfg, **{key: value, "output_dir": f"{cfg.output_dir}/{key}-{raw}"}
+                cfg, **{key: value, "output_dir": f"{sweep_dir}/{key}-{raw}"}
             )
             artifacts = run_experiment(sub_cfg, output_root)
         except ConfigError as err:
@@ -378,12 +381,8 @@ def sweep(cfg: ExperimentConfig, key: str, values, output_root=None) -> SweepRes
             SweepRow(raw, summary["deltaE"], summary["deltaVar"], artifacts.runtime, artifacts.error)
         )
 
-    result = SweepResult(table_path=base_dir / "sweep.csv", rows=rows)
-    columns = {
-        "value": [r.value for r in rows],
-        "deltaE": [r.deltaE for r in rows],
-        "deltaVar": [r.deltaVar for r in rows],
-    }
+    result = SweepResult(table_path=out_dir / "sweep.csv", rows=rows)
+    columns = {name: [getattr(r, name) for r in rows] for name in ("value", "deltaE", "deltaVar")}
     _write_tables({result.table_path: columns})
     return result
 

@@ -110,7 +110,7 @@ def _inside(axes, gain, slack):
     return is_realizable_monomial(m, slack=slack).ravel()
 
 
-def filter_image_scan(spec: FilterSpec, resolution=400) -> ScanResult:
+def filter_image_scan(spec: FilterSpec, resolution: int) -> ScanResult:
     """Rasterize the u_0 = 1 slice and test membership before/after filtering.
 
     Gains are taken at dt = 1, so a dt-coupled filter's exponent is its strength.

@@ -13,9 +13,8 @@ respect to the quadrature measure; with eta > 0 the filtered moments
 themselves.  Under either closure a nodal state outside the admissible set
 aborts the run.
 
-The initial and ghost moments are ``project_ic``'s, at the marched model's
-gamma.  Boundary conditions are Dirichlet: one ghost cell per side frozen at
-those moments, never filtered; ghosts are closed once.
+Boundary conditions are Dirichlet: one ghost cell per side frozen at the
+ghost moments ``prepare`` takes, never filtered; ghosts are closed once.
 
 The time step dt_n = min(cfl dx / S_{n-1}, t_end - t_n) uses the fastest
 signal speed S_{n-1} over the *previous* step's nodal states and the ghosts'
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import euler
-from .basis import _legendre_rows, gauss_rule, vandermonde
+from .basis import gauss_rule, vandermonde
 from .closures import ClosureSolver, SolveInfo
 from .errors import BreakdownError, DualNonConvergenceError, FipmError, InadmissibleStateError
 from .errors import require_finite
@@ -96,63 +95,6 @@ class GridConfig:
 
     def ghost_centers(self) -> np.ndarray:
         return np.array([self.a - 0.5 * self.dx, self.b + 0.5 * self.dx])
-
-
-@dataclass(frozen=True)
-class UncertainShockIC:
-    """Riemann data with an uncertain interface at x0 + sigma * xi, xi ~ U(-1,1).
-
-    Both sides are at rest; the uncertain band must lie strictly inside the
-    domain so the boundary cells see deterministic states.
-    """
-
-    rho_l: float
-    p_l: float
-    rho_r: float
-    p_r: float
-    x0: float
-    sigma: float
-
-    def __post_init__(self):
-        require_finite(**vars(self))
-        if min(self.rho_l, self.p_l, self.rho_r, self.p_r) <= 0:
-            raise ValueError("initial densities and pressures must be positive")
-        if self.sigma < 0:
-            raise ValueError(f"need sigma >= 0, got {self.sigma}")
-
-    def primitive_states(self):
-        return (
-            np.array([self.rho_l, 0.0, self.p_l]),
-            np.array([self.rho_r, 0.0, self.p_r]),
-        )
-
-    def validate_inside(self, grid: GridConfig):
-        if not (grid.a < self.x0 - self.sigma and self.x0 + self.sigma < grid.b):
-            raise ValueError("uncertain interface band must lie strictly inside the domain")
-
-
-def project_ic(centers, degree, ic: UncertainShockIC, model: euler.EulerEntropy):
-    """Exact basis projection of the uncertain Riemann data at cell centers.
-
-    The state at (x, xi) is the model's conserved u_L for xi > xi*(x) and u_R
-    below, with xi*(x) = clamp((x - x0)/sigma); the moments follow from the
-    antiderivative of the Legendre polynomials.  Returns (len(centers), degree+1, 3).
-    """
-    centers = np.asarray(centers, dtype=float)
-    u_l, u_r = (model.conserved(w) for w in ic.primitive_states())
-    if ic.sigma > 0:
-        xi_star = np.clip((centers - ic.x0) / ic.sigma, -1.0, 1.0)
-    else:
-        xi_star = np.where(centers < ic.x0, -1.0, 1.0)
-    jump = u_l - u_r  # (3,)
-    rows = _legendre_rows(degree + 1, xi_star)  # (n, degree+2)
-    out = np.zeros((centers.size, degree + 1, u_l.size))
-    weight_l = (1.0 - xi_star) / 2.0
-    out[:, 0, :] = weight_l[:, None] * u_l + (1.0 - weight_l)[:, None] * u_r
-    for i in range(1, degree + 1):
-        coef = (rows[:, i - 1] - rows[:, i + 1]) / (2.0 * np.sqrt(2.0 * i + 1.0))
-        out[:, i, :] = coef[:, None] * jump
-    return out
 
 
 def rusanov(u_l, u_r, physics):
@@ -323,8 +265,8 @@ class MomentSolver:
 
     # -- one conservative update ----------------------------------------------
 
-    def step(self, state: SolverState, t_end: float):
-        dt = min(self.grid.cfl * self.grid.dx / state.s_prev, t_end - state.t)
+    def step(self, state: SolverState):
+        dt = min(self.grid.cfl * self.grid.dx / state.s_prev, self.grid.t_end - state.t)
         if dt <= 0:
             raise InadmissibleStateError(
                 f"time step collapsed to zero at step {state.step} "
@@ -370,7 +312,7 @@ class MomentSolver:
         telemetry = []
         eps_t = 1e-12 * max(t_end, 1.0)
         while state.t < t_end - eps_t:
-            state, diag = self.step(state, t_end)
+            state, diag = self.step(state)
             telemetry.append(diag)
             if state.step >= MAX_STEPS:
                 raise FipmError(f"step cap reached at step {state.step}, t = {state.t!r}")

@@ -3,8 +3,9 @@
     PYTHONPATH=src python tests/desk_presets.py
 
 rewrites ``desk_expected/``: ``expected.json`` holds each preset's Newton
-cell-iterations and its summary.csv row, and under ``"sweep"`` the columns of
-the sweep.csv that SWEEP writes; ``<preset>-stats.csv`` and
+cell-iterations and its summary.csv row, under ``"sweep"`` the columns of
+the sweep.csv that SWEEP writes, and under ``"scan"`` the SHA-256 of each
+raster that the SCAN preset writes; ``<preset>-stats.csv`` and
 ``<preset>-reference.csv`` hold the mean and variance columns of its stats.csv and
 reference.csv, all written with STORED_DIGITS significant digits.  Regenerate them only in a change that is meant to move these outputs,
 and say so where the change is described.
@@ -13,6 +14,7 @@ and say so where the change is described.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import tempfile
 from dataclasses import dataclass
@@ -20,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from fipm.config import load_config
-from fipm.experiment import COMPONENTS, run_experiment, sweep
+from fipm.config import load_config, parse_scan_config, read_config_text
+from fipm.experiment import COMPONENTS, SCAN_RASTER, run_experiment, scan_figure1, sweep
 from fipm.stats import StatField
 
 PRESETS = ("sod-ipm-desk", "sod-fipm-fp-desk", "sod-fipm-exp-desk", "sod-highdensity-desk")
@@ -32,6 +34,8 @@ TABLES = ("stats", "reference")
 STORED_DIGITS = 12
 #: the filter-strength study at two strengths: preset, swept key and values
 SWEEP = ("sod-fipm-exp-desk", "filter_strength", ("1", "5"))
+#: the realizability scan preset whose rasters are pinned byte for byte
+SCAN = "figure1-scan"
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,19 @@ def stored_sweep() -> dict[str, list[float]]:
     return json.loads((EXPECTED / "expected.json").read_text())["sweep"]
 
 
+def raster_digests(out_dir) -> dict[str, str]:
+    """SHA-256 of each raster in a scan's output directory, by file name."""
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(Path(out_dir).iterdir())
+        if SCAN_RASTER.fullmatch(path.name)
+    }
+
+
+def stored_scan() -> dict[str, str]:
+    return json.loads((EXPECTED / "expected.json").read_text())["scan"]
+
+
 def stored(name) -> DeskRun:
     """The stored outputs of one preset; its tables hold the mean and variance columns only."""
     entry = json.loads((EXPECTED / "expected.json").read_text())[name]
@@ -109,6 +126,8 @@ def main():
             print(f"{name}: {run.newton_cell_iterations} Newton cell-iterations")
         columns = run_sweep(root)
         expected["sweep"] = {k: [float(_text(v)) for v in col] for k, col in columns.items()}
+        scan = scan_figure1(parse_scan_config(*read_config_text(SCAN)), root)
+        expected["scan"] = raster_digests(scan.out_dir)
     (EXPECTED / "expected.json").write_text(json.dumps(expected, indent=2) + "\n")
 
 

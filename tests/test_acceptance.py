@@ -25,9 +25,9 @@ from fipm.basis import gauss_rule
 from fipm.closures import ClosureSolver
 from fipm.config import ExperimentConfig, load_config
 from fipm.errors import BreakdownError
+from fipm.euler import project_ic
 from fipm.filters import LOG_MACHINE_EPS, FilterKind, FilterSpec, gains
 from fipm.realizability import filter_image_scan, is_realizable_n2
-from fipm.solver import project_ic
 from fipm.stats import StatField, delta_metrics, stats_from_moments
 
 DESK = dict(n_cells=400, degree=5, n_quad=20, t_end=0.14)
@@ -285,7 +285,7 @@ def test_criterion_8_conservation_and_realizability_witness():
         ghosts = project_ic(grid.ghost_centers(), cfg.degree, ic, solver.physics)
         state = solver.prepare(u0, ghosts)
         for _ in range(50):
-            state, diag = solver.step(state, t_end=grid.t_end)
+            state, diag = solver.step(state)
             assert diag.conservation_residual(diag.dt / grid.dx) < 1e-11
             _, info = solver.solver.solve_batch(state.moments, state.duals, cfg.tau, 0.0)
             assert info.all_converged, f"step {state.step}"

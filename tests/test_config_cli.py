@@ -251,6 +251,23 @@ class TestCompatibility:
         with pytest.raises(ConfigError, match="oscillation region"):
             parse_config(MINIMAL + "delta_lo = 0.9\ndelta_hi = 0.8\n")
 
+    @pytest.mark.parametrize(
+        "x0, sigma, n_quad",
+        [("0.05", "0.1", "6"), ("0.1", "0.1", "6"), ("0.9", "0.1", "6"), ("0.05", "0.1", "2")],
+        ids=["past-a", "touching-a", "touching-b", "before-the-solver-rules"],
+    )
+    def test_uncertain_band_must_lie_strictly_inside_the_domain(self, x0, sigma, n_quad):
+        text = MINIMAL.replace("x0 = 0.5", f"x0 = {x0}").replace("sigma = 0.05", f"sigma = {sigma}")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text.replace("n_quad = 6", f"n_quad = {n_quad}"))
+        assert str(err.value) == (
+            "<config>: uncertain interface band must lie strictly inside the domain"
+        )
+
+    def test_shipped_preset_band_lies_inside_the_domain(self):
+        cfg = load_config("sod-ipm-desk")
+        assert cfg.a < cfg.x0 - cfg.sigma and cfg.x0 + cfg.sigma < cfg.b
+
 
 # -- bundled presets -----------------------------------------------------------
 
@@ -814,9 +831,12 @@ class TestRunExperiment:
 
     def test_collapsed_time_step_exits_3(self, tmp_path, monkeypatch):
         step = MomentSolver.step
-        monkeypatch.setattr(
-            MomentSolver, "step", lambda self, state, t_end: step(self, state, state.t)
-        )
+
+        def step_at_its_end_time(self, state):
+            self.grid = dataclasses.replace(self.grid, t_end=state.t)
+            return step(self, state)
+
+        monkeypatch.setattr(MomentSolver, "step", step_at_its_end_time)
         artifacts = run_experiment(tiny_config(output_dir="collapsed"), tmp_path)
         assert artifacts.exit_code == 3
         assert artifacts.error.startswith("InadmissibleStateError: time step collapsed")
@@ -831,7 +851,7 @@ class TestRunExperiment:
     def test_programming_error_propagates(self, tmp_path, monkeypatch):
         """Only a FipmError is a solver failure; any other error is not turned into exit 3."""
 
-        def broken_step(self, state, t_end):
+        def broken_step(self, state):
             raise RuntimeError("broken step")
 
         monkeypatch.setattr(MomentSolver, "step", broken_step)
@@ -851,11 +871,34 @@ class TestSweep:
         result = sweep(cfg, "eta", ["0", "1e-3"], tmp_path)
         assert [row.value for row in result.rows] == ["0", "1e-3"]
         assert all(row.error is None for row in result.rows)
-        assert (tmp_path / "sw" / "eta-0" / "summary.csv").is_file()
-        assert (tmp_path / "sw" / "eta-1e-3" / "summary.csv").is_file()
+        assert (tmp_path / "sw" / "sweep-eta" / "eta-0" / "summary.csv").is_file()
+        assert (tmp_path / "sw" / "sweep-eta" / "eta-1e-3" / "summary.csv").is_file()
+        assert result.table_path == tmp_path / "sw" / "sweep-eta" / "sweep.csv"
         table = result.table_path.read_text().splitlines()
         assert table[0] == "value,deltaE,deltaVar"
         assert len(table) == 3
+
+    def test_sweep_writes_no_path_of_the_base_run(self, tmp_path):
+        cfg = tiny_config(output_dir="sw")
+        run_experiment(cfg, tmp_path)
+        run_files = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+        sweep(cfg, "eta", ["0", "1e-3"], tmp_path)
+        sweep_files = {path for path in tmp_path.rglob("*") if path.is_file()} - set(run_files)
+        assert {path: path.read_bytes() for path in run_files} == run_files
+        assert all(path.is_relative_to(tmp_path / "sw" / "sweep-eta") for path in sweep_files)
+        echo = tmp_path / "sw" / "sweep-eta" / "config.cfg"
+        assert echo in sweep_files
+        assert parse_config(echo.read_text()) == cfg
+
+    def test_sweep_rerun_rewrites_its_table_and_keeps_earlier_values(self, tmp_path):
+        sweep(tiny_config(output_dir="sw"), "eta", ["0"], tmp_path)
+        rerun = sweep(tiny_config(output_dir="sw", cfl=0.4), "eta", ["1e-3"], tmp_path)
+        assert [line.split(",")[0] for line in rerun.table_path.read_text().splitlines()] == [
+            "value", "1e-3"
+        ]
+        sweep_dir = tmp_path / "sw" / "sweep-eta"
+        assert parse_config((sweep_dir / "config.cfg").read_text()).cfl == 0.4
+        assert (sweep_dir / "eta-0" / "summary.csv").is_file()
 
     def test_two_sweeps_write_identical_tables(self, tmp_path):
         values = ["0", "1e-3", "-1"]

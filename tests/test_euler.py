@@ -19,10 +19,11 @@ from fipm.euler import (
     REFERENCE_BLOCK,
     REFERENCE_NODES,
     EulerEntropy,
+    UncertainShockIC,
     exact_riemann,
     reference_statistics,
 )
-from fipm.solver import UncertainShockIC, rusanov
+from fipm.solver import rusanov
 
 GAMMA = 1.4
 SOD_L = np.array([1.0, 0.0, 1.0])  # primitive (rho, v, p)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from csv_reference import reference_write_table
+from desk_presets import raster_digests, stored_scan
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from realizable_samples import monomial_to_gpc, sample_realizable
@@ -221,6 +222,7 @@ class TestScanOnAxes:
         for path in rasters:
             with open(path, "rb") as handle:
                 assert sum(1 for _ in handle) - 1 == FIGURE1_EXPECTED["points_per_raster"]
+        assert raster_digests(out_dir) == stored_scan()
 
 
 class TestSharedRaster:

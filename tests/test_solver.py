@@ -21,15 +21,14 @@ from fipm.errors import (
     FipmError,
     InadmissibleStateError,
 )
+from fipm.euler import UncertainShockIC, project_ic
 from fipm.filters import FilterKind, FilterSpec, apply_filter, gains
 from fipm.realizability import is_realizable_n2
 from fipm.solver import (
     Closure,
     GridConfig,
     MomentSolver,
-    UncertainShockIC,
     kinetic_flux,
-    project_ic,
     rusanov,
 )
 
@@ -112,13 +111,6 @@ class TestUncertainShockIC:
     def test_rejects_bad_states(self, kwargs):
         with pytest.raises(ValueError):
             UncertainShockIC(**kwargs)
-
-    def test_band_must_stay_inside_domain(self):
-        grid = GridConfig(a=0.0, b=1.0, n_cells=10, t_end=1.0)
-        SOD.validate_inside(grid)
-        wide = UncertainShockIC(1.0, 1.0, 0.125, 0.1, x0=0.05, sigma=0.1)
-        with pytest.raises(ValueError):
-            wide.validate_inside(grid)
 
 
 # -- initial-condition projection ----------------------------------------------
@@ -258,14 +250,14 @@ class TestGalerkinAdvection:
 
     def test_filtered_sg_step_factors_into_filter_then_sg_step(self):
         spec = FilterSpec(FilterKind.FOKKER_PLANCK, strength=0.3)
-        solver_fsg, u0, ghosts = advection_setup(filter_spec=spec)
-        solver_sg, _, _ = advection_setup()
+        solver_fsg, u0, ghosts = advection_setup(t_end=1.0, filter_spec=spec)
+        solver_sg, _, _ = advection_setup(t_end=1.0)
         state = solver_fsg.prepare(u0, ghosts)
-        stepped, diag = solver_fsg.step(state, t_end=1.0)
+        stepped, diag = solver_fsg.step(state)
 
         filtered = apply_filter(spec, u0, diag.dt)
         state_sg = solver_sg.prepare(filtered, ghosts)
-        stepped_sg, _ = solver_sg.step(state_sg, t_end=1.0)
+        stepped_sg, _ = solver_sg.step(state_sg)
         np.testing.assert_allclose(stepped.moments, stepped_sg.moments, rtol=1e-14)
 
     def test_galerkin_rejects_regularization(self):
@@ -279,8 +271,8 @@ class TestGalerkinAdvection:
 class TestMomentSolverValidation:
     def test_unfiltered_ipm_with_eta_advances_the_moments_themselves(self):
         """eta alone decides what the dual closure advances, filter or none."""
-        solver, u0, ghosts = sod_solver(Closure.IPM, n_cells=30, eta=1e-7)
-        _, diag = solver.step(solver.prepare(u0, ghosts), 1.0)
+        solver, u0, ghosts = sod_solver(Closure.IPM, n_cells=30, t_end=1.0, eta=1e-7)
+        _, diag = solver.step(solver.prepare(u0, ghosts))
         assert np.array_equal(diag.base_sum, u0.sum(axis=0))
 
     def test_exact_dual_filter_other_than_fokker_planck_demands_positive_eta(self):
@@ -385,7 +377,7 @@ class TestConservationAndRealizability:
         """A reconstructing step advances exactly the ansatz moments of its duals."""
         solver, u0, ghosts = sod_solver(closure, n_cells=30, **kwargs)
         state = solver.prepare(u0, ghosts)
-        stepped, diag = solver.step(state, solver.grid.t_end)
+        stepped, diag = solver.step(state)
         expected = solver.solver.reconstruct(stepped.duals).sum(axis=0)
         assert np.array_equal(diag.base_sum, expected)
 
@@ -401,22 +393,22 @@ class TestConservationAndRealizability:
         """With eta > 0 a step advances the filtered moments, whose cell sum is
         the gain vector at that step's dt times the sum of the moments."""
         solver, u0, ghosts = sod_solver(
-            Closure.IPM, n_cells=30, filter_spec=spec, eta=1e-7
+            Closure.IPM, n_cells=30, t_end=1.0, filter_spec=spec, eta=1e-7
         )
         state = solver.prepare(u0, ghosts)
         for _ in range(3):
-            stepped, diag = solver.step(state, t_end=1.0)
+            stepped, diag = solver.step(state)
             expected = gains(spec, solver.degree, diag.dt)[:, None] * state.moments.sum(axis=0)
             assert np.abs(diag.base_sum - expected).max() <= 1e-14 * np.abs(expected).max()
             state = stepped
 
     def test_regularized_step_matches_exact_step_for_tiny_eta(self):
-        solver_a, u0, ghosts = sod_solver(Closure.IPM)
-        solver_b, _, _ = sod_solver(Closure.IPM, eta=1e-7)
+        solver_a, u0, ghosts = sod_solver(Closure.IPM, t_end=1.0)
+        solver_b, _, _ = sod_solver(Closure.IPM, t_end=1.0, eta=1e-7)
         state_a = solver_a.prepare(u0, ghosts)
         state_b = solver_b.prepare(u0, ghosts)
-        stepped_a, _ = solver_a.step(state_a, t_end=1.0)
-        stepped_b, _ = solver_b.step(state_b, t_end=1.0)
+        stepped_a, _ = solver_a.step(state_a)
+        stepped_b, _ = solver_b.step(state_b)
         np.testing.assert_allclose(stepped_a.moments, stepped_b.moments, atol=1e-5)
 
     @pytest.mark.parametrize("closure,kwargs", DUAL_CLOSURES)
@@ -427,7 +419,7 @@ class TestConservationAndRealizability:
         u0[:, 0] = EULER.conserved(np.array([1.0, 0.2, 1.5]))
         ghosts = u0[:2].copy()
         state = solver.prepare(u0, ghosts)
-        stepped, _ = solver.step(state, t_end=grid.t_end)
+        stepped, _ = solver.step(state)
         # with a uniform field every flux difference cancels; only the filter
         # could move the moments, and rows >= 1 are zero here
         np.testing.assert_allclose(stepped.moments, u0, atol=1e-12)
@@ -511,16 +503,16 @@ class TestRunControl:
         assert np.array_equal(again.moments, fresh.moments)
 
     def test_collapsed_time_step_is_a_located_failure(self):
-        solver, u0, ghosts = sod_solver(Closure.IPM, n_cells=30)
+        solver, u0, ghosts = sod_solver(Closure.IPM, n_cells=30, t_end=0.0)
         state = solver.prepare(u0, ghosts)
         with pytest.raises(InadmissibleStateError, match="collapsed to zero at step 0") as err:
-            solver.step(state, t_end=state.t)
+            solver.step(state)
         assert f"t = 0.0, s_prev = {state.s_prev!r}" in str(err.value)
 
     def test_step_cap_aborts(self, monkeypatch):
         monkeypatch.setattr(solver_module, "MAX_STEPS", 2)
         solver, u0, ghosts = sod_solver(Closure.IPM, n_cells=30, t_end=0.02)
-        state = solver.step(solver.step(solver.prepare(u0, ghosts), 0.02)[0], 0.02)[0]
+        state = solver.step(solver.step(solver.prepare(u0, ghosts))[0])[0]
         with pytest.raises(FipmError) as err:
             solver.run(u0, ghosts)
         assert str(err.value) == f"step cap reached at step 2, t = {state.t!r}"
