@@ -49,9 +49,11 @@ def _keep_default(cfg, key: str, context: str):
         )
 
 
-def _check_distinct(label: str, values):
-    """Reject a list in which a value repeats, naming each repeated value once."""
-    repeated = sorted({v for v in values if values.count(v) > 1})
+def _check_distinct(label: str, values, texts=None):
+    """Reject a list in which a value repeats, naming each repeated value once,
+    or each distinct text of a repeated value when ``texts`` spell the values."""
+    texts = values if texts is None else texts
+    repeated = sorted({text for v, text in zip(values, texts) if values.count(v) > 1})
     if repeated:
         raise ConfigError(f"{label} values repeat: {', '.join(map(repr, repeated))}")
 

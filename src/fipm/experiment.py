@@ -4,7 +4,8 @@ Every run writes, inside ``<output root>/<output_dir>``:
 
   config.cfg     canonical configuration echo (re-runnable)
   snapshot.csv   final moments, one row per cell
-  telemetry.csv  per-step time step and dual-solver work
+  telemetry.csv  one row per step, one column per StepDiagnostics field: time
+                 step, dual-solver work and conservation residual
   stats.csv      mean/variance per conserved component from the final moments
   reference.csv  exact Riemann statistics on the same grid, Gauss-averaged over xi
   errors.csv     numeric-minus-reference mean/variance errors
@@ -43,7 +44,7 @@ import contextlib
 import os
 import re
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,12 +52,11 @@ import numpy as np
 from . import euler
 from .config import _TYPES, ExperimentConfig, ScanConfig, _check_distinct, _convert
 from .errors import ConfigError, FipmError
-from .realizability import filter_image_scan
+from .realizability import ScanResult, filter_image_scan
+from .solver import StepDiagnostics
 from .stats import StatField, delta_metrics, error_norms, stats_from_moments
 
 COMPONENTS = ("rho", "m", "E")
-
-SUMMARY_FIELDS = ("deltaE", "deltaVar", "l1_mean", "l2_mean", "l1_var", "l2_var")
 
 #: the raster names ``scan_figure1`` writes, <exp|fp>-<repr of a strength>.csv
 SCAN_RASTER = re.compile(r"(exp|fp)-(\d+\.\d+|\d(\.\d+)?e[-+]\d+)\.csv")
@@ -284,14 +284,7 @@ def run_experiment(cfg: ExperimentConfig, output_root=None) -> RunArtifacts:
         for i in range(moments.shape[1]):
             snapshot[f"u{k}_mom{i}"] = moments[:, i, k]
     _write_tables({out_dir / "snapshot.csv": snapshot})
-    steps = {
-        "step": [d.step for d in telemetry],
-        "t": [d.t for d in telemetry],
-        "dt": [d.dt for d in telemetry],
-        "total_newton_iters": [d.newton_total for d in telemetry],
-        "max_newton_iters": [d.newton_max for d in telemetry],
-        "max_grad_norm": [d.grad_max for d in telemetry],
-    }
+    steps = {f.name: [getattr(d, f.name) for d in telemetry] for f in fields(StepDiagnostics)}
     _write_tables({out_dir / "telemetry.csv": steps})
 
     numeric = stats_from_moments(x, moments)
@@ -303,10 +296,10 @@ def run_experiment(cfg: ExperimentConfig, output_root=None) -> RunArtifacts:
 
     d_mean, d_var = delta_metrics(errors, cfg.delta_region())
     summary = {"deltaE": d_mean, "deltaVar": d_var, **error_norms(errors)}
-    _write_tables({out_dir / "summary.csv": {name: [summary[name]] for name in SUMMARY_FIELDS}})
+    _write_tables({out_dir / "summary.csv": {name: [value] for name, value in summary.items()}})
     (out_dir / "plot.py").write_text(PLOT_SCRIPT)
     write_seconds = time.perf_counter() - start - runtime
-    newton = sum(d.newton_total for d in telemetry)
+    newton = sum(d.total_newton_iters for d in telemetry)
     (out_dir / "run.log").write_text(
         _log_lines(
             "ok",
@@ -351,13 +344,24 @@ def sweep(cfg: ExperimentConfig, key: str, values, output_root=None) -> SweepRes
     config.cfg echo of the base configuration and one ``<key>-<value>`` run per
     value; a rerun rewrites the first two and leaves an earlier sweep's other
     runs in place.  Failures (bad value, solver abort) are NaN rows and the
-    sweep continues.  A value listed twice would share one directory, so
-    repeats are rejected before any run.
+    sweep continues.  Each value is converted once, before any run; values that
+    convert to one number, such as ``1e-3`` and ``0.001``, would run one
+    configuration twice, so they are rejected.
     """
     if _TYPES.get(key) not in ("float", "int"):
         raise ConfigError(f"'{key}' is not a sweepable numeric configuration key")
-    values = [str(raw).strip() for raw in values]
-    _check_distinct("sweep", values)
+
+    def convert(raw):
+        try:
+            return _convert(_TYPES[key], key, raw, "sweep")
+        except ConfigError as err:
+            return err
+
+    texts = [str(raw).strip() for raw in values]
+    values = [convert(raw) for raw in texts]
+    # a value that does not convert repeats only as its text
+    keys = [raw if isinstance(v, ConfigError) else v for raw, v in zip(texts, values)]
+    _check_distinct("sweep", keys, texts)
     sweep_dir = f"{cfg.output_dir}/sweep-{key}"
     out_dir = resolve_output_root(output_root) / sweep_dir
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -365,10 +369,11 @@ def sweep(cfg: ExperimentConfig, key: str, values, output_root=None) -> SweepRes
 
     nan = float("nan")
     rows: list[SweepRow] = []
-    for raw in values:
+    for raw, value in zip(texts, values):
         started = time.perf_counter()
         try:
-            value = _convert(_TYPES[key], key, raw, "sweep")
+            if isinstance(value, ConfigError):
+                raise value
             sub_cfg = replace(
                 cfg, **{key: value, "output_dir": f"{sweep_dir}/{key}-{raw}"}
             )
@@ -417,10 +422,7 @@ def scan_figure1(cfg: ScanConfig, output_root=None) -> ScanArtifacts:
         scan = filter_image_scan(spec, resolution=cfg.resolution)
         # every scan holds the same u1, u2 and inside_before, which are formatted once
         rasters[out_dir / f"{tag}-{spec.strength!r}.csv"] = {
-            "u1": scan.u1,
-            "u2": scan.u2,
-            "inside_before": scan.inside_before,
-            "inside_after": scan.inside_after,
+            f.name: getattr(scan, f.name) for f in fields(ScanResult)
         }
         rows.append((spec.kind.value, spec.strength, scan.n_inside, scan.n_escaped))
     _write_tables(rasters)

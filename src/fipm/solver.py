@@ -124,25 +124,18 @@ def kinetic_flux(states_l, states_r, phi_w, physics):
 
 @dataclass
 class StepDiagnostics:
-    """Telemetry of one conservative update."""
+    """Telemetry of one conservative update, one field per telemetry.csv column in order.
+
+    ``conservation_residual``: new minus advanced moment sums plus the boundary flux
+    difference, zero up to rounding; it excludes a reconstruction's defect."""
 
     step: int
     t: float
     dt: float
-    newton_total: int
-    newton_max: int
-    grad_max: float
-    flux_left: np.ndarray
-    flux_right: np.ndarray
-    base_sum: np.ndarray
-    new_sum: np.ndarray
-
-    def conservation_residual(self, dt_over_dx) -> float:
-        """Telescoping of the flux-difference update against ``base``: new minus base
-        moment sums plus the boundary flux difference, zero up to rounding.  For a
-        reconstructing closure it therefore excludes the reconstruction defect base - u_bar."""
-        res = self.new_sum - self.base_sum + dt_over_dx * (self.flux_right - self.flux_left)
-        return float(np.abs(res).max())
+    total_newton_iters: int
+    max_newton_iters: int
+    max_grad_norm: float
+    conservation_residual: float
 
 
 @dataclass
@@ -282,17 +275,15 @@ class MomentSolver:
         if not np.all(np.isfinite(u_new)):
             raise InadmissibleStateError(f"non-finite moments after step {state.step}")
 
+        residual = u_new.sum(axis=0) - base.sum(axis=0) + dt / self.grid.dx * (flux[-1] - flux[0])
         diag = StepDiagnostics(
             step=state.step,
             t=state.t + dt,
             dt=dt,
-            newton_total=info.total_iterations,
-            newton_max=int(info.iterations.max()),
-            grad_max=float(info.grad_norm.max()),
-            flux_left=flux[0].copy(),
-            flux_right=flux[-1].copy(),
-            base_sum=base.sum(axis=0),
-            new_sum=u_new.sum(axis=0),
+            total_newton_iters=info.total_iterations,
+            max_newton_iters=int(info.iterations.max()),
+            max_grad_norm=float(info.grad_norm.max()),
+            conservation_residual=float(np.abs(residual).max()),
         )
         new_state = SolverState(
             t=state.t + dt,

@@ -47,6 +47,8 @@ class DeskRun:
     #: stats.csv and reference.csv by column name, x first
     stats: dict[str, np.ndarray]
     reference: dict[str, np.ndarray]
+    #: telemetry.csv's conservation_residual column; not stored
+    conservation_residual: np.ndarray | None = None
 
     def stat_field(self) -> StatField:
         mean = np.stack([self.stats[f"mean_{c}"] for c in COMPONENTS], axis=-1)
@@ -70,7 +72,8 @@ def run_preset(name, root) -> DeskRun:
     (newton,) = [int(line.split(":")[1]) for line in log if line.startswith("newton_cell_iterations:")]
     summary = {k: float(v[0]) for k, v in read_columns(artifacts.out_dir / "summary.csv").items()}
     tables = (read_columns(artifacts.out_dir / f"{table}.csv") for table in TABLES)
-    return DeskRun(newton, summary, *tables)
+    residual = read_columns(artifacts.out_dir / "telemetry.csv")["conservation_residual"]
+    return DeskRun(newton, summary, *tables, residual)
 
 
 def run_sweep(root) -> dict[str, np.ndarray]:

@@ -28,7 +28,7 @@ from fipm.config import (
     read_config_text,
 )
 from fipm.errors import ConfigError
-from fipm.euler import EulerEntropy, reference_statistics
+from fipm.euler import EulerEntropy, project_ic, reference_statistics
 from fipm.experiment import (
     ROWS_PER_WRITE,
     _column_blocks,
@@ -39,7 +39,7 @@ from fipm.experiment import (
 )
 from fipm.filters import FilterKind, FilterSpec
 from fipm.realizability import filter_image_scan
-from fipm.solver import Closure, GridConfig, MomentSolver
+from fipm.solver import Closure, GridConfig, MomentSolver, StepDiagnostics
 
 MINIMAL = """
 a = 0.0
@@ -744,13 +744,23 @@ class TestRunExperiment:
         assert all(np.isfinite(values))
 
     def test_telemetry_matches_step_count(self, tmp_path):
-        artifacts = run_experiment(tiny_config(output_dir="case"), tmp_path)
-        telemetry = (artifacts.out_dir / "telemetry.csv").read_text().splitlines()
-        assert (
-            telemetry[0]
-            == "step,t,dt,total_newton_iters,max_newton_iters,max_grad_norm"
+        """telemetry.csv is the run's StepDiagnostics: their field names are its
+        header, and each row parses back to its step's record exactly."""
+        cfg = tiny_config(output_dir="case")
+        artifacts = run_experiment(cfg, tmp_path)
+        with open(artifacts.out_dir / "telemetry.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        fields = dataclasses.fields(StepDiagnostics)
+        assert header == [f.name for f in fields]
+        assert len(rows) == artifacts.n_steps > 0
+        solver, grid, ic = cfg.build_solver(), cfg.grid(), cfg.ic()
+        _, telemetry = solver.run(
+            project_ic(grid.centers(), cfg.degree, ic, solver.physics),
+            project_ic(grid.ghost_centers(), cfg.degree, ic, solver.physics),
         )
-        assert len(telemetry) - 1 == artifacts.n_steps > 0
+        parse = {"int": int, "float": float}
+        parsed = [[parse[f.type](cell) for f, cell in zip(fields, row)] for row in rows]
+        assert parsed == [list(dataclasses.astuple(d)) for d in telemetry]
 
     def test_run_log_reports_newton_throughput(self, tmp_path):
         artifacts = run_experiment(tiny_config(output_dir="case"), tmp_path)
@@ -926,6 +936,19 @@ class TestSweep:
             sweep(tiny_config(output_dir="sw"), "eta", ["0", "1e-3", " 0"], tmp_path)
         assert not (tmp_path / "sw").exists()
 
+    def test_values_repeated_as_numbers_rejected_before_any_run(self, tmp_path):
+        with pytest.raises(ConfigError, match="repeat: '0.001', '1E-3', '1e-3'$"):
+            sweep(tiny_config(output_dir="sw"), "eta", ["1e-3", "0.001", "abc", "1E-3"], tmp_path)
+        assert not (tmp_path / "sw").exists()
+
+    def test_value_that_does_not_convert_stays_its_nan_row(self, tmp_path):
+        result = sweep(tiny_config(output_dir="sw"), "eta", ["abc", "1e-3"], tmp_path)
+        assert "expects a finite float, got 'abc'" in result.rows[0].error
+        assert np.isnan(result.rows[0].deltaE)
+        assert result.rows[1].error is None
+        with pytest.raises(ConfigError, match="repeat: 'abc'$"):
+            sweep(tiny_config(output_dir="sw2"), "eta", ["abc", "abc"], tmp_path)
+
     def test_non_numeric_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="sweepable"):
             sweep(tiny_config(), "closure", ["sg"], tmp_path)
@@ -1083,6 +1106,16 @@ class TestCli:
         )
         assert code == 2
         assert "sweep values repeat" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_sweep_values_equal_as_numbers_exit_2(self, tmp_path, capsys):
+        code = main(
+            ["sweep", "sod-ipm-desk", "--key", "eta", "--values", "1e-3,0.001,1E-3",
+             "--output-root", str(tmp_path)]
+            + [f"--set={kv}" for kv in TINY_OVERRIDES]
+        )
+        assert code == 2
+        assert "sweep values repeat: '0.001', '1E-3', '1e-3'" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     def test_module_entry_point_runs_from_source(self):

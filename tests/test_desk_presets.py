@@ -3,7 +3,8 @@
 Newton cell-iterations must match exactly; every summary.csv value, every
 stats.csv and reference.csv mean and variance column and every sweep.csv column
 must match to RTOL of that column's largest stored magnitude.  ``desk_presets.py``
-regenerates the stored values.
+regenerates the stored values.  Every step of every preset must conserve to
+criterion 8's 1e-11, read from its telemetry.csv.
 """
 
 import numpy as np
@@ -30,6 +31,14 @@ def test_preset_reproduces_its_stored_outputs(desk_run, preset):
         got_columns, want_columns = getattr(run, table), getattr(want, table)
         assert list(got_columns) == ["x", *want_columns], table
         assert_columns_match(got_columns, want_columns)
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_preset_conserves_every_step(desk_run, preset):
+    """Every step's telemetry.csv conservation residual is below criterion 8's bound."""
+    residual = desk_run(preset).conservation_residual
+    assert residual.size > 0
+    assert residual.max() < 1e-11
 
 
 def test_sweep_reproduces_its_stored_table(tmp_path):
