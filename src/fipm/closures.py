@@ -93,6 +93,10 @@ class ClosureSolver:
         self._work = np.empty(0)
 
     # -- pointwise maps ----------------------------------------------------
+    #
+    # solve_batch and _evaluate call cold_start and node_values.  No run calls
+    # node_states or reconstruct; the benchmark's tracer wraps them, so they
+    # stay until its counters retire (ROADMAP item 2).
 
     def node_values(self, v_hat):
         """Dual polynomial at the quadrature nodes, (..., n_q, m)."""
@@ -114,9 +118,8 @@ class ClosureSolver:
 
     # -- batched dual calculus and Newton solve ------------------------------
     #
-    # Each kernel reads a nodal evaluation ``ev`` of a batch (B, N+1, m); the
-    # public objective, gradient and hessian evaluate and call the same kernels
-    # that the Newton loop runs on the evaluation it already holds.
+    # Each kernel reads a nodal evaluation ``ev`` of a batch (B, N+1, m), the
+    # one the Newton loop already holds; solve_batch is their only caller.
 
     def _evaluate(self, v):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -161,20 +164,6 @@ class ClosureSolver:
         if eta > 0:
             h.reshape(b, -1)[:, :: n * m + 1] += eta
         return h
-
-    def objective(self, v, u, eta):
-        """Dual objective per cell of a batch (B, N+1, m); +inf outside the dual
-        domain or where the conjugate overflows."""
-        return self._objective_at(v, u, eta, self._evaluate(v))
-
-    def gradient(self, v, u, eta):
-        """Gradient per cell and the nodal ansatz states (B, n_q, m) it was computed from."""
-        a = self.model.states_from(self._evaluate(v))
-        return self._gradient_at(v, u, eta, a), a
-
-    def hessian(self, v, eta):
-        """Hessian per cell, (B, (N+1) m, (N+1) m)."""
-        return self._hessian_at(self.model.jacobian_from(self._evaluate(v)), eta).copy()
 
     @staticmethod
     def _newton_directions(h, g_flat):

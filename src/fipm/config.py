@@ -166,9 +166,6 @@ class ExperimentConfig:
     to_text = _echo
 
 
-_TYPES = {field.name: field.type for field in dataclasses.fields(ExperimentConfig)}
-
-
 def _finite_float(raw: str) -> float:
     value = float(raw)
     if not math.isfinite(value):
@@ -195,6 +192,25 @@ def _convert(kind: str, key: str, raw: str, where: str):
         return convert(raw)
     except ValueError:
         raise ConfigError(f"{where}: key '{key}' expects {expects}, got '{raw}'") from None
+
+
+def sweep_values(key: str, texts) -> list:
+    """The value of each text for a sweep of the numeric run key ``key``, or the
+    ConfigError that converting it raised.  Raises ConfigError when ``key`` is
+    not a float or int key, or when values repeat as numbers."""
+    kind = {field.name: field.type for field in dataclasses.fields(ExperimentConfig)}.get(key)
+    if kind not in ("float", "int"):
+        raise ConfigError(f"'{key}' is not a sweepable numeric configuration key")
+    values = []
+    for raw in texts:
+        try:
+            values.append(_convert(kind, key, raw, "sweep"))
+        except ConfigError as err:
+            values.append(err)
+    # a value that does not convert repeats only as its text
+    keys = [raw if isinstance(v, ConfigError) else v for raw, v in zip(texts, values)]
+    _check_distinct("sweep", keys, texts)
+    return values
 
 
 def _parse(cls, text: str, source: str, overrides=()):

@@ -7,7 +7,8 @@ Every run writes, inside ``<output root>/<output_dir>``:
   telemetry.csv  one row per step, one column per StepDiagnostics field: time
                  step, dual-solver work and conservation residual
   stats.csv      mean/variance per conserved component from the final moments
-  reference.csv  exact Riemann statistics on the same grid, Gauss-averaged over xi
+  reference.csv  mean/variance over xi of the exact Riemann solution on the same
+                 grid as a 100-node Gauss average, so not exact (ROADMAP item 1)
   errors.csv     numeric-minus-reference mean/variance errors
   summary.csv    oscillation metrics over the report region plus error norms
   plot.py        standalone matplotlib script over these CSVs
@@ -50,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from . import euler
-from .config import _TYPES, ExperimentConfig, ScanConfig, _check_distinct, _convert
+from .config import ExperimentConfig, ScanConfig, sweep_values
 from .errors import ConfigError, FipmError
 from .realizability import ScanResult, filter_image_scan
 from .solver import StepDiagnostics
@@ -348,20 +349,8 @@ def sweep(cfg: ExperimentConfig, key: str, values, output_root=None) -> SweepRes
     convert to one number, such as ``1e-3`` and ``0.001``, would run one
     configuration twice, so they are rejected.
     """
-    if _TYPES.get(key) not in ("float", "int"):
-        raise ConfigError(f"'{key}' is not a sweepable numeric configuration key")
-
-    def convert(raw):
-        try:
-            return _convert(_TYPES[key], key, raw, "sweep")
-        except ConfigError as err:
-            return err
-
     texts = [str(raw).strip() for raw in values]
-    values = [convert(raw) for raw in texts]
-    # a value that does not convert repeats only as its text
-    keys = [raw if isinstance(v, ConfigError) else v for raw, v in zip(texts, values)]
-    _check_distinct("sweep", keys, texts)
+    values = sweep_values(key, texts)
     sweep_dir = f"{cfg.output_dir}/sweep-{key}"
     out_dir = resolve_output_root(output_root) / sweep_dir
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -378,12 +367,11 @@ def sweep(cfg: ExperimentConfig, key: str, values, output_root=None) -> SweepRes
                 cfg, **{key: value, "output_dir": f"{sweep_dir}/{key}-{raw}"}
             )
             artifacts = run_experiment(sub_cfg, output_root)
+            summary, runtime, error = artifacts.summary or {}, artifacts.runtime, artifacts.error
         except ConfigError as err:
-            rows.append(SweepRow(raw, nan, nan, time.perf_counter() - started, str(err)))
-            continue
-        summary = artifacts.summary or {"deltaE": nan, "deltaVar": nan}
+            summary, runtime, error = {}, time.perf_counter() - started, str(err)
         rows.append(
-            SweepRow(raw, summary["deltaE"], summary["deltaVar"], artifacts.runtime, artifacts.error)
+            SweepRow(raw, summary.get("deltaE", nan), summary.get("deltaVar", nan), runtime, error)
         )
 
     result = SweepResult(table_path=out_dir / "sweep.csv", rows=rows)

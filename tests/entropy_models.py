@@ -1,9 +1,11 @@
-"""The scalar test entropy and single-call views of an entropy model's dual maps.
+"""The scalar test entropy and single-call views of the dual maps.
 
 A model's dual side is ``evaluate`` plus the readers ``conjugate_from``,
-``states_from`` and ``jacobian_from``; the views below evaluate and read in
-one call, and ``ansatz_jacobian`` rebuilds the full symmetric Jacobian from
-its unique entries.
+``states_from`` and ``jacobian_from``; the model views below evaluate and read
+in one call, and ``ansatz_jacobian`` rebuilds the full symmetric Jacobian from
+its unique entries.  The solver views ``objective``, ``gradient`` and
+``hessian`` evaluate a batch of duals and call the kernel that the Newton loop
+of ``ClosureSolver.solve_batch`` runs on the evaluation it already holds.
 """
 
 import numpy as np
@@ -66,3 +68,21 @@ def ansatz_jacobian(model, v):
         jac[..., k, l] = entries[e]
         jac[..., l, k] = entries[e]
     return jac
+
+
+def objective(solver, v, u, eta):
+    """Dual objective per cell of a batch (B, N+1, m); +inf outside the dual
+    domain or where the conjugate overflows."""
+    return solver._objective_at(v, u, eta, solver._evaluate(v))
+
+
+def gradient(solver, v, u, eta):
+    """Dual gradient per cell and the nodal ansatz states (B, n_q, m) it was computed from."""
+    a = solver.model.states_from(solver._evaluate(v))
+    return solver._gradient_at(v, u, eta, a), a
+
+
+def hessian(solver, v, eta):
+    """Dual Hessian per cell, (B, (N+1) m, (N+1) m), copied out of the solver's
+    work array, which the next assembly overwrites."""
+    return solver._hessian_at(solver.model.jacobian_from(solver._evaluate(v)), eta).copy()

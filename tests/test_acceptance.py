@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import record_criterion
-from entropy_models import ScalarLogEntropy
+from entropy_models import ScalarLogEntropy, gradient, hessian, objective
 from realizable_samples import sample_realizable
 from test_closures import fd_gradient, fd_jacobian, random_feasible_duals
 from test_euler import star_pressure_bisect
@@ -188,16 +188,16 @@ def test_criterion_3_dual_solver_calculus_and_round_trip():
             for k, v_hat in enumerate(points):
                 u_hat = solver.reconstruct(points[(k + 1) % len(points)])
                 flat = v_hat.ravel()
-                grad = solver.gradient(v_hat[None], u_hat[None], 0.0)[0].ravel()
+                grad = gradient(solver, v_hat[None], u_hat[None], 0.0)[0].ravel()
                 grad_fd = fd_gradient_richardson(
-                    lambda z: solver.objective(z.reshape(shape)[None], u_hat[None], 0.0)[0],
+                    lambda z: objective(solver, z.reshape(shape)[None], u_hat[None], 0.0)[0],
                     flat,
                 )
                 scale = max(float(np.linalg.norm(grad)), 1.0)
                 assert np.linalg.norm(grad_fd - grad) / scale < 1e-6
-                hess = solver.hessian(v_hat[None], 0.0)[0]
+                hess = hessian(solver, v_hat[None], 0.0)[0]
                 hess_fd = fd_jacobian_richardson(
-                    lambda z: solver.gradient(z.reshape(shape)[None], u_hat[None], 0.0)[0].ravel(),
+                    lambda z: gradient(solver, z.reshape(shape)[None], u_hat[None], 0.0)[0].ravel(),
                     flat,
                 )
                 assert np.linalg.norm(hess_fd - hess) / np.linalg.norm(hess) < 1e-5

@@ -1092,6 +1092,17 @@ class TestCli:
         assert out.startswith("value,deltaE,deltaVar,runtime")
         assert "0," in out and "1e-3," in out
 
+    def test_sweep_reports_a_failed_value_on_stderr(self, tmp_path, capsys):
+        code = main(
+            ["sweep", "sod-ipm-desk", "--key", "eta", "--values", "abc,1e-3",
+             "--output-root", str(tmp_path)]
+            + [f"--set={kv}" for kv in TINY_OVERRIDES]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "\nabc,nan,nan," in captured.out
+        assert "# abc: sweep: key 'eta' expects a finite float, got 'abc'" in captured.err
+
     def test_sweep_set_of_the_swept_key_exits_2(self, tmp_path, capsys):
         argv = ["sweep", "sod-sg-desk", "--key", "cfl", "--set", " cfl =0.3", "--values", "0.4"]
         assert main([*argv, "--output-root", str(tmp_path)]) == 2

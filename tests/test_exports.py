@@ -1,6 +1,8 @@
 """The package's public names resolve, so an export left behind by a deletion fails here,
-the package runs on numpy alone, and gamma is read from the Euler model alone."""
+the package runs on numpy alone, no module imports another's private name, and gamma
+is read from the Euler model alone."""
 
+import ast
 import inspect
 import os
 import subprocess
@@ -44,6 +46,19 @@ def test_import_and_run_load_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """A name that one module of the package reads from another is public there."""
+    found = [
+        (path.name, alias.name)
+        for path in sorted(Path(fipm.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == []
 
 
 def public_signatures(module):
