@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import list_presets, load_config, parse_scan_config, read_config_text
+from .config import list_presets, load_config, parse_scan_config, read_config_text, split_assignment
 from .errors import ConfigError, FipmError
 from .experiment import run_experiment, scan_figure1, sweep
 
@@ -79,7 +79,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config, overrides=args.overrides)
-    if args.key in (item.partition("=")[0].strip() for item in args.overrides):
+    if args.key in (split_assignment(item)[0] for item in args.overrides):
         raise ConfigError(f"the swept key '{args.key}' takes its values from --values, not --set")
     values = [tok.strip() for tok in args.values.split(",") if tok.strip()]
     result = sweep(cfg, args.key, values, args.output_root)

@@ -94,9 +94,9 @@ class ClosureSolver:
 
     # -- pointwise maps ----------------------------------------------------
     #
-    # solve_batch and _evaluate call cold_start and node_values.  No run calls
-    # node_states or reconstruct; the benchmark's tracer wraps them, so they
-    # stay until its counters retire (ROADMAP item 2).
+    # solve_batch and _evaluate call cold_start and node_values, which the
+    # Galerkin closure also reads.  No run calls node_states or reconstruct;
+    # the benchmark's tracer wraps them until its counters retire (ROADMAP item 2).
 
     def node_values(self, v_hat):
         """Dual polynomial at the quadrature nodes, (..., n_q, m)."""

@@ -24,6 +24,7 @@ from .errors import ConfigError
 from .euler import GAMMA_DEFAULT, EulerEntropy, UncertainShockIC
 from .filters import FilterKind, FilterSpec
 from .solver import Closure, GridConfig, MomentSolver
+from .stats import region_cells
 
 
 def _check_choice(name: str, value: str, choices: list[str]):
@@ -124,8 +125,8 @@ class ExperimentConfig:
             self.build_solver()
         except ValueError as err:
             raise ConfigError(str(err)) from None
-        # the oscillation metrics sum over interior cell centers in the region
-        if not any(self.delta_lo <= x <= self.delta_hi for x in self.grid().centers()[1:-1]):
+        # an empty region would score every run's oscillation as 0
+        if not region_cells(self.grid().centers(), self.delta_region()).any():
             raise ConfigError(
                 f"oscillation region [{self.delta_lo}, {self.delta_hi}] holds no interior "
                 f"cell center of the {self.n_cells}-cell grid; widen it or refine the grid"
@@ -213,6 +214,12 @@ def sweep_values(key: str, texts) -> list:
     return values
 
 
+def split_assignment(text: str):
+    """The stripped (key, value) of a config line or a --set item; None without ``=``."""
+    key, sep, raw = text.partition("=")
+    return (key.strip(), raw.strip()) if sep else None
+
+
 def _parse(cls, text: str, source: str, overrides=()):
     """Parse flat ``key = value`` text into the config dataclass ``cls``.
 
@@ -229,27 +236,25 @@ def _parse(cls, text: str, source: str, overrides=()):
         if not stripped or stripped.startswith("#"):
             continue
         where = f"{source}:{lineno}"
-        key, sep, raw = stripped.partition("=")
-        key = key.strip()
-        if not sep:
+        if (pair := split_assignment(stripped)) is None:
             raise ConfigError(f"{where}: expected 'key = value', got {line!r}")
+        key, raw = pair
         if key not in types:
             raise ConfigError(f"{where}: unknown key '{key}'")
         if key in values:
             raise ConfigError(f"{where}: duplicate key '{key}'")
-        values[key] = _convert(types[key], key, raw.strip(), where)
+        values[key] = _convert(types[key], key, raw, where)
     overridden = set()
     for item in overrides:
-        key, sep, raw = item.partition("=")
-        key = key.strip()
-        if not sep or not key:
+        key, raw = split_assignment(item) or ("", "")
+        if not key:
             raise ConfigError(f"override '{item}' must have the form key=value")
         if key not in types:
             raise ConfigError(f"override: unknown key '{key}'")
         if key in overridden:
             raise ConfigError(f"override: duplicate key '{key}'")
         overridden.add(key)
-        values[key] = _convert(types[key], key, raw.strip(), "override")
+        values[key] = _convert(types[key], key, raw, "override")
     missing = [
         field.name
         for field in dataclasses.fields(cls)

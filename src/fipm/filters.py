@@ -1,14 +1,14 @@
 """Diagonal spectral filters acting on moment vectors.
 
 Each filter multiplies the degree-i moment row by a gain g_i in (0, 1], with
-g_0 = 1 and gains nonincreasing in i.  The Fokker-Planck filter preserves
-realizability for the exact dual; the exponential filter is the standard
-filter of the regularized dual.  The exponential filter is a solution operator
-raised to the power lambda * dt and therefore needs the time step.  The
-dt-free Fokker-Planck gain exp(mu_i * lambda) uses the Sturm-Liouville
-eigenvalues mu_i = -i(i+1) of the Legendre basis and inherits an exact
-semigroup property: applying lambda_1 then lambda_2 equals applying
-lambda_1 + lambda_2.
+g_0 = 1 and gains nonincreasing in i.  The exponential filter, the standard
+filter of the regularized dual, is a solution operator raised to the power
+lambda * dt and therefore needs the time step.  The Fokker-Planck filter keeps
+moments realizable for the continuous xi measure at any strength, but on the
+Gauss rule of the exact dual only above a measured crossing (0.0084 for degree
+5 on 20 nodes, 0.0495 for 10 on 30; the shipped 5e-5 is below both).  Its
+dt-free gain exp(-i(i+1) lambda) (Legendre Sturm-Liouville eigenvalues) is an
+exact semigroup: lambda_1 then lambda_2 equals lambda_1 + lambda_2.
 
 The order-2 exponential and Fokker-Planck (heat-semigroup) families differ by
 an exact factor.  At the matched exponent lambda * dt = lambda_FP * N^2 /

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import euler
-from .basis import gauss_rule, vandermonde
+from .basis import gauss_rule
 from .closures import ClosureSolver, SolveInfo
 from .errors import BreakdownError, DualNonConvergenceError, FipmError, InadmissibleStateError
 from .errors import require_finite
@@ -52,8 +52,8 @@ def check_combination(closure: Closure, filter_spec: FilterSpec | None, eta: flo
     """Raise ValueError unless the closure, filter and regularization go together.
 
     The Galerkin closure takes any filter or none, and no regularization.  The
-    exact dual (eta = 0) takes no filter or the realizability-preserving
-    Fokker-Planck filter; the exponential filter needs the regularized dual.
+    exact dual (eta = 0) takes no filter or Fokker-Planck, realizable on the Gauss
+    rule only above a measured strength (see ``filters``); exponential needs eta > 0.
     """
     if closure is Closure.SG:
         if eta != 0.0:
@@ -183,14 +183,13 @@ class MomentSolver:
         self.grid = grid
         self._centers = grid.centers()
         self.degree = int(degree)
-        self.quad = gauss_rule(n_quad)
         self.physics = physics
         self.filter_spec = filter_spec
-        self.phi = vandermonde(degree, self.quad.nodes)
-        self.phi_w = self.phi * self.quad.weights[:, None]
-        self.solver = ClosureSolver(physics, degree, self.quad) if closure is Closure.IPM else None
+        self.closure = closure
+        #: the march's one nodal basis, whose node values the Galerkin closure reads
+        self.solver = ClosureSolver(physics, degree, gauss_rule(n_quad))
         #: the IPM closure advances its reconstructed moments exactly when eta = 0
-        self._reconstructs = self.solver is not None and eta == 0.0
+        self._reconstructs = closure is Closure.IPM and eta == 0.0
         #: closed states of the ghosts and the cells, (n_cells + 2, n_q, m), kept
         #: from step to step: prepare writes every row, step the interior
         self._closed = None
@@ -201,10 +200,10 @@ class MomentSolver:
         Galerkin closure) and the solve info.  The dual solve only reports;
         raise here at the worst unconverged cell, then at the first
         inadmissible node."""
-        if self.solver is None:  # the truncated polynomial itself, no solve
+        if self.closure is Closure.SG:  # the truncated polynomial itself, no solve
             duals, n = None, u.shape[0]
             info = SolveInfo(
-                np.ones(n, bool), np.zeros(n, int), np.zeros(n), np.matmul(self.phi, u)
+                np.ones(n, bool), np.zeros(n, int), np.zeros(n), self.solver.node_values(u)
             )
         else:
             duals, info = self.solver.solve_batch(u, start, self.tau, self.eta)
@@ -267,10 +266,10 @@ class MomentSolver:
             )
         u_bar = apply_filter(self.filter_spec, state.moments, dt)
         states, duals, info = self._close(u_bar, state.duals, state.step, self._centers)
-        base = np.matmul(self.phi_w.T, states) if self._reconstructs else u_bar
+        base = np.matmul(self.solver.phi_w.T, states) if self._reconstructs else u_bar
 
         self._closed[1:-1] = states
-        flux = kinetic_flux(self._closed[:-1], self._closed[1:], self.phi_w, self.physics)
+        flux = kinetic_flux(self._closed[:-1], self._closed[1:], self.solver.phi_w, self.physics)
         u_new = base - dt / self.grid.dx * (flux[1:] - flux[:-1])
         if not np.all(np.isfinite(u_new)):
             raise InadmissibleStateError(f"non-finite moments after step {state.step}")

@@ -7,10 +7,10 @@ differences of an error field over a report region,
 
     delta = sqrt( sum_j dx * ((e_{j-1} - 2 e_j + e_{j+1}) / dx^2)^2 ),
 
-summed over cells whose centers lie in the region; the first and last grid
-cells have no two-sided stencil and never contribute.  It and the grid L1/L2
-norms score one error field, the numeric-minus-reference StatField that a run
-writes to errors.csv, from its density (component 0) columns.
+summed over the cells that ``region_cells`` selects: centers in the closed
+region, less the first and last grid cells, which have no two-sided stencil.
+It and the grid L1/L2 norms score one error field, the numeric-minus-reference
+StatField that a run writes to errors.csv, from its density (component 0) columns.
 """
 
 from __future__ import annotations
@@ -50,17 +50,22 @@ def second_difference(values, dx):
     return (values[:-2] - 2.0 * values[1:-1] + values[2:]) / dx**2
 
 
+def region_cells(x, region):
+    """Mask of the cells with a two-sided stencil whose centers x lie in the closed region."""
+    x = np.asarray(x, dtype=float)
+    mask = (x >= region[0]) & (x <= region[1])
+    mask[[0, -1]] = False
+    return mask
+
+
 def oscillation_metric(error, x, region):
-    """sqrt(sum dx * d2^2) over cells with centers inside the region."""
+    """sqrt(sum dx * d2^2) over the cells that ``region_cells`` selects."""
     x = np.asarray(x, dtype=float)
     if x.size < 3:
         raise ValueError("need at least three cells for a second difference")
     dx = x[1] - x[0]
     d2 = second_difference(error, dx)
-    centers = x[1:-1]
-    lo, hi = region
-    mask = (centers >= lo) & (centers <= hi)
-    return float(np.sqrt(np.sum(dx * d2[mask] ** 2)))
+    return float(np.sqrt(np.sum(dx * d2[region_cells(x, region)[1:-1]] ** 2)))
 
 
 def delta_metrics(errors: StatField, region):

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -20,12 +21,14 @@ from fipm import experiment
 from fipm import solver as solver_module
 from fipm.cli import build_parser, main
 from fipm.config import (
+    ExperimentConfig,
     ScanConfig,
     list_presets,
     load_config,
     parse_config,
     parse_scan_config,
     read_config_text,
+    split_assignment,
 )
 from fipm.errors import ConfigError
 from fipm.euler import EulerEntropy, project_ic, reference_statistics
@@ -40,6 +43,7 @@ from fipm.experiment import (
 from fipm.filters import FilterKind, FilterSpec
 from fipm.realizability import filter_image_scan
 from fipm.solver import Closure, GridConfig, MomentSolver, StepDiagnostics
+from fipm.stats import region_cells
 
 MINIMAL = """
 a = 0.0
@@ -77,6 +81,20 @@ class TestParseConfig:
         assert cfg.eta == 0.0
         assert cfg.tau == 1e-7
         assert cfg.delta_region() == (0.7, 0.8)
+
+    def test_defaults_shared_with_the_library_agree(self):
+        """A run key whose library constructor also has a default starts at that
+        default, so a config run and a library run of the same inputs agree."""
+        config = {field.name: field.default for field in dataclasses.fields(ExperimentConfig)}
+        solver = inspect.signature(MomentSolver).parameters
+        library = {
+            "tau": solver["tau"].default,
+            "eta": solver["eta"].default,
+            "cfl": GridConfig.cfl,
+            "filter_order": FilterSpec.order,
+            "gamma": inspect.signature(EulerEntropy).parameters["gamma"].default,
+        }
+        assert {key: config[key] for key in library} == library
 
     def test_exponential_filter_order_defaults_to_the_filter_spec_default(self):
         cfg = parse_config(MINIMAL + "filter = exponential\nfilter_strength = 2.0\neta = 1e-7\n")
@@ -119,6 +137,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="expected 'key = value'"):
             parse_config("a 0.0\n")
 
+    @pytest.mark.parametrize(
+        "text, pair",
+        [
+            ("a = 0.0", ("a", "0.0")),
+            (" cfl =0.3 ", ("cfl", "0.3")),
+            ("output_dir = runs/a=b", ("output_dir", "runs/a=b")),
+            ("= 5", ("", "5")),
+            ("n_cells=", ("n_cells", "")),
+            ("a 0.0", None),
+        ],
+    )
+    def test_split_assignment_splits_at_the_first_equals_sign(self, text, pair):
+        assert split_assignment(text) == pair
+
     def test_negative_eta_rejected(self):
         with pytest.raises(ConfigError, match="eta must be nonnegative"):
             parse_config(MINIMAL + "eta = -1\n")
@@ -132,8 +164,10 @@ class TestParseConfig:
         assert cfg.n_cells == 99 and cfg.cfl == 0.4
         with pytest.raises(ConfigError, match="unknown key 'ncells'"):
             parse_config(MINIMAL, overrides=["ncells=99"])
-        with pytest.raises(ConfigError, match="form key=value"):
-            parse_config(MINIMAL, overrides=["n_cells"])
+        for item in ("n_cells", "=60", " = 60"):
+            with pytest.raises(ConfigError) as err:
+                parse_config(MINIMAL, overrides=[item])
+            assert str(err.value) == f"override '{item}' must have the form key=value"
 
     def test_repeated_override_key_rejected(self):
         """A key overridden twice is an error, as a key repeated in the text is; an
@@ -148,8 +182,20 @@ class TestParseConfig:
         """On 4 cells the interior centers 0.375 and 0.625 both miss [0.7, 0.8]."""
         with pytest.raises(ConfigError, match=r"\[0.7, 0.8\] holds no interior cell center"):
             parse_config(MINIMAL, overrides=["n_cells=4"])
-        # on 5 cells the interior center 0.7 lies on the region's edge
+        # on 5 cells the interior center 3.5 * 0.2 = 0.7000000000000001 lies one ulp inside
         assert parse_config(MINIMAL, overrides=["n_cells=5"]).n_cells == 5
+
+    @pytest.mark.parametrize("side", ["lo", "hi"])
+    def test_a_region_bound_on_an_interior_cell_center_selects_that_cell(self, side):
+        """Both bounds are inclusive, for the config's check and for the metric's cells:
+        a region that reaches one interior center only at its bound holds that cell."""
+        center = float(GridConfig(0.0, 1.0, 10, 0.01).centers()[6])
+        lo, hi = (center, center + 0.04) if side == "lo" else (center - 0.04, center)
+        cfg = parse_config(
+            MINIMAL, overrides=["n_cells=10", f"delta_lo={lo!r}", f"delta_hi={hi!r}"]
+        )
+        assert cfg.delta_region() == (lo, hi)
+        assert np.flatnonzero(region_cells(cfg.grid().centers(), cfg.delta_region())) == [6]
 
     def test_echo_round_trips(self):
         cfg = parse_config(

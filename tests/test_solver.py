@@ -14,7 +14,8 @@ import pytest
 
 from fipm import euler
 from fipm import solver as solver_module
-from fipm.basis import vandermonde
+from fipm.basis import gauss_rule, vandermonde
+from fipm.closures import ClosureSolver
 from fipm.errors import (
     BreakdownError,
     DualNonConvergenceError,
@@ -273,6 +274,16 @@ class TestGalerkinAdvection:
     def test_galerkin_rejects_regularization(self):
         with pytest.raises(ValueError, match="regularization"):
             advection_setup(eta=1e-7)
+
+    def test_galerkin_closure_reads_the_one_closure_solver_basis(self):
+        """Both closures hold a ClosureSolver: the Galerkin closure's nodal states
+        are its node values, the truncated polynomial on the Gauss rule."""
+        solver, u0, ghosts = advection_setup(n_cells=6, degree=3, n_quad=8)
+        assert isinstance(solver.solver, ClosureSolver) and solver.closure is Closure.SG
+        phi = vandermonde(3, gauss_rule(8).nodes)
+        assert np.array_equal(solver.solver.phi, phi)
+        solver.prepare(u0, ghosts)
+        assert np.array_equal(solver._closed[1:-1], np.matmul(phi, u0))
 
 
 # -- solver configuration validation ---------------------------------------------

@@ -15,6 +15,7 @@ from fipm.stats import (
     delta_metrics,
     error_norms,
     oscillation_metric,
+    region_cells,
     stats_from_moments,
 )
 
@@ -105,6 +106,12 @@ class TestOscillationMetric:
         e = np.zeros(50)
         e[0] = 1e6  # enters d2 of cell 1, which lies outside the region
         assert oscillation_metric(e, x, (0.3, 0.7)) == 0.0
+
+    def test_region_cells_are_the_interior_centers_in_the_closed_region(self):
+        x = np.linspace(0, 1, 11)
+        assert np.flatnonzero(region_cells(x, (0.0, 1.0))).tolist() == list(range(1, 10))
+        assert np.flatnonzero(region_cells(x, (x[3], x[5]))).tolist() == [3, 4, 5]
+        assert not region_cells(x, (0.31, 0.39)).any()
 
 
 class TestFieldMetrics:
