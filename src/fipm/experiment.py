@@ -35,6 +35,9 @@ distinct values, numbers or strings, each formatted once with the ``,`` or
 ``\r\n`` after it, and a block is written as its interleaved cells in one join.
 A column object that several tables of one call hold, like the rasters' shared
 ``u1``, ``u2`` and ``inside_before``, is sorted and formatted once for all.
+A later table of the call that differs from an all-number first table only in
+bool columns, like the 7 later rasters with their own ``inside_after``, is the
+first table's block with its own one-byte ``0`` or ``1`` cells set, not a join.
 Timing never enters a CSV, so every CSV is a deterministic function of the
 configuration and rerunning an emitted config.cfg reproduces it byte for byte.
 """
@@ -42,6 +45,7 @@ configuration and rerunning an emitted config.cfg reproduces it byte for byte.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 import re
 import time
@@ -133,6 +137,14 @@ def _write_tables(tables: dict):
     same separator and quoting after it, is sorted once and each of its blocks
     formatted once for all of them.  A block of a table, its cells interleaved
     row by row into one list, is written with one ``"".join``.
+
+    A later table whose columns are, position by position, the first table's
+    column objects or bool columns where the first table has a bool column
+    is not joined, when the first table holds only numbers and bools and so
+    no quoted cell: each of its blocks is the first table's block with its
+    own bool cells set.  A bool cell is the one byte ``0`` or ``1``, so no
+    row or separator moves.  Every other table, and a one-table call, is
+    joined.
     """
     arrays, layouts, counts = {}, [], {}
     for path, columns in tables.items():
@@ -154,18 +166,47 @@ def _write_tables(tables: dict):
     if len(set(counts.values())) > 1:
         rows = ", ".join(f"{path.name} has {n} rows" for path, n in counts.items())
         raise ValueError(f"tables written together differ in length: {rows}")
-    blocks = {key: _column_blocks(values, *key[1:]) for key, values in arrays.items()}
+    # the later tables that are copies of an all-number first table, and the positions
+    # at which any of them holds a bool column of its own
+    first = layouts[0][1] if layouts else []
+    copies, varied = [], set()
+    if all(arrays[key].dtype.kind in "biuf" for key in first):
+        for index, (_, keys) in enumerate(layouts[1:], 1):
+            own = {j for j, (key, mine) in enumerate(zip(keys, first)) if key != mine}
+            bools = (arrays[first[j]].dtype.kind == arrays[keys[j]].dtype.kind == "b" for j in own)
+            if len(keys) == len(first) and all(bools):
+                copies.append(index)
+                varied |= own
+    varied = sorted(varied)
+    joined = {key for index, (_, keys) in enumerate(layouts) if index not in copies for key in keys}
+    blocks = {key: _column_blocks(v, *key[1:]) for key, v in arrays.items() if key in joined}
     with contextlib.ExitStack() as stack:
         handles = [stack.enter_context(open(path, "w", newline="")) for path in tables]
         for handle, (header, _) in zip(handles, layouts):
             handle.write(header)
-        for texts in zip(*blocks.values()):
+        for start, texts in zip(itertools.count(0, ROWS_PER_WRITE), zip(*blocks.values())):
             block = dict(zip(blocks, texts))
-            for handle, (_, keys) in zip(handles, layouts):
+            for index, (handle, (_, keys)) in enumerate(zip(handles, layouts)):
+                if index in copies:
+                    continue
                 cells = [None] * (len(keys) * len(block[keys[0]]))
                 for k, key in enumerate(keys):
                     cells[k :: len(keys)] = block[key]
-                handle.write("".join(cells))
+                text = "".join(cells)
+                handle.write(text)
+                if index == 0 and copies:
+                    # no number's text holds "," or "\r", so the k-th of them in a row ends
+                    # the row's k-th cell, and a bool cell is the one byte before its end
+                    copied = bytearray(text, "ascii")
+                    raw = np.frombuffer(copied, np.uint8)
+                    cuts = raw == ord(",")
+                    cuts |= raw == ord("\r")
+                    cuts = np.flatnonzero(cuts).reshape(-1, len(keys))[:, varied].T - 1
+                    for other in copies:
+                        for j, cut in zip(varied, cuts):
+                            flags = arrays[layouts[other][1][j]][start : start + len(cut)]
+                            raw[cut] = np.where(flags, ord("1"), ord("0"))
+                        handles[other].write(copied.decode())
 
 
 def _stat_columns(field: StatField, prefix="") -> dict:

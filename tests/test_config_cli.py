@@ -1,5 +1,6 @@
 """Configuration parsing, preset golden values, artifact emission, CLI exit codes."""
 
+import contextlib
 import csv
 import dataclasses
 import inspect
@@ -9,6 +10,7 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -542,6 +544,75 @@ def shared_tables(draw):
     return tables
 
 
+#: row counts on either side of the ends of the first two ``ROWS_PER_WRITE`` blocks
+BLOCK_ROWS = [0, 1, ROWS_PER_WRITE - 1, ROWS_PER_WRITE, ROWS_PER_WRITE + 1, 2 * ROWS_PER_WRITE + 3]
+
+
+@st.composite
+def bool_copy_tables(draw):
+    """1 to 4 tables of one row count from one column layout of floats, ints and bools:
+    every table holds the first table's float and int column objects, and at each bool
+    position either the first table's bool column or one of its own."""
+    n_rows = draw(st.sampled_from(BLOCK_ROWS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from("fib"), min_size=1, max_size=5))
+    pools = {
+        "f": np.array(draw(st.lists(FLOATS, min_size=1, max_size=3))),
+        "i": np.array(draw(st.lists(COLUMN_KINDS["i"][0], min_size=1, max_size=3))),
+    }
+    shared = [
+        rng.random(n_rows) < 0.5 if kind == "b" else rng.choice(pools[kind], n_rows)
+        for kind in kinds
+    ]
+    tables = {}
+    for k in range(draw(st.integers(1, 4))):
+        names = draw(st.lists(CSV_TEXT, min_size=len(kinds), max_size=len(kinds), unique=True))
+        tables[f"t{k}.csv"] = {
+            name: rng.random(n_rows) < 0.5 if kind == "b" and draw(st.booleans()) else values
+            for name, kind, values in zip(names, kinds, shared)
+        }
+    return tables
+
+
+@contextlib.contextmanager
+def formatted_columns():
+    """Collect the ids of the columns that ``_write_tables`` sorts and formats."""
+    seen = set()
+    real = experiment._column_blocks
+
+    def spy(values, *args):
+        seen.add(id(values))
+        return real(values, *args)
+
+    with mock.patch.object(experiment, "_column_blocks", spy):
+        yield seen
+
+
+def own_columns(tables):
+    """The ids of the columns of the later tables that the first table does not hold."""
+    first, *later = tables.values()
+    return {id(v) for table in later for v in table.values()} - {id(v) for v in first.values()}
+
+
+BLOCK_INDEX = np.arange(ROWS_PER_WRITE + 1)
+#: a float and an int column crossing a block's end, and flags that differ per table
+BLOCK_X = np.where(BLOCK_INDEX % 3 == 0, -0.0, 0.1 * BLOCK_INDEX)
+BLOCK_N = BLOCK_INDEX - 7
+BLOCK_FLAGS = [BLOCK_INDEX % m == 0 for m in (2, 3, 5)]
+BLOCK_S = np.where(BLOCK_INDEX % 2 == 0, "a,b", "").tolist()
+#: 2 * ROWS_PER_WRITE + 3 rows with bool columns first, between and last: t1 holds its
+#: own three, t2 its own first and last, t3 none of its own
+EDGE_INDEX = np.arange(2 * ROWS_PER_WRITE + 3)
+EDGE_X, EDGE_N = np.where(EDGE_INDEX % 3 == 0, -0.0, 0.1 * EDGE_INDEX), EDGE_INDEX - 7
+EDGE_FLAGS = [EDGE_INDEX % m == 0 for m in range(2, 11)]
+EDGE_TABLES = {
+    f"t{k}.csv": {
+        "a": EDGE_FLAGS[a], "x": EDGE_X, "b": EDGE_FLAGS[b], "n": EDGE_N, "z": EDGE_FLAGS[z]
+    }
+    for k, (a, b, z) in enumerate([(0, 1, 2), (3, 4, 5), (6, 1, 7), (0, 1, 2)])
+}
+
+
 def write_both(directory, tables):
     """Write ``{name: columns}`` in one ``_write_tables`` call and through the oracle;
     return each name's two byte strings."""
@@ -659,10 +730,61 @@ class TestWriteTable:
             for name, (got, want) in write_both(Path(tmp), tables).items():
                 assert got == want, name
 
+    @given(tables=bool_copy_tables())
+    @example(tables=EDGE_TABLES)
+    @settings(max_examples=60, deadline=None)
+    def test_tables_differing_in_bool_columns_match_the_csv_module(self, tables):
+        with tempfile.TemporaryDirectory() as tmp, formatted_columns() as formatted:
+            written = write_both(Path(tmp), tables)
+        for name, (got, want) in written.items():
+            assert got == want, name
+        # their own bool cells are set in the first table's bytes, never formatted
+        assert not own_columns(tables) & formatted
+
     @pytest.mark.parametrize(
-        "n_rows",
-        [0, 1, ROWS_PER_WRITE - 1, ROWS_PER_WRITE, ROWS_PER_WRITE + 1, 2 * ROWS_PER_WRITE + 3],
+        "tables",
+        [
+            # the first table holds a string column, whose cells may be quoted
+            {"t0": {"s": BLOCK_S, "b": BLOCK_FLAGS[0]}, "t1": {"s": BLOCK_S, "b": BLOCK_FLAGS[1]}},
+            # a differing column is a float column
+            {"t0": {"x": BLOCK_X, "b": BLOCK_FLAGS[0]}, "t1": {"x": -BLOCK_X, "b": BLOCK_FLAGS[1]}},
+            # the column counts differ
+            {
+                "t0": {"x": BLOCK_X, "b": BLOCK_FLAGS[0]},
+                "t1": {"x": BLOCK_X, "b": BLOCK_FLAGS[1]},
+                "t2": {"x": BLOCK_X, "b": BLOCK_FLAGS[1], "c": BLOCK_FLAGS[2]},
+            },
+            # a bool column stands where the first table holds an int column
+            {"t0": {"x": BLOCK_X, "n": BLOCK_N}, "t1": {"x": BLOCK_X, "n": BLOCK_FLAGS[1]}},
+        ],
+        ids=["string", "float", "width", "int"],
     )
+    def test_tables_that_are_not_bool_copies_are_joined(self, tmp_path, tables):
+        with formatted_columns() as formatted:
+            written = write_both(tmp_path, tables)
+        for name, (got, want) in written.items():
+            assert got == want, name
+        assert own_columns(tables) <= formatted
+
+    def test_no_tables_write_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        _write_tables({})
+        assert not any(tmp_path.iterdir())
+
+    def test_bool_copies_of_zero_rows_write_only_their_headers(self, tmp_path):
+        x, flags = np.array([]), [np.array([], dtype=bool) for _ in range(3)]
+        tables = {
+            tmp_path / name: {"x": x, name: flag}
+            for name, flag in zip(("a.csv", "b.csv", "c.csv"), flags)
+        }
+        with formatted_columns() as formatted:
+            _write_tables(tables)
+        assert [path.read_bytes() for path in tables] == [
+            b"x,a.csv\r\n", b"x,b.csv\r\n", b"x,c.csv\r\n"
+        ]
+        assert not own_columns(tables) & formatted
+
+    @pytest.mark.parametrize("n_rows", BLOCK_ROWS)
     def test_bytes_match_the_csv_module_across_row_blocks(self, tmp_path, n_rows):
         rows = np.arange(n_rows)
         floats = np.array([0.1, -0.0, np.nan, np.inf, 0.0, -2.5])
@@ -720,19 +842,7 @@ class TestWriteTable:
             tracemalloc.stop()
         assert peak < 2 * path.stat().st_size
 
-    def test_a_column_holds_only_its_distinct_values_between_blocks(self):
-        u1 = np.repeat(np.linspace(-1.2, 1.2, 400), 400)
-        tracemalloc.start()
-        try:
-            blocks = _column_blocks(u1, False, ",")
-            next(blocks)
-            held, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # the sorted copy of the column alone would be u1.nbytes
-        assert held < u1.nbytes / 10
-
-    def test_peak_memory_of_the_figure1_rasters_stays_below_twice_one_file(self, tmp_path):
+    def test_peak_memory_of_the_figure1_rasters_stays_below_one_file(self, tmp_path):
         rasters = {}
         for tag, spec in FIGURE1.filter_specs():
             scan = filter_image_scan(spec, resolution=FIGURE1.resolution)
@@ -744,8 +854,19 @@ class TestWriteTable:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        sizes = {path.stat().st_size for path in rasters}
-        assert peak < 2 * min(sizes)
+        assert peak < min(path.stat().st_size for path in rasters)
+
+    def test_a_column_holds_only_its_distinct_values_between_blocks(self):
+        u1 = np.repeat(np.linspace(-1.2, 1.2, 400), 400)
+        tracemalloc.start()
+        try:
+            blocks = _column_blocks(u1, False, ",")
+            next(blocks)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the sorted copy of the column alone would be u1.nbytes
+        assert held < u1.nbytes / 10
 
 
 class TestRunExperiment:
