@@ -96,7 +96,7 @@ class ClosureSolver:
     #
     # solve_batch and _evaluate call cold_start and node_values, which the
     # Galerkin closure also reads.  No run calls node_states or reconstruct;
-    # the benchmark's tracer wraps them until its counters retire (ROADMAP item 2).
+    # the benchmark's tracer wraps them until its counters retire (ROADMAP item 24).
 
     def node_values(self, v_hat):
         """Dual polynomial at the quadrature nodes, (..., n_q, m)."""

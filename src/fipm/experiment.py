@@ -21,31 +21,28 @@ A sweep writes sweep.csv (value, deltaE, deltaVar per value) and config.cfg
 into ``<output_dir>/sweep-<key>``; a realizability scan writes its config.cfg,
 one exp-<strength>.csv or fp-<strength>.csv raster per strength, and scan-summary.csv.
 
-Every CSV goes through ``_write_tables``, whose one format rule is: floats as
-their shortest round-trip ``repr``, ints and bools as integers, strings as
-they are; cells joined by ``,``, every row and the header ended by ``\r\n``.
-A string cell or header name is quoted as ``csv.QUOTE_MINIMAL`` quotes it:
-wrapped in ``"``, inner ``"`` doubled, when it holds ``,``, ``"``, ``\r`` or
-``\n`` or is the empty and only field of its row; numbers are never quoted.
-One call writes one or more tables together, such as the 8 rasters of a scan,
-which must have one row count, else ``ValueError`` before any file is opened.
-It writes the headers, then the rows in blocks of ``ROWS_PER_WRITE``, so a
-160 000-row raster never exists as one string.  One sort finds a column's
-distinct values, numbers or strings, each formatted once with the ``,`` or
-``\r\n`` after it, and a block is written as its interleaved cells in one join.
-A column object that several tables of one call hold, like the rasters' shared
-``u1``, ``u2`` and ``inside_before``, is sorted and formatted once for all.
-A later table of the call that differs from an all-number first table only in
-bool columns, like the 7 later rasters with their own ``inside_after``, is the
-first table's block with its own one-byte ``0`` or ``1`` cells set, not a join.
-Timing never enters a CSV, so every CSV is a deterministic function of the
-configuration and rerunning an emitted config.cfg reproduces it byte for byte.
+Every CSV is formatted by ``_write_table``, one table per call, whose one format
+rule is: floats as their shortest round-trip ``repr``, ints and bools as
+integers, strings as they are; cells joined by ``,``, every row and the header
+ended by ``\r\n``.  A string cell or header name is quoted as
+``csv.QUOTE_MINIMAL`` quotes it: wrapped in ``"``, inner ``"`` doubled, when it
+holds ``,``, ``"``, ``\r`` or ``\n`` or is the empty and only field of its row;
+numbers are never quoted.  Columns of unequal length raise ``ValueError``
+before the file is opened.  It writes the header, then the rows in blocks of
+``ROWS_PER_WRITE``, so a 160 000-row raster never exists as one string.  One
+sort finds a column's distinct values, numbers or strings, each formatted once
+with the ``,`` or ``\r\n`` after it, and a block is written as its interleaved
+cells in one join.  The scan formats only its first raster: the later ones
+differ from it only in their last column, ``inside_after``, whose cell is the
+one byte ``0`` or ``1``, so ``_write_flag_copies`` writes each as the first
+file's bytes with its own cells set.  Timing never enters a CSV, so every CSV
+is a deterministic function of the configuration and rerunning an emitted
+config.cfg reproduces it byte for byte.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import os
 import re
 import time
@@ -83,8 +80,10 @@ def resolve_output_root(explicit: str | os.PathLike | None = None) -> Path:
 
 _QUOTED = re.compile(r'[,"\r\n]')
 
-#: rows that ``_write_tables`` formats and writes at a time
+#: rows that ``_write_table`` formats and writes at a time
 ROWS_PER_WRITE = 8192
+#: bytes of a first raster that ``_write_flag_copies`` reads and writes at a time
+COPY_BYTES = 256 * 1024
 
 
 def _csv_field(text: str, alone: bool) -> str:
@@ -115,8 +114,8 @@ def _column_blocks(values: np.ndarray, alone: bool, end: str):
         yield texts[np.searchsorted(distinct, keys[start : start + ROWS_PER_WRITE])].tolist()
 
 
-def _write_tables(tables: dict):
-    r"""Write each ``path: columns`` entry of ``tables`` as a CSV; ``columns``' keys are its header.
+def _write_table(path: Path, columns: dict):
+    r"""Write ``columns`` as the CSV at ``path``; its keys are the header.
 
     The bytes are those of ``csv.writer`` in its default dialect, fed floats
     as their shortest round-trip ``repr``, ints and bools as integers and
@@ -126,87 +125,59 @@ def _write_tables(tables: dict):
     with each inner ``"`` doubled, when it contains ``,``, ``"``, ``\r`` or
     ``\n``, or when it is the empty and only field of its row.
 
-    The tables of one call are written together and must all have one row
-    count: columns of unequal length, within a table or across tables, raise
-    ``ValueError`` before any file is opened.  Each header is written first,
-    then the rows in blocks of ``ROWS_PER_WRITE``, every table advancing one
-    block at a time, so the text held at once is one block's whatever the
-    tables' length.  One sort finds a column's distinct values, and each is
-    formatted once, followed by ``,`` or, in the last column, ``\r\n``.  A
-    column object that several tables hold, or one table holds twice, with the
-    same separator and quoting after it, is sorted once and each of its blocks
-    formatted once for all of them.  A block of a table, its cells interleaved
-    row by row into one list, is written with one ``"".join``.
-
-    A later table whose columns are, position by position, the first table's
-    column objects or bool columns where the first table has a bool column
-    is not joined, when the first table holds only numbers and bools and so
-    no quoted cell: each of its blocks is the first table's block with its
-    own bool cells set.  A bool cell is the one byte ``0`` or ``1``, so no
-    row or separator moves.  Every other table, and a one-table call, is
-    joined.
+    Columns of unequal length raise ``ValueError`` before the file is opened.
+    The header is written first, then the rows in blocks of ``ROWS_PER_WRITE``,
+    so the text held at once is one block's whatever the table's length.  One
+    sort finds a column's distinct values, and each is formatted once,
+    followed by ``,`` or, in the last column, ``\r\n``.  A block, its cells
+    interleaved row by row into one list, is written with one ``"".join``.
     """
-    arrays, layouts, counts = {}, [], {}
-    for path, columns in tables.items():
-        alone = len(columns) == 1
-        ends = [","] * (len(columns) - 1) + ["\r\n"]
-        # a column object is shared by identity (each stays alive in ``tables``), and the
-        # rest of its key is the quoting and separator that ``_column_blocks`` applies
-        keys = [(id(values), alone, end) for values, end in zip(columns.values(), ends)]
-        for key, values in zip(keys, columns.values()):
-            if key not in arrays:
-                arrays[key] = np.asarray(values)
-        lengths = {name: len(arrays[key]) for name, key in zip(columns, keys)}
-        if len(set(lengths.values())) > 1:
-            rows = ", ".join(f"{name!r} has {n} rows" for name, n in lengths.items())
-            raise ValueError(f"columns of {path.name} differ in length: {rows}")
-        counts[path] = next(iter(lengths.values()), 0)
-        header = ",".join(_csv_field(str(name), alone) for name in columns)
-        layouts.append((header + "\r\n", keys))
-    if len(set(counts.values())) > 1:
-        rows = ", ".join(f"{path.name} has {n} rows" for path, n in counts.items())
-        raise ValueError(f"tables written together differ in length: {rows}")
-    # the later tables that are copies of an all-number first table, and the positions
-    # at which any of them holds a bool column of its own
-    first = layouts[0][1] if layouts else []
-    copies, varied = [], set()
-    if all(arrays[key].dtype.kind in "biuf" for key in first):
-        for index, (_, keys) in enumerate(layouts[1:], 1):
-            own = {j for j, (key, mine) in enumerate(zip(keys, first)) if key != mine}
-            bools = (arrays[first[j]].dtype.kind == arrays[keys[j]].dtype.kind == "b" for j in own)
-            if len(keys) == len(first) and all(bools):
-                copies.append(index)
-                varied |= own
-    varied = sorted(varied)
-    joined = {key for index, (_, keys) in enumerate(layouts) if index not in copies for key in keys}
-    blocks = {key: _column_blocks(v, *key[1:]) for key, v in arrays.items() if key in joined}
+    arrays = [np.asarray(values) for values in columns.values()]
+    lengths = {name: len(values) for name, values in zip(columns, arrays)}
+    if len(set(lengths.values())) > 1:
+        rows = ", ".join(f"{name!r} has {n} rows" for name, n in lengths.items())
+        raise ValueError(f"columns of {path.name} differ in length: {rows}")
+    alone = len(arrays) == 1
+    ends = [","] * (len(arrays) - 1) + ["\r\n"]
+    blocks = [_column_blocks(values, alone, end) for values, end in zip(arrays, ends)]
+    with open(path, "w", newline="") as handle:
+        handle.write(",".join(_csv_field(str(name), alone) for name in columns) + "\r\n")
+        for texts in zip(*blocks):
+            cells = [None] * (len(texts) * len(texts[0]))
+            for k, column in enumerate(texts):
+                cells[k :: len(texts)] = column
+            handle.write("".join(cells))
+
+
+def _write_flag_copies(source: Path, copies: dict):
+    r"""Write each ``path: flags`` entry of ``copies`` as a copy of ``source`` whose
+    last column's cells are ``flags``.
+
+    ``source`` is a CSV that ``_write_table`` wrote from number columns, the last
+    one bool, under header names without ``\n``: its header is its first line,
+    the only ``\r`` bytes after it end rows, and the byte before each is that
+    row's ``0`` or ``1`` cell, so setting it moves no other byte.  ``source`` is
+    read after its header in chunks of ``COPY_BYTES``, each cut after its last
+    ``\n`` with the rest carried to the next, and every copy gets each chunk,
+    with its own cells set, as bytes.
+    """
     with contextlib.ExitStack() as stack:
-        handles = [stack.enter_context(open(path, "w", newline="")) for path in tables]
-        for handle, (header, _) in zip(handles, layouts):
+        reader = stack.enter_context(open(source, "rb"))
+        handles = {stack.enter_context(open(path, "wb")): flags for path, flags in copies.items()}
+        header = reader.readline()
+        for handle in handles:
             handle.write(header)
-        for start, texts in zip(itertools.count(0, ROWS_PER_WRITE), zip(*blocks.values())):
-            block = dict(zip(blocks, texts))
-            for index, (handle, (_, keys)) in enumerate(zip(handles, layouts)):
-                if index in copies:
-                    continue
-                cells = [None] * (len(keys) * len(block[keys[0]]))
-                for k, key in enumerate(keys):
-                    cells[k :: len(keys)] = block[key]
-                text = "".join(cells)
-                handle.write(text)
-                if index == 0 and copies:
-                    # no number's text holds "," or "\r", so the k-th of them in a row ends
-                    # the row's k-th cell, and a bool cell is the one byte before its end
-                    copied = bytearray(text, "ascii")
-                    raw = np.frombuffer(copied, np.uint8)
-                    cuts = raw == ord(",")
-                    cuts |= raw == ord("\r")
-                    cuts = np.flatnonzero(cuts).reshape(-1, len(keys))[:, varied].T - 1
-                    for other in copies:
-                        for j, cut in zip(varied, cuts):
-                            flags = arrays[layouts[other][1][j]][start : start + len(cut)]
-                            raw[cut] = np.where(flags, ord("1"), ord("0"))
-                        handles[other].write(copied.decode())
+        row, rest = 0, b""
+        while chunk := reader.read(COPY_BYTES):
+            chunk = rest + chunk
+            cut = chunk.rfind(b"\n") + 1
+            block, rest = bytearray(chunk[:cut]), chunk[cut:]
+            raw = np.frombuffer(block, np.uint8)
+            cells = np.flatnonzero(raw == ord("\r")) - 1
+            for handle, flags in handles.items():
+                raw[cells] = np.where(flags[row : row + len(cells)], ord("1"), ord("0"))
+                handle.write(block)
+            row += len(cells)
 
 
 def _stat_columns(field: StatField, prefix="") -> dict:
@@ -325,20 +296,20 @@ def run_experiment(cfg: ExperimentConfig, output_root=None) -> RunArtifacts:
     for k in range(moments.shape[2]):
         for i in range(moments.shape[1]):
             snapshot[f"u{k}_mom{i}"] = moments[:, i, k]
-    _write_tables({out_dir / "snapshot.csv": snapshot})
+    _write_table(out_dir / "snapshot.csv", snapshot)
     steps = {f.name: [getattr(d, f.name) for d in telemetry] for f in fields(StepDiagnostics)}
-    _write_tables({out_dir / "telemetry.csv": steps})
+    _write_table(out_dir / "telemetry.csv", steps)
 
     numeric = stats_from_moments(x, moments)
     ref_mean, ref_var = euler.reference_statistics(x, state.t, ic, solver.physics)
-    _write_tables({out_dir / "stats.csv": _stat_columns(numeric)})
-    _write_tables({out_dir / "reference.csv": _stat_columns(StatField(x, ref_mean, ref_var))})
+    _write_table(out_dir / "stats.csv", _stat_columns(numeric))
+    _write_table(out_dir / "reference.csv", _stat_columns(StatField(x, ref_mean, ref_var)))
     errors = StatField(x, numeric.mean - ref_mean, numeric.var - ref_var)
-    _write_tables({out_dir / "errors.csv": _stat_columns(errors, prefix="err_")})
+    _write_table(out_dir / "errors.csv", _stat_columns(errors, prefix="err_"))
 
     d_mean, d_var = delta_metrics(errors, cfg.delta_region())
     summary = {"deltaE": d_mean, "deltaVar": d_var, **error_norms(errors)}
-    _write_tables({out_dir / "summary.csv": {name: [value] for name, value in summary.items()}})
+    _write_table(out_dir / "summary.csv", {name: [value] for name, value in summary.items()})
     (out_dir / "plot.py").write_text(PLOT_SCRIPT)
     write_seconds = time.perf_counter() - start - runtime
     newton = sum(d.total_newton_iters for d in telemetry)
@@ -417,7 +388,7 @@ def sweep(cfg: ExperimentConfig, key: str, values, output_root=None) -> SweepRes
 
     result = SweepResult(table_path=out_dir / "sweep.csv", rows=rows)
     columns = {name: [getattr(r, name) for r in rows] for name in ("value", "deltaE", "deltaVar")}
-    _write_tables({result.table_path: columns})
+    _write_table(result.table_path, columns)
     return result
 
 
@@ -446,17 +417,18 @@ def scan_figure1(cfg: ScanConfig, output_root=None) -> ScanArtifacts:
             path.unlink()
     (out_dir / "config.cfg").write_text(cfg.to_text())
 
-    rows, rasters = [], {}
+    rows, scans = [], {}
     for tag, spec in cfg.filter_specs():
         scan = filter_image_scan(spec, resolution=cfg.resolution)
-        # every scan holds the same u1, u2 and inside_before, which are formatted once
-        rasters[out_dir / f"{tag}-{spec.strength!r}.csv"] = {
-            f.name: getattr(scan, f.name) for f in fields(ScanResult)
-        }
+        scans[out_dir / f"{tag}-{spec.strength!r}.csv"] = scan
         rows.append((spec.kind.value, spec.strength, scan.n_inside, scan.n_escaped))
-    _write_tables(rasters)
+    if scans:
+        (first, scan), *later = scans.items()
+        _write_table(first, {f.name: getattr(scan, f.name) for f in fields(ScanResult)})
+        # every scan holds the same u1, u2 and inside_before; only inside_after, last, differs
+        _write_flag_copies(first, {path: scan.inside_after for path, scan in later})
 
     header = ("filter", "strength", "n_inside", "n_escaped")
     summary = {name: [row[i] for row in rows] for i, name in enumerate(header)}
-    _write_tables({out_dir / "scan-summary.csv": summary})
+    _write_table(out_dir / "scan-summary.csv", summary)
     return ScanArtifacts(out_dir=out_dir, rows=rows)

@@ -1,6 +1,5 @@
 """Configuration parsing, preset golden values, artifact emission, CLI exit codes."""
 
-import contextlib
 import csv
 import dataclasses
 import inspect
@@ -37,7 +36,8 @@ from fipm.euler import EulerEntropy, project_ic, reference_statistics
 from fipm.experiment import (
     ROWS_PER_WRITE,
     _column_blocks,
-    _write_tables,
+    _write_flag_copies,
+    _write_table,
     run_experiment,
     scan_figure1,
     sweep,
@@ -501,9 +501,8 @@ CSV_TEXT = st.text(alphabet=st.sampled_from([",", '"', "\r", "\n", " ", "a", "0"
 FLOATS = st.sampled_from(
     [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 0.1, 1e300]
 ) | st.floats()
-#: two columns that several tables of one ``_write_tables`` call hold
-SHARED_X = np.array([0.5, -0.0, 0.5, 1e-300])
-SHARED_S = ["a,b", "", "a,b", 'say "hi"']
+#: header names that csv quotes, without the line break that ``_write_flag_copies`` excludes
+NAME_TEXT = st.text(alphabet=st.sampled_from([",", '"', "\r", " ", "a", "0"]), max_size=4)
 COLUMN_KINDS = {
     "f": (FLOATS, np.float64),
     "i": (st.integers(-(2**63), 2**63 - 1), np.int64),
@@ -530,99 +529,40 @@ def tables(draw):
     return {name: draw(column(n_rows)) for name in names}
 
 
-@st.composite
-def shared_tables(draw):
-    """1 to 3 tables of one row count whose 1 to 4 columns each are drawn from
-    one pool of 1 to 3 column objects, so tables share columns and repeat them."""
-    n_rows = draw(st.integers(0, 12))
-    pool = draw(st.lists(column(n_rows), min_size=1, max_size=3))
-    picks = st.integers(0, len(pool) - 1)
-    tables = {}
-    for k in range(draw(st.integers(1, 3))):
-        names = draw(st.lists(CSV_TEXT, min_size=1, max_size=4, unique=True))
-        tables[f"t{k}.csv"] = {name: pool[draw(picks)] for name in names}
-    return tables
-
-
 #: row counts on either side of the ends of the first two ``ROWS_PER_WRITE`` blocks
 BLOCK_ROWS = [0, 1, ROWS_PER_WRITE - 1, ROWS_PER_WRITE, ROWS_PER_WRITE + 1, 2 * ROWS_PER_WRITE + 3]
 
 
 @st.composite
-def bool_copy_tables(draw):
-    """1 to 4 tables of one row count from one column layout of floats, ints and bools:
-    every table holds the first table's float and int column objects, and at each bool
-    position either the first table's bool column or one of its own."""
+def flag_tables(draw):
+    """A table of float, int and bool columns, the last one bool, with a row count from
+    ``BLOCK_ROWS``, and 0 to 3 flag columns of its length for its copies."""
     n_rows = draw(st.sampled_from(BLOCK_ROWS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kinds = draw(st.lists(st.sampled_from("fib"), min_size=1, max_size=5))
+    kinds = draw(st.lists(st.sampled_from("fib"), max_size=4)) + ["b"]
     pools = {
         "f": np.array(draw(st.lists(FLOATS, min_size=1, max_size=3))),
         "i": np.array(draw(st.lists(COLUMN_KINDS["i"][0], min_size=1, max_size=3))),
     }
-    shared = [
-        rng.random(n_rows) < 0.5 if kind == "b" else rng.choice(pools[kind], n_rows)
-        for kind in kinds
-    ]
-    tables = {}
-    for k in range(draw(st.integers(1, 4))):
-        names = draw(st.lists(CSV_TEXT, min_size=len(kinds), max_size=len(kinds), unique=True))
-        tables[f"t{k}.csv"] = {
-            name: rng.random(n_rows) < 0.5 if kind == "b" and draw(st.booleans()) else values
-            for name, kind, values in zip(names, kinds, shared)
-        }
-    return tables
+    names = draw(st.lists(NAME_TEXT, min_size=len(kinds), max_size=len(kinds), unique=True))
+    table = {
+        name: rng.random(n_rows) < 0.5 if kind == "b" else rng.choice(pools[kind], n_rows)
+        for name, kind in zip(names, kinds)
+    }
+    return table, [rng.random(n_rows) < 0.5 for _ in range(draw(st.integers(0, 3)))]
 
 
-@contextlib.contextmanager
-def formatted_columns():
-    """Collect the ids of the columns that ``_write_tables`` sorts and formats."""
-    seen = set()
-    real = experiment._column_blocks
-
-    def spy(values, *args):
-        seen.add(id(values))
-        return real(values, *args)
-
-    with mock.patch.object(experiment, "_column_blocks", spy):
-        yield seen
-
-
-def own_columns(tables):
-    """The ids of the columns of the later tables that the first table does not hold."""
-    first, *later = tables.values()
-    return {id(v) for table in later for v in table.values()} - {id(v) for v in first.values()}
-
-
-BLOCK_INDEX = np.arange(ROWS_PER_WRITE + 1)
-#: a float and an int column crossing a block's end, and flags that differ per table
-BLOCK_X = np.where(BLOCK_INDEX % 3 == 0, -0.0, 0.1 * BLOCK_INDEX)
-BLOCK_N = BLOCK_INDEX - 7
-BLOCK_FLAGS = [BLOCK_INDEX % m == 0 for m in (2, 3, 5)]
-BLOCK_S = np.where(BLOCK_INDEX % 2 == 0, "a,b", "").tolist()
-#: 2 * ROWS_PER_WRITE + 3 rows with bool columns first, between and last: t1 holds its
-#: own three, t2 its own first and last, t3 none of its own
+#: 2 * ROWS_PER_WRITE + 3 rows of a float and an int column and three copies' flags
 EDGE_INDEX = np.arange(2 * ROWS_PER_WRITE + 3)
 EDGE_X, EDGE_N = np.where(EDGE_INDEX % 3 == 0, -0.0, 0.1 * EDGE_INDEX), EDGE_INDEX - 7
-EDGE_FLAGS = [EDGE_INDEX % m == 0 for m in range(2, 11)]
-EDGE_TABLES = {
-    f"t{k}.csv": {
-        "a": EDGE_FLAGS[a], "x": EDGE_X, "b": EDGE_FLAGS[b], "n": EDGE_N, "z": EDGE_FLAGS[z]
-    }
-    for k, (a, b, z) in enumerate([(0, 1, 2), (3, 4, 5), (6, 1, 7), (0, 1, 2)])
-}
+EDGE_FLAGS = [EDGE_INDEX % m == 0 for m in range(2, 6)]
 
 
-def write_both(directory, tables):
-    """Write ``{name: columns}`` in one ``_write_tables`` call and through the oracle;
-    return each name's two byte strings."""
-    _write_tables({directory / f"got-{name}": columns for name, columns in tables.items()})
-    for name, columns in tables.items():
-        reference_write_table(directory / f"want-{name}", columns)
-    return {
-        name: ((directory / f"got-{name}").read_bytes(), (directory / f"want-{name}").read_bytes())
-        for name in tables
-    }
+def write_both(directory, name, columns):
+    """Write ``columns`` with ``_write_table`` and through the oracle; return both byte strings."""
+    _write_table(directory / f"got-{name}", columns)
+    reference_write_table(directory / f"want-{name}", columns)
+    return (directory / f"got-{name}").read_bytes(), (directory / f"want-{name}").read_bytes()
 
 
 FIGURE1 = parse_scan_config(read_config_text("figure1-scan")[0])
@@ -631,15 +571,14 @@ FIGURE1 = parse_scan_config(read_config_text("figure1-scan")[0])
 class TestWriteTable:
     def test_exact_text(self, tmp_path):
         path = tmp_path / "table.csv"
-        _write_tables(
+        _write_table(
+            path,
             {
-                path: {
-                    "f": np.array([0.1, -0.0, 1e-300, np.nan, np.inf]),
-                    "i": np.arange(-2, 3),
-                    "b": np.array([True, False, True, False, True]),
-                    "s": ["a", "b c", "x,y", "0.10", "-"],
-                }
-            }
+                "f": np.array([0.1, -0.0, 1e-300, np.nan, np.inf]),
+                "i": np.arange(-2, 3),
+                "b": np.array([True, False, True, False, True]),
+                "s": ["a", "b c", "x,y", "0.10", "-"],
+            },
         )
         assert path.read_bytes() == (
             b"f,i,b,s\r\n"
@@ -652,27 +591,14 @@ class TestWriteTable:
 
     def test_zero_rows_write_only_the_header(self, tmp_path):
         path = tmp_path / "empty.csv"
-        _write_tables({path: {"step": [], "t": np.array([]), "value": []}})
+        _write_table(path, {"step": [], "t": np.array([]), "value": []})
         assert path.read_bytes() == b"step,t,value\r\n"
 
     def test_mismatched_columns_leave_no_file(self, tmp_path):
         path = tmp_path / "table.csv"
         with pytest.raises(ValueError, match="'a' has 3 rows, 'b' has 2 rows"):
-            _write_tables({path: {"a": [1.0, 2.0, 3.0], "b": [1, 2]}})
+            _write_table(path, {"a": [1.0, 2.0, 3.0], "b": [1, 2]})
         assert not path.exists()
-
-    def test_tables_of_unequal_length_leave_no_file(self, tmp_path):
-        paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
-        shared = np.arange(3.0)
-        with pytest.raises(ValueError, match="a.csv has 3 rows, b.csv has 2 rows, c.csv has 3"):
-            _write_tables(
-                {
-                    paths[0]: {"x": shared},
-                    paths[1]: {"x": shared[:2], "y": [1, 2]},
-                    paths[2]: {"x": shared, "y": [1, 2, 3]},
-                }
-            )
-        assert not any(path.exists() for path in paths)
 
     def test_a_failed_open_closes_the_files_already_open(self, tmp_path, monkeypatch):
         opened = []
@@ -683,10 +609,13 @@ class TestWriteTable:
             return handle
 
         monkeypatch.setattr(experiment, "open", recording_open, raising=False)
+        source = tmp_path / "source.csv"
+        source.write_bytes(b"flag\r\n1\r\n")
         first, missing = tmp_path / "first.csv", tmp_path / "no-such-dir" / "second.csv"
         with pytest.raises(FileNotFoundError):
-            _write_tables({first: {"x": [1.0]}, missing: {"x": [2.0]}})
-        assert len(opened) == 1 and opened[0].closed
+            _write_flag_copies(source, {first: [False], missing: [True]})
+        # the source and the first copy were open
+        assert len(opened) == 2 and all(handle.closed for handle in opened)
 
     @given(table=tables())
     # zeros of both signs in one column, and uint64 neighbours that a float key would merge
@@ -711,78 +640,42 @@ class TestWriteTable:
     @settings(max_examples=300, deadline=None)
     def test_bytes_match_the_csv_module(self, table):
         with tempfile.TemporaryDirectory() as tmp:
-            got, want = write_both(Path(tmp), {"table.csv": table})["table.csv"]
+            got, want = write_both(Path(tmp), "table.csv", table)
             assert got == want
 
-    @given(tables=shared_tables())
-    # x last in one table and not in another, and held twice by one table; s alone in
-    # one table, so its empty cell is quoted there only
-    @example(
-        tables={
-            "a.csv": {"x": SHARED_X, "s": SHARED_S},
-            "b.csv": {"s": SHARED_S, "x": SHARED_X, "again": SHARED_X},
-            "c.csv": {"s": SHARED_S},
-        }
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_tables_sharing_columns_match_the_csv_module(self, tables):
+    @pytest.mark.parametrize("straddle", [False, True], ids=["whole-rows", "straddling-rows"])
+    @given(drawn=flag_tables())
+    @example(drawn=({"x": EDGE_X, "n": EDGE_N, "flag": EDGE_FLAGS[0]}, EDGE_FLAGS[1:]))
+    @settings(max_examples=40, deadline=None)
+    def test_flag_copies_match_the_csv_module(self, straddle, drawn):
+        table, flags = drawn
+        *_, last = table
         with tempfile.TemporaryDirectory() as tmp:
-            for name, (got, want) in write_both(Path(tmp), tables).items():
-                assert got == want, name
+            tmp = Path(tmp)
+            source = tmp / "source.csv"
+            _write_table(source, table)
+            rows = source.read_bytes().split(b"\n")[1:-1]
+            # chunks shorter than every row, so that each row straddles a chunk's end
+            size = min(map(len, rows), default=1) if straddle else experiment.COPY_BYTES
+            copies = {tmp / f"copy-{k}.csv": own for k, own in enumerate(flags)}
+            with mock.patch.object(experiment, "COPY_BYTES", size):
+                _write_flag_copies(source, copies)
+            for path, own in copies.items():
+                reference_write_table(tmp / "want.csv", {**table, last: own})
+                assert path.read_bytes() == (tmp / "want.csv").read_bytes(), path.name
 
-    @given(tables=bool_copy_tables())
-    @example(tables=EDGE_TABLES)
-    @settings(max_examples=60, deadline=None)
-    def test_tables_differing_in_bool_columns_match_the_csv_module(self, tables):
-        with tempfile.TemporaryDirectory() as tmp, formatted_columns() as formatted:
-            written = write_both(Path(tmp), tables)
-        for name, (got, want) in written.items():
-            assert got == want, name
-        # their own bool cells are set in the first table's bytes, never formatted
-        assert not own_columns(tables) & formatted
-
-    @pytest.mark.parametrize(
-        "tables",
-        [
-            # the first table holds a string column, whose cells may be quoted
-            {"t0": {"s": BLOCK_S, "b": BLOCK_FLAGS[0]}, "t1": {"s": BLOCK_S, "b": BLOCK_FLAGS[1]}},
-            # a differing column is a float column
-            {"t0": {"x": BLOCK_X, "b": BLOCK_FLAGS[0]}, "t1": {"x": -BLOCK_X, "b": BLOCK_FLAGS[1]}},
-            # the column counts differ
-            {
-                "t0": {"x": BLOCK_X, "b": BLOCK_FLAGS[0]},
-                "t1": {"x": BLOCK_X, "b": BLOCK_FLAGS[1]},
-                "t2": {"x": BLOCK_X, "b": BLOCK_FLAGS[1], "c": BLOCK_FLAGS[2]},
-            },
-            # a bool column stands where the first table holds an int column
-            {"t0": {"x": BLOCK_X, "n": BLOCK_N}, "t1": {"x": BLOCK_X, "n": BLOCK_FLAGS[1]}},
-        ],
-        ids=["string", "float", "width", "int"],
-    )
-    def test_tables_that_are_not_bool_copies_are_joined(self, tmp_path, tables):
-        with formatted_columns() as formatted:
-            written = write_both(tmp_path, tables)
-        for name, (got, want) in written.items():
-            assert got == want, name
-        assert own_columns(tables) <= formatted
-
-    def test_no_tables_write_nothing(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        _write_tables({})
-        assert not any(tmp_path.iterdir())
+    def test_no_copies_write_nothing(self, tmp_path):
+        source = tmp_path / "source.csv"
+        _write_table(source, {"x": [0.5], "flag": [True]})
+        _write_flag_copies(source, {})
+        assert [path.name for path in tmp_path.iterdir()] == ["source.csv"]
 
     def test_bool_copies_of_zero_rows_write_only_their_headers(self, tmp_path):
-        x, flags = np.array([]), [np.array([], dtype=bool) for _ in range(3)]
-        tables = {
-            tmp_path / name: {"x": x, name: flag}
-            for name, flag in zip(("a.csv", "b.csv", "c.csv"), flags)
-        }
-        with formatted_columns() as formatted:
-            _write_tables(tables)
-        assert [path.read_bytes() for path in tables] == [
-            b"x,a.csv\r\n", b"x,b.csv\r\n", b"x,c.csv\r\n"
-        ]
-        assert not own_columns(tables) & formatted
+        source = tmp_path / "source.csv"
+        _write_table(source, {"x": np.array([]), "flag": np.array([], dtype=bool)})
+        copies = {tmp_path / name: np.array([], dtype=bool) for name in ("a.csv", "b.csv")}
+        _write_flag_copies(source, copies)
+        assert [path.read_bytes() for path in copies] == [b"x,flag\r\n"] * 2
 
     @pytest.mark.parametrize("n_rows", BLOCK_ROWS)
     def test_bytes_match_the_csv_module_across_row_blocks(self, tmp_path, n_rows):
@@ -798,7 +691,7 @@ class TestWriteTable:
         empty = (rows % 4 == 0) | (rows == ROWS_PER_WRITE - 1) | (rows == ROWS_PER_WRITE)
         alone = {"s": np.where(empty, "", "x").tolist()}
         for name, table in (("mixed", mixed), ("alone", alone)):
-            got, want = write_both(tmp_path, {name: table})[name]
+            got, want = write_both(tmp_path, name, table)
             assert got == want, name
 
     @pytest.mark.parametrize("n_rows", [ROWS_PER_WRITE + 1, 2 * ROWS_PER_WRITE + 3])
@@ -813,7 +706,7 @@ class TestWriteTable:
             "paired": {"s": cells, "n": rows},
             "last": {"n": rows, "s": cells},
         }
-        written = write_both(tmp_path, tables)
+        written = {name: write_both(tmp_path, name, table) for name, table in tables.items()}
         for name, (got, want) in written.items():
             assert got == want, name
         assert b'\r\n""\r\n' in written["alone"][0]
@@ -825,7 +718,7 @@ class TestWriteTable:
         scan = filter_image_scan(spec, resolution=FIGURE1.resolution)
         table = dataclasses.asdict(scan)
         assert len(scan.u1) == 160_000
-        got, want = write_both(tmp_path, {"raster.csv": table})["raster.csv"]
+        got, want = write_both(tmp_path, "raster.csv", table)
         assert got == want
 
     def test_peak_memory_of_a_raster_stays_below_twice_the_file(self, tmp_path):
@@ -836,25 +729,28 @@ class TestWriteTable:
         path = tmp_path / "raster.csv"
         tracemalloc.start()
         try:
-            _write_tables({path: table})
+            _write_table(path, table)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2 * path.stat().st_size
 
     def test_peak_memory_of_the_figure1_rasters_stays_below_one_file(self, tmp_path):
-        rasters = {}
-        for tag, spec in FIGURE1.filter_specs():
-            scan = filter_image_scan(spec, resolution=FIGURE1.resolution)
-            rasters[tmp_path / f"{tag}-{spec.strength!r}.csv"] = vars(scan)
-        assert len(rasters) == 8
+        first, *later = (
+            filter_image_scan(spec, resolution=FIGURE1.resolution)
+            for _, spec in FIGURE1.filter_specs()
+        )
+        assert len(later) == 7
+        source = tmp_path / "first.csv"
+        copies = {tmp_path / f"copy-{k}.csv": scan.inside_after for k, scan in enumerate(later)}
         tracemalloc.start()
         try:
-            _write_tables(rasters)
+            _write_table(source, vars(first))
+            _write_flag_copies(source, copies)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < min(path.stat().st_size for path in rasters)
+        assert peak < min(path.stat().st_size for path in [source, *copies])
 
     def test_a_column_holds_only_its_distinct_values_between_blocks(self):
         u1 = np.repeat(np.linspace(-1.2, 1.2, 400), 400)
@@ -1141,6 +1037,17 @@ class TestScanFigure1:
             shared.add(tuple(line.rsplit(",", 1)[0] for line in lines))
         assert len(shared) == 1
 
+    def test_every_raster_matches_the_csv_module(self, tmp_path):
+        # 10 000 rows: a raster crosses a ``ROWS_PER_WRITE`` block and a ``COPY_BYTES`` chunk
+        cfg = ScanConfig(resolution=100, output_dir="scan")
+        out_dir = scan_figure1(cfg, tmp_path).out_dir
+        assert (out_dir / "exp-0.05.csv").stat().st_size > experiment.COPY_BYTES
+        for tag, spec in cfg.filter_specs():
+            scan = filter_image_scan(spec, resolution=cfg.resolution)
+            reference_write_table(tmp_path / "want.csv", vars(scan))
+            got = (out_dir / f"{tag}-{spec.strength!r}.csv").read_bytes()
+            assert got == (tmp_path / "want.csv").read_bytes(), (tag, spec.strength)
+
     def test_rerun_over_other_strengths_leaves_one_raster_per_summary_row(self, tmp_path):
         scan_figure1(ScanConfig(resolution=8, exp_exponents=(0.05, 0.1), output_dir="s"), tmp_path)
         rerun = scan_figure1(
@@ -1324,6 +1231,28 @@ class TestCli:
         assert summary[0] == "filter,strength,n_inside,n_escaped"
         fp_rows = [line for line in summary[1:] if line.startswith("fokker-planck")]
         assert all(line.split(",")[-1] == "0" for line in fp_rows)
+
+    @pytest.mark.parametrize(
+        "filters, rasters",
+        [
+            ("exp_exponents =\nfp_strengths =\n", []),
+            ("exp_exponents =\nfp_strengths = 0.1\n", ["fp-0.1.csv"]),
+        ],
+        ids=["no-filter", "one-filter"],
+    )
+    def test_scan_figure1_of_fewer_than_two_filters(self, tmp_path, filters, rasters):
+        scan_cfg = tmp_path / "scan.cfg"
+        scan_cfg.write_text(f"resolution = 8\n{filters}output_dir = scan\n")
+        assert main(["scan-figure1", str(scan_cfg), "--output-root", str(tmp_path)]) == 0
+        out_dir = tmp_path / "scan"
+        assert sorted(path.name for path in out_dir.iterdir()) == [
+            "config.cfg", *rasters, "scan-summary.csv"
+        ]
+        summary = (out_dir / "scan-summary.csv").read_text().splitlines()
+        assert summary[0] == "filter,strength,n_inside,n_escaped"
+        assert len(summary) == 1 + len(rasters)
+        for name in rasters:
+            assert len((out_dir / name).read_text().splitlines()) == 1 + 8 * 8
 
     def test_scan_config_errors_exit_2(self, tmp_path, capsys):
         scan_cfg = tmp_path / "scan.cfg"
