@@ -118,7 +118,3 @@ def main(argv=None) -> int:
     except FipmError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -287,8 +287,9 @@ class ScanConfig:
     output_dir: str = "runs/figure1"
 
     def __post_init__(self):
-        object.__setattr__(self, "exp_exponents", tuple(map(float, self.exp_exponents)))
-        object.__setattr__(self, "fp_strengths", tuple(map(float, self.fp_strengths)))
+        # + 0.0 turns -0.0 into 0.0, whose raster name <tag>-0.0.csv a rerun removes
+        for key in ("exp_exponents", "fp_strengths"):
+            object.__setattr__(self, key, tuple(float(v) + 0.0 for v in getattr(self, key)))
         _check_finite(self)
         if self.resolution < 2:
             raise ConfigError(f"resolution must be at least 2, got {self.resolution}")

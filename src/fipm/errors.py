@@ -21,11 +21,6 @@ class ConfigError(FipmError):
 class DualNonConvergenceError(FipmError):
     """Newton iteration on the dual problem failed to reach tolerance."""
 
-    def __init__(self, message, grad_norm=None, iterations=None):
-        super().__init__(message)
-        self.grad_norm = grad_norm
-        self.iterations = iterations
-
 
 class InadmissibleStateError(FipmError):
     """A physical state violated the admissibility conditions."""

@@ -21,23 +21,13 @@ A sweep writes sweep.csv (value, deltaE, deltaVar per value) and config.cfg
 into ``<output_dir>/sweep-<key>``; a realizability scan writes its config.cfg,
 one exp-<strength>.csv or fp-<strength>.csv raster per strength, and scan-summary.csv.
 
-Every CSV is formatted by ``_write_table``, one table per call, whose one format
-rule is: floats as their shortest round-trip ``repr``, ints and bools as
-integers, strings as they are; cells joined by ``,``, every row and the header
-ended by ``\r\n``.  A string cell or header name is quoted as
-``csv.QUOTE_MINIMAL`` quotes it: wrapped in ``"``, inner ``"`` doubled, when it
-holds ``,``, ``"``, ``\r`` or ``\n`` or is the empty and only field of its row;
-numbers are never quoted.  Columns of unequal length raise ``ValueError``
-before the file is opened.  It writes the header, then the rows in blocks of
-``ROWS_PER_WRITE``, so a 160 000-row raster never exists as one string.  One
-sort finds a column's distinct values, numbers or strings, each formatted once
-with the ``,`` or ``\r\n`` after it, and a block is written as its interleaved
-cells in one join.  The scan formats only its first raster: the later ones
-differ from it only in their last column, ``inside_after``, whose cell is the
-one byte ``0`` or ``1``, so ``_write_flag_copies`` writes each as the first
-file's bytes with its own cells set.  Timing never enters a CSV, so every CSV
-is a deterministic function of the configuration and rerunning an emitted
-config.cfg reproduces it byte for byte.
+Every CSV is written by ``_write_table``, one table per call, as ``csv.writer``
+writes it in its default dialect with floats as their shortest round-trip
+``repr``; the scan formats only its first raster, and ``_write_flag_copies``
+writes each later one as that file's bytes with its own ``inside_after`` cells.
+Their docstrings give the format rule and the order of the writes.  Timing never
+enters a CSV, so every CSV is a deterministic function of the configuration and
+rerunning an emitted config.cfg reproduces it byte for byte.
 """
 
 from __future__ import annotations

@@ -49,19 +49,17 @@ def gpc_to_monomial(u_hat):
     return np.stack([m0, m1, m2], axis=-1)
 
 
-def is_realizable_monomial(m, slack=0.0):
+def is_realizable_monomial(m0, m1, m2, slack=0.0):
     """Strict interior membership for monomial triples; boundary is outside.
 
-    ``m`` is an array whose last axis is (m_0, m_1, m_2), or a tuple of the
-    three components as arrays that broadcast against one another.
+    The three components are arrays, or scalars, that broadcast against one another.
     """
-    m0, m1, m2 = m if isinstance(m, tuple) else np.moveaxis(np.asarray(m, dtype=float), -1, 0)
     return (m0 > -slack) & (m0 * m2 - m1**2 > -slack) & (m0 - m2 > -slack)
 
 
 def is_realizable_n2(u_hat, slack=0.0):
     """Membership for orthonormal-basis triples (u_0, u_1, u_2)."""
-    return is_realizable_monomial(gpc_to_monomial(u_hat), slack=slack)
+    return is_realizable_monomial(*np.moveaxis(gpc_to_monomial(u_hat), -1, 0), slack=slack)
 
 
 @dataclass(frozen=True)
@@ -106,8 +104,8 @@ def _inside(axes, gain, slack):
     along_u1, along_u2 = axes
     m_u1 = gpc_to_monomial(along_u1 * gain)
     m_u2 = gpc_to_monomial(along_u2 * gain)
-    m = (m_u2[None, :, 0], m_u1[:, None, 1], m_u2[None, :, 2])
-    return is_realizable_monomial(m, slack=slack).ravel()
+    m0, m1, m2 = m_u2[None, :, 0], m_u1[:, None, 1], m_u2[None, :, 2]
+    return is_realizable_monomial(m0, m1, m2, slack=slack).ravel()
 
 
 def filter_image_scan(spec: FilterSpec, resolution: int) -> ScanResult:

@@ -213,9 +213,7 @@ class MomentSolver:
             raise DualNonConvergenceError(
                 f"dual solve failed in {bad.size} cell(s) at step {step}; worst cell "
                 f"{worst} at x = {centers[worst]:.6g} with gradient norm "
-                f"{info.grad_norm[worst]:.3e}",
-                grad_norm=float(info.grad_norm[worst]),
-                iterations=int(info.iterations[worst]),
+                f"{info.grad_norm[worst]:.3e}"
             )
         ok = self.physics.admissible(info.states)
         if not np.all(ok):

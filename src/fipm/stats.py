@@ -44,12 +44,6 @@ def stats_from_moments(x, u_hat) -> StatField:
     return StatField(x=x, mean=mean, var=var)
 
 
-def second_difference(values, dx):
-    """Central second difference at interior points; shape (n-2,)."""
-    values = np.asarray(values, dtype=float)
-    return (values[:-2] - 2.0 * values[1:-1] + values[2:]) / dx**2
-
-
 def region_cells(x, region):
     """Mask of the cells with a two-sided stencil whose centers x lie in the closed region."""
     x = np.asarray(x, dtype=float)
@@ -64,7 +58,8 @@ def oscillation_metric(error, x, region):
     if x.size < 3:
         raise ValueError("need at least three cells for a second difference")
     dx = x[1] - x[0]
-    d2 = second_difference(error, dx)
+    error = np.asarray(error, dtype=float)
+    d2 = (error[:-2] - 2.0 * error[1:-1] + error[2:]) / dx**2
     return float(np.sqrt(np.sum(dx * d2[region_cells(x, region)[1:-1]] ** 2)))
 
 

@@ -1,5 +1,6 @@
 """Configuration parsing, preset golden values, artifact emission, CLI exit codes."""
 
+import ast
 import csv
 import dataclasses
 import inspect
@@ -45,7 +46,7 @@ from fipm.experiment import (
 from fipm.filters import FilterKind, FilterSpec
 from fipm.realizability import filter_image_scan
 from fipm.solver import Closure, GridConfig, MomentSolver, StepDiagnostics
-from fipm.stats import region_cells
+from fipm.stats import StatField, region_cells
 
 MINIMAL = """
 a = 0.0
@@ -772,6 +773,20 @@ class TestRunExperiment:
         for name in ARTIFACTS:
             assert (artifacts.out_dir / name).is_file(), name
 
+    def test_plot_script_compiles_and_reads_only_written_columns(self):
+        # matplotlib is a dev extra, so the script is compiled and its reads checked, not run
+        compile(experiment.PLOT_SCRIPT, "plot.py", "exec")
+        read = {
+            node.slice.value
+            for node in ast.walk(ast.parse(experiment.PLOT_SCRIPT))
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("stats", "reference")
+        }
+        assert read == {"x", "mean_rho", "var_rho"}
+        field = StatField(np.zeros(1), np.zeros((1, 3)), np.zeros((1, 3)))
+        assert read <= experiment._stat_columns(field).keys()
+
     def test_gamma_reaches_the_projection_and_the_reference(self, tmp_path):
         gamma = 5 / 3
         cfg = tiny_config(gamma=gamma, t_end=0.005, output_dir="case")
@@ -1058,6 +1073,18 @@ class TestScanFigure1:
         assert names == ["config.cfg", "exp-0.2.csv", "scan-summary.csv"]
         summary = (rerun.out_dir / "scan-summary.csv").read_text().splitlines()
         assert summary[1:] == [f"exponential,0.2,{rerun.rows[0][2]},{rerun.rows[0][3]}"]
+
+    def test_negative_zero_strength_raster_is_removed_by_a_rerun(self, tmp_path):
+        # -0.0 passes the nonnegative check, so it must be written under a name a rerun removes
+        text = "exp_exponents = -0.0\nfp_strengths =\nresolution = 4\noutput_dir = s\n"
+        out_dir = scan_figure1(parse_scan_config(text), tmp_path).out_dir
+        assert "exp_exponents = 0.0\n" in (out_dir / "config.cfg").read_text()
+        scan_figure1(
+            ScanConfig(resolution=4, exp_exponents=(0.1,), fp_strengths=(), output_dir="s"),
+            tmp_path,
+        )
+        names = sorted(path.name for path in out_dir.iterdir())
+        assert names == ["config.cfg", "exp-0.1.csv", "scan-summary.csv"]
 
     def test_rerun_removes_only_the_names_the_scan_writes(self, tmp_path):
         first = ScanConfig(resolution=4, exp_exponents=(0.2,), fp_strengths=(1e-5,), output_dir="s")

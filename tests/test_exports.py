@@ -1,6 +1,6 @@
 """The package's public names resolve, so an export left behind by a deletion fails here,
-the package runs on numpy alone, no module imports another's private name, and gamma
-is read from the Euler model alone."""
+the package runs on numpy alone, no module imports another's private name, only
+``__main__.py`` runs as a script, and gamma is read from the Euler model alone."""
 
 import ast
 import inspect
@@ -59,6 +59,20 @@ def test_no_module_imports_a_private_name_of_another():
         if alias.name.startswith("_")
     ]
     assert found == []
+
+
+def test_only_dunder_main_runs_as_a_script():
+    """``python3 -m fipm`` and the ``fipm`` console script are the package's one entry
+    point; the AST is read, not the text, because ``experiment.PLOT_SCRIPT`` holds the
+    guard's text inside a string."""
+    guard = ast.dump(ast.parse('__name__ == "__main__"', mode="eval").body)
+    found = [
+        path.name
+        for path in sorted(Path(fipm.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.If) and ast.dump(node.test) == guard
+    ]
+    assert found == ["__main__.py"]
 
 
 def public_signatures(module):

@@ -61,3 +61,10 @@ def test_private_names_in_the_readme_are_defined_in_fipm():
         if not re.search(rf"^\s*(?:(?:def|class) {name}\b|(?:self\.)?{name}\s*[:=])", source, re.M)
     )
     assert not missing, f"README names what src/fipm does not define: {missing}"
+
+
+def test_module_map_has_one_row_per_module():
+    section = README.read_text().split("Module map (`src/fipm/`):", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+\.py)`", section, re.M)
+    modules = sorted(path.name for path in SRC.glob("*.py") if path.name != "__init__.py")
+    assert sorted(rows) == modules

@@ -68,16 +68,16 @@ class TestMembership:
     def test_hand_cases(self):
         assert is_realizable_n2(np.array([1.0, 0.0, 0.0]))  # constant density
         assert not is_realizable_n2(np.array([1.0, 2.0, 0.0]))  # m1^2 > m0 m2
-        assert is_realizable_monomial(np.array([1.0, 0.5, 0.3]))
-        assert not is_realizable_monomial(np.array([1.0, 0.0, 1.0]))  # m2 = m0
-        assert not is_realizable_monomial(np.array([-1.0, 0.0, 0.3]))
+        assert is_realizable_monomial(1.0, 0.5, 0.3)
+        assert not is_realizable_monomial(1.0, 0.0, 1.0)  # m2 = m0
+        assert not is_realizable_monomial(-1.0, 0.0, 0.3)
 
     def test_boundary_is_outside(self):
         # a Dirac mass at xi* sits on the boundary: m = (1, xi*, xi*^2)
         for xi_star in (-0.7, 0.0, 0.4):
             m = np.array([1.0, xi_star, xi_star**2])
-            assert not is_realizable_monomial(m)
-            assert is_realizable_monomial(m, slack=1e-9)
+            assert not is_realizable_monomial(*m)
+            assert is_realizable_monomial(*m, slack=1e-9)
 
     @given(
         c=st.floats(1e-3, 1e3),
@@ -93,13 +93,13 @@ class TestMembership:
         assume(abs(m2 - m1 * m1) > 1e-9)
         assume(abs(1.0 - m2) > 1e-9)
         m = np.array([1.0, m1, m2])
-        assert is_realizable_monomial(m) == is_realizable_monomial(c * m)
+        assert is_realizable_monomial(*m) == is_realizable_monomial(*(c * m))
 
     def test_scaling_underflow_lands_on_boundary(self):
         m = np.array([1.0, 0.0, 5e-324])
-        assert is_realizable_monomial(m)
+        assert is_realizable_monomial(*m)
         assert 0.5 * 5e-324 == 0.0
-        assert not is_realizable_monomial(0.5 * m)
+        assert not is_realizable_monomial(*(0.5 * m))
 
     def test_positive_density_moments_are_realizable(self):
         # moments of explicit positive densities must pass the strict check
@@ -109,7 +109,7 @@ class TestMembership:
             coef = rng.uniform(0.2, 2.0, 3)
             density = coef[0] + coef[1] * np.sin(3 * xs) ** 2 + coef[2] * xs**2
             m = [np.trapezoid(xs**k * density, xs) / 2 for k in range(3)]
-            assert is_realizable_monomial(np.array(m))
+            assert is_realizable_monomial(*m)
 
 
 class TestSampling:
